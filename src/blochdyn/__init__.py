@@ -6,10 +6,10 @@ diagnostics, split-step propagation, grid diagonalization) and band-filling
 conduction bookkeeping, all in natural units tied to the lattice constant.
 """
 
-from .central_equation import (BandSolution, CentralHamiltonian, band_sweep,
-                               bloch_psi, build, effective_mass, group_velocity,
-                               hellmann_feynman_velocity, reduce_to_zone, solve,
-                               solve_at)
+from .central_equation import (BandSolution, CentralHamiltonian, band_derivatives,
+                               band_sweep, bloch_psi, build, effective_mass,
+                               group_velocity, hellmann_feynman_velocity,
+                               reduce_to_zone, solve, solve_at)
 from .conduction import (BandFilling, classify, fractional_displacement,
                          solenoid_shift, velocity_sum)
 from .errors import (BoundaryProximityError, ConfigError, DegeneratePointError,
@@ -19,7 +19,7 @@ from .quantum import (AdiabaticReport, BasisState, GridBands, GridState,
                       SplitStepResult, adiabatic_diagnostics, frame_generator,
                       gaussian_packet, grid_ground_state, integrate_basis,
                       split_step_free)
-from .semiclassical import (DivergenceReport, FieldConfig, Trajectory,
+from .semiclassical import (DivergenceReport, Trajectory,
                             compare_fundamental_lorentz, cyclotron_center_offset,
                             evolve_free_E, evolve_fundamental, evolve_general_V,
                             evolve_lorentz, evolve_periodic_B, evolve_periodic_E)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .central_equation import build, effective_mass, solve
+from .central_equation import band_derivatives, build, solve
 from .conduction import (
     BandFilling,
     classify,
@@ -133,18 +133,15 @@ def criterion_4_band_oracle(seed: int = 0) -> AcceptanceResult:
     pot = single_cosine(1.0, 0.05)
     gb = grid_ground_state(pot, M=16, N=2048)
 
-    worst = 0.0
-    for k in np.unique(gb.k):
-        sol = solve(build(float(k), 0.0, pot, 10))
-        worst = max(worst, abs(gb.ground_band_energy(float(k)) - sol.energies[0]))
+    ks = np.unique(gb.k)
+    energies, _, _ = band_derivatives(ks, pot, 10, 1)
+    worst = max(abs(gb.ground_band_energy(float(k)) - e) for k, e in zip(ks, energies[:, 0]))
 
     # empty lattice: folded free parabola, several bands
-    zero = FourierPotential(1.0, {0: 0.0})
-    folded_err = 0.0
-    for k in np.linspace(-math.pi, math.pi, 101):
-        sol = solve(build(float(k), 0.0, zero, 10))
-        exact = np.sort([(k + TWO_PI * l) ** 2 / 2.0 for l in range(-5, 6)])
-        folded_err = max(folded_err, float(np.max(np.abs(sol.energies[:5] - exact[:5]))))
+    ks = np.linspace(-math.pi, math.pi, 101)
+    energies, _, _ = band_derivatives(ks, FourierPotential(1.0, {0: 0.0}), 10, 5)
+    exact = np.sort((ks[:, None] + TWO_PI * np.arange(-5, 6)) ** 2 / 2.0, axis=1)
+    folded_err = float(np.max(np.abs(energies - exact[:, :5])))
     elapsed = time.perf_counter() - t0
 
     checks = [
@@ -260,8 +257,8 @@ def criterion_8_conduction(seed: int = 12345) -> AcceptanceResult:
     half0 = BandFilling(band=0, n_k=n_k, fraction=0.5, shift=0.0)
     half1 = BandFilling(band=0, n_k=n_k, fraction=0.5, shift=shift)
     net = velocity_sum(half1, pot, 10) - velocity_sum(half0, pot, 10)
-    response = shift * math.fsum(
-        1.0 / effective_mass(k, 0, pot, 10) for k in half0.occupied_k)
+    _, _, inv_mass = band_derivatives(half0.occupied_k, pot, 10, 1)
+    response = shift * math.fsum(inv_mass[:, 0])
     resp_rel = abs(net - response) / abs(response)
 
     labels = (classify(BandFilling(band=0, n_k=n_k, fraction=1.0), pot, 10),

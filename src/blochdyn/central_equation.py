@@ -28,6 +28,9 @@ _DELTA_K_VELOCITY = 1e-5
 _DELTA_K_MASS = 1e-4
 _OVERLAP_MIN = 0.5
 _CURVATURE_MIN = 1e-12
+_GAP_MIN = 1e-10
+# k-points per stacked eigh call; bounds the memory of a long sweep
+_K_BLOCK = 64
 
 
 def reduce_to_zone(k, a: float = 1.0):
@@ -60,15 +63,21 @@ class BandSolution:
 
     @property
     def plane_wavevectors(self) -> np.ndarray:
-        ls = np.arange(-self.n, self.n + 1)
-        return self.k + TWO_PI * ls / self.a + self.A_shift
+        return _plane_wavevectors(self.k, self.A_shift, self.a, self.n)
 
 
-def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> CentralHamiltonian:
-    """Assemble the (2n+1)x(2n+1) Hermitian matrix at reduced k with gauge shift."""
-    edge = np.pi / pot.a
-    if abs(k) > edge * (1.0 + 1e-12):
-        raise ValueError(f"k={k!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")
+def _plane_wavevectors(k, A_shift: float, a: float, n: int) -> np.ndarray:
+    """κ_l = k + 2πl/a + A_shift for l = -n..n, along a new last axis of k."""
+    ls = np.arange(-n, n + 1)
+    return np.asarray(k)[..., None] + TWO_PI * ls / a + A_shift
+
+
+def _hamiltonians(ks: np.ndarray, A_shift: float, pot: FourierPotential,
+                  n: int) -> np.ndarray:
+    """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k."""
+    k_max = float(np.abs(ks).max(initial=0.0))
+    if k_max > np.pi / pot.a * (1.0 + 1e-12):
+        raise ValueError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")
     if n < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {n}")
     if n < pot.cutoff:
@@ -77,21 +86,22 @@ def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> CentralHam
             "harmonics would be silently dropped"
         )
     size = 2 * n + 1
-    ls = np.arange(-n, n + 1)
-    diag = (k + TWO_PI * ls / pot.a + A_shift) ** 2 / 2.0 + pot.coefficient(0).real
     dtype = np.float64 if pot.is_real else np.complex128
-    H = np.zeros((size, size), dtype=dtype)
-    H[np.diag_indices(size)] = diag
+    # Toeplitz potential part H[i, j] = V_{l_i - l_j}, row index i carries l_i = i - n
+    coeffs = np.zeros(2 * size - 1, dtype=dtype)
     for l, v in pot.items():
-        if l == 0:
-            continue
-        # H[i, j] = V_{l_i - l_j}; row index i carries l_i = i - n
-        val = v.real if dtype is np.float64 else v
-        idx = np.arange(size - abs(l))
-        if l > 0:
-            H[idx + l, idx] = val
-        else:
-            H[idx, idx - l] = val
+        coeffs[l + 2 * n] = v.real if l == 0 or dtype is np.float64 else v
+    ls = np.arange(-n, n + 1)
+    H = np.repeat(coeffs[np.subtract.outer(ls, ls) + 2 * n][None], ks.size, axis=0)
+    # every diagonal H[k, i, i] as one strided view
+    H.reshape(ks.size, size * size)[:, ::size + 1] += (
+        _plane_wavevectors(ks, A_shift, pot.a, n) ** 2 / 2.0)
+    return H
+
+
+def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> CentralHamiltonian:
+    """Assemble the (2n+1)x(2n+1) Hermitian matrix at reduced k with gauge shift."""
+    H = _hamiltonians(np.array([k], dtype=np.float64), A_shift, pot, n)[0]
     return CentralHamiltonian(k=float(k), A_shift=float(A_shift), n=n, pot=pot, matrix=H)
 
 
@@ -164,20 +174,17 @@ def group_velocity(k: float, band: int, pot: FourierPotential, n: int,
 
 
 def hellmann_feynman_velocity(sol: BandSolution, band: int) -> float:
-    """Exact band derivative Σ_l |a_l|² (k + 2πl/a + A_shift).
-
-    Used where finite-difference roundoff (of order machine epsilon times
-    the matrix norm over the step) would dominate, e.g. summing velocities
-    over hundreds of k points.
-    """
+    """Exact band derivative Σ_l |a_l|² (k + 2πl/a + A_shift) at one solved point."""
     w = np.abs(sol.vectors[:, band]) ** 2
     return float(w @ sol.plane_wavevectors)
 
 
-def _mass_from_curvature(curvature: float) -> float:
-    if abs(curvature) < _CURVATURE_MIN:
+def _mass_from_curvature(curvature):
+    """1/curvature, elementwise; raises InfiniteMassError at an inflection point."""
+    flattest = float(np.min(np.abs(curvature), initial=np.inf))
+    if flattest < _CURVATURE_MIN:
         raise InfiniteMassError(
-            f"band curvature {curvature:.3e} below {_CURVATURE_MIN}; inflection point"
+            f"band curvature {flattest:.3e} below {_CURVATURE_MIN}; inflection point"
         )
     return 1.0 / curvature
 
@@ -194,34 +201,57 @@ def effective_mass(k: float, band: int, pot: FourierPotential, n: int,
     return _mass_from_curvature(float(curvature))
 
 
+def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
+    """Energies, velocities and inverse masses m/m* of bands 0..n_bands-1 at reduced ks.
+
+    Each is a (len(ks), n_bands) array from one eigendecomposition per k, with
+    the k-points stacked _K_BLOCK at a time. With κ the plane-wave momentum,
+    the velocity is the Hellmann–Feynman ⟨b|κ|b⟩ and the inverse mass the k·p
+    sum rule 1 + 2 Σ_{j≠b} |⟨j|κ|b⟩|²/(E_b − E_j): exact derivatives of the
+    truncated bands. A band within _GAP_MIN of a band κ couples it to has no
+    curvature and raises DegeneratePointError; uncoupled crossings (the empty
+    lattice's) add nothing.
+    """
+    ks = np.atleast_1d(np.asarray(ks, dtype=np.float64))
+    if not 0 <= n_bands <= 2 * n + 1:
+        raise ValueError(f"n_bands={n_bands} out of range for truncation n={n}")
+    out = np.empty((3, ks.size, n_bands))
+    own = np.arange(n_bands)
+    for lo in range(0, ks.size, _K_BLOCK):
+        block = ks[lo:lo + _K_BLOCK]
+        energies, vecs = np.linalg.eigh(_hamiltonians(block, 0.0, pot, n))
+        kappa = _plane_wavevectors(block, 0.0, pot.a, n)
+        # coupling[:, j, b] = ⟨j|κ|b⟩
+        coupling = vecs.conj().transpose(0, 2, 1) @ (kappa[:, :, None] * vecs[:, :, :n_bands])
+        weight = np.abs(coupling) ** 2
+        weight[:, own, own] = 0.0  # j = b is the velocity, not a coupling
+        gaps = energies[:, None, :n_bands] - energies[:, :, None]
+        close = np.abs(gaps) <= _GAP_MIN
+        coupled_close = np.argwhere(close & (weight > 0.0))
+        if coupled_close.size:
+            i, j, b = coupled_close[0]
+            raise DegeneratePointError(
+                f"band {b} at k={float(block[i])!r} lies {abs(gaps[i, j, b]):.3e} from "
+                f"coupled band {j} (below {_GAP_MIN}); curvature undefined")
+        terms = np.divide(weight, gaps, out=np.zeros_like(gaps), where=~close)
+        out[:, lo:lo + _K_BLOCK] = (energies[:, :n_bands], coupling[:, own, own].real,
+                                    1.0 + 2.0 * terms.sum(axis=1))
+    return tuple(out)
+
+
 def band_sweep(pot: FourierPotential, n: int, k_points: int, n_bands: int,
-               energy_eV: float, velocity_SI: float, threads: int = 1):
+               energy_eV: float, velocity_SI: float):
     """Rows (k, band, energy_eV, v_g_SI, m_star_ratio) over a uniform zone grid.
 
     energy_eV and velocity_SI are the SI values of one internal unit; the
-    mass ratio m*/m_e is dimensionless. Rows are ordered by (k, band)
-    regardless of thread count.
+    mass ratio m*/m_e is dimensionless and inf where the curvature vanishes.
+    Rows are ordered by (k, band).
     """
     edge = np.pi / pot.a
     ks = np.linspace(-edge, edge, k_points)
-
-    def one_k(k):
-        sol = solve_at(k, 0.0, pot, n)
-        rows = []
-        for b in range(n_bands):
-            vg = group_velocity(k, b, pot, n)
-            try:
-                ms = effective_mass(k, b, pot, n)
-            except InfiniteMassError:
-                ms = float("inf")
-            rows.append((float(k), b, sol.energies[b] * energy_eV, vg * velocity_SI, ms))
-        return rows
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_k = list(ex.map(one_k, ks))
-    else:
-        per_k = [one_k(k) for k in ks]
-    return [row for rows in per_k for row in rows]
+    energies, velocity, inv_mass = band_derivatives(ks, pot, n, n_bands)
+    m_star = np.divide(1.0, inv_mass, out=np.full_like(inv_mass, np.inf),
+                       where=np.abs(inv_mass) >= _CURVATURE_MIN)
+    return [(float(k), b, energies[i, b] * energy_eV, velocity[i, b] * velocity_SI,
+             m_star[i, b])
+            for i, k in enumerate(ks) for b in range(n_bands)]

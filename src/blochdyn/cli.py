@@ -195,7 +195,7 @@ def _write_json(path: Path, payload: dict) -> None:
 # subcommands
 
 
-def _run_bands(scn: dict, units: UnitSystem, out: Path, threads: int) -> int:
+def _run_bands(scn: dict, units: UnitSystem, out: Path) -> int:
     pot = _parse_potential(scn, units)
     block = _block(scn, "sweep")
     n = _take(block, "n_waves", "int", "sweep")
@@ -205,7 +205,7 @@ def _run_bands(scn: dict, units: UnitSystem, out: Path, threads: int) -> int:
     _close(scn, "scenario")
 
     rows = band_sweep(pot, n, k_points, n_bands, units.energy_eV,
-                      units.factor("velocity"), threads=threads)
+                      units.factor("velocity"))
     _write_csv(out / "bands.csv", "band sweep over the reduced zone",
                ["k", "band", "energy_eV", "v_g_SI", "m_star_ratio"], rows)
     return 0
@@ -449,8 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for internal sweeps")
 
     v = sub.add_parser("validate", help="run the acceptance suite")
     v.add_argument("--out", required=True, help="output directory")
@@ -480,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         _parse_header(scn)
         units = _parse_units(scn)
         if args.command == "bands":
-            return _run_bands(scn, units, out, args.threads)
+            return _run_bands(scn, units, out)
         if args.command == "wavepacket":
             return _run_wavepacket(scn, units, out)
         if args.command == "cyclotron":

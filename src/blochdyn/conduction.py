@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_equation import (TWO_PI, hellmann_feynman_velocity, reduce_to_zone,
-                               solve_at)
+from .central_equation import TWO_PI, band_derivatives, reduce_to_zone
 from .potential import FourierPotential
 from .units import E_CHARGE_SI, HBAR_SI, MU0_SI
 
@@ -66,12 +65,9 @@ def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
     momenta (the exact band derivative); accumulation uses exact summation
     so the result is independent of evaluation order.
     """
-    shift = filling.shift
-    terms = []
-    for k in filling.occupied_k:
-        sol = solve_at(reduce_to_zone(k + shift, pot.a), 0.0, pot, n)
-        terms.append(hellmann_feynman_velocity(sol, filling.band))
-    return math.fsum(terms)
+    ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
+    _, velocity, _ = band_derivatives(ks, pot, n, filling.band + 1)
+    return math.fsum(velocity[:, filling.band])
 
 
 def classify(filling: BandFilling, pot: FourierPotential, n: int,

@@ -17,9 +17,11 @@ class FourierPotential:
     Coefficients are given as a mapping {l: V_l} with integer l. Every
     stored l must come with its partner -l satisfying V_{-l} = conj(V_l);
     construction rejects anything else. V_0, if present, must be real.
+    ``cutoff`` is the largest stored |l| (0 for the empty potential), and
+    ``is_real`` is True when all coefficients are real, i.e. V(-x) = V(x).
     """
 
-    __slots__ = ("a", "_coeffs", "_ls", "_vs")
+    __slots__ = ("a", "cutoff", "is_real", "_coeffs", "_ls", "_vs")
 
     def __init__(self, a: float, coeffs: dict[int, complex]):
         if not a > 0.0:
@@ -44,16 +46,9 @@ class FourierPotential:
         self._coeffs = clean
         self._ls = np.array(sorted(clean), dtype=np.int64)
         self._vs = np.array([clean[l] for l in self._ls], dtype=np.complex128)
-
-    @property
-    def cutoff(self) -> int:
-        """Largest stored |l| (0 for the empty potential)."""
-        return int(np.max(np.abs(self._ls))) if self._ls.size else 0
-
-    @property
-    def is_real(self) -> bool:
-        """True when all coefficients are real, i.e. V(-x) = V(x)."""
-        return bool(np.all(np.abs(self._vs.imag) <= _IMAG_TOL))
+        # read on every Hamiltonian assembly, so computed once here
+        self.cutoff = int(np.max(np.abs(self._ls))) if self._ls.size else 0
+        self.is_real = bool(np.all(np.abs(self._vs.imag) <= _IMAG_TOL))
 
     def coefficient(self, l: int) -> complex:
         return self._coeffs.get(int(l), 0.0 + 0.0j)

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .central_equation import TWO_PI, solve_at
+from .central_equation import _GAP_MIN, TWO_PI, solve_at
 from .errors import BoundaryProximityError, DegeneratePointError
 from .potential import FourierPotential
-
-_GAP_MIN = 1e-10
 
 
 # --------------------------------------------------------------------------

@@ -22,31 +22,12 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
-from .central_equation import group_velocity, reduce_to_zone
+from .central_equation import (_mass_from_curvature, band_derivatives,
+                               hellmann_feynman_velocity, reduce_to_zone, solve_at)
 from .errors import EnergyDriftError
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """Uniform electric field vector and magnetic field magnitude along ẑ."""
-
-    E: np.ndarray
-    B: float = 0.0
-
-    def __post_init__(self):
-        E = np.atleast_1d(np.asarray(self.E, dtype=np.float64))
-        if E.size > 3 or not np.all(np.isfinite(E)):
-            raise ValueError(f"E must be a finite vector of <= 3 components, got {self.E!r}")
-        if not np.isfinite(self.B):
-            raise ValueError("B must be finite")
-        object.__setattr__(self, "E", E)
-
-    @property
-    def omega_c(self) -> float:
-        return self.B
 
 
 @dataclass
@@ -246,19 +227,18 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
 
     v_g is sampled from the band dispersion along the path and x(t) is its
     trapezoid integral. With with_mass=True, meta["m_star"] carries the
-    effective mass along the path (one extra stencil per sample).
+    effective mass along the path. Both come from one band_derivatives call
+    over the whole path.
     """
-    from .central_equation import effective_mass
-
     times, _, _ = _time_grid(T, dt)
     k_unred = k0 - E * times
-    k_red = reduce_to_zone(k_unred, pot.a)
-    v = np.array([group_velocity(k, band, pot, n) for k in k_red])
+    _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
+    v = v[:, band]
     x = x0 + cumulative_trapezoid(v, times, initial=0.0)
     meta = {"dt": float(times[1] - times[0]), "method": "band_sampling",
             "a": pot.a, "E": float(E)}
     if with_mass:
-        meta["m_star"] = np.array([effective_mass(k, band, pot, n) for k in k_red])
+        meta["m_star"] = _mass_from_curvature(inv_mass[:, band])
     return Trajectory("PERIODIC_E", times, k_unred, x, v, meta=meta)
 
 
@@ -277,8 +257,8 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
         rho = float(np.hypot(kvec[0], kvec[1]))
         if rho < 1e-12:
             return np.zeros(2)
-        s = group_velocity(reduce_to_zone(rho, pot.a), band, pot, n)
-        return s * kvec / rho
+        sol = solve_at(reduce_to_zone(rho, pot.a), 0.0, pot, n)
+        return hellmann_feynman_velocity(sol, band) * kvec / rho
 
     def rhs(y):
         v = vg_of(y)

@@ -21,6 +21,7 @@ from blochdyn import (
 from blochdyn.central_equation import (
     _mass_from_curvature,
     _match_band,
+    band_derivatives,
     band_sweep,
     hellmann_feynman_velocity,
     solve_at,
@@ -29,6 +30,9 @@ from blochdyn.central_equation import (
 TWO_PI = 2.0 * math.pi
 FREE = FourierPotential(1.0, {0: 0.0})
 WEAK = single_cosine(1.0, 0.05)
+# complex coefficients: V(-x) != V(x)
+SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j,
+                              2: 0.1 - 0.15j, -2: 0.1 + 0.15j})
 
 
 # --------------------------------------------------------------------------
@@ -225,6 +229,35 @@ def test_inflection_point_raises():
     assert _mass_from_curvature(-0.5) == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("pot", [single_cosine(1.0, 0.3), SKEW], ids=["real", "complex"])
+def test_band_derivatives_match_finite_differences(pot):
+    # away from the edge every band; near it only the two bands of the first
+    # gap, whose curvature the finite-difference step still resolves
+    for ks, bands, mass_rel in (([0.3, 1.0, -2.0], 3, 1e-4), ([math.pi - 1e-3], 2, 1e-3)):
+        _, velocity, inv_mass = band_derivatives(ks, pot, 10, bands)
+        for i, k in enumerate(ks):
+            for b in range(bands):
+                assert velocity[i, b] == pytest.approx(
+                    group_velocity(k, b, pot, 10), rel=1e-6, abs=1e-8)
+                assert inv_mass[i, b] == pytest.approx(
+                    1.0 / effective_mass(k, b, pot, 10), rel=mass_rel)
+
+
+def test_band_derivatives_energies_equal_solve_at():
+    for pot in (WEAK, SKEW):
+        energies, _, _ = band_derivatives([0.7], pot, 10, 4)
+        assert np.array_equal(energies[0], solve_at(0.7, 0.0, pot, 10).energies[:4])
+
+
+def test_band_derivatives_closed_coupled_gap_raises():
+    # bands 1 and 2 sit 1e-13 apart at k = 0 and κ couples them
+    pot = single_cosine(1.0, 1e-6)
+    with pytest.raises(DegeneratePointError):
+        band_derivatives([0.0], pot, 10, 3)
+    _, _, inv_mass = band_derivatives([0.0], pot, 10, 1)
+    assert inv_mass[0, 0] == pytest.approx(1.0, abs=1e-6)
+
+
 def test_band_matching_guard():
     # a band swap is tracked, not an error
     center = np.eye(4)
@@ -266,7 +299,11 @@ def test_band_sweep_rows_ordered_and_complete():
     assert by_band == sorted(by_band)
 
 
-def test_band_sweep_threaded_matches_serial():
-    serial = band_sweep(WEAK, 10, 15, 2, 7.6, 1e6, threads=1)
-    threaded = band_sweep(WEAK, 10, 15, 2, 7.6, 1e6, threads=4)
-    np.testing.assert_allclose(np.array(serial), np.array(threaded), rtol=0, atol=0)
+def test_band_sweep_empty_lattice_folds():
+    # crossings at k = 0 and ±π are exact degeneracies κ does not couple
+    rows = band_sweep(FREE, 10, 11, 4, 1.0, 1.0)
+    for k, _, energy, velocity, m_star in rows:
+        folded = k + TWO_PI * np.arange(-3, 4)
+        assert np.min(np.abs(folded - velocity)) < 1e-12
+        assert velocity ** 2 / 2.0 == pytest.approx(energy, abs=1e-10)
+        assert m_star == 1.0

@@ -60,14 +60,17 @@ def test_bands_rows_and_byte_determinism(tmp_path):
     assert len(lines) == 2 + 303
 
 
-def test_bands_threads_do_not_change_bytes(tmp_path):
-    scn = str(SCENARIOS / "bands_weak_cosine.json")
-    assert main(["bands", "--scenario", scn, "--out", str(tmp_path / "serial"),
-                 "--threads", "1"]) == 0
-    assert main(["bands", "--scenario", scn, "--out", str(tmp_path / "pool"),
-                 "--threads", "3"]) == 0
-    assert ((tmp_path / "serial" / "bands.csv").read_bytes()
-            == (tmp_path / "pool" / "bands.csv").read_bytes())
+@pytest.mark.parametrize("coefficients, code", [
+    ([], 0),                                   # empty lattice: uncoupled crossings
+    ([[-1, 1e-6, 0.0], [1, 1e-6, 0.0]], 3),    # coupled gap of 1e-13 at k = 0
+])
+def test_bands_degenerate_points(tmp_path, coefficients, code):
+    scn = _write(tmp_path, {
+        "version": 1, "name": "near-empty lattice", "units": {"a_ref_m": 1e-10},
+        "potential": {"a_internal": 1.0, "coefficients_internal": coefficients},
+        "sweep": {"n_waves": 10, "k_points": 11, "n_bands": 3},
+    })
+    assert main(["bands", "--scenario", scn, "--out", str(tmp_path / "out")]) == code
 
 
 def test_wavepacket_norm_column(tmp_path):

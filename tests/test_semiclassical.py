@@ -7,7 +7,6 @@ import pytest
 
 from blochdyn import (
     EnergyDriftError,
-    FieldConfig,
     compare_fundamental_lorentz,
     cyclotron_center_offset,
     evolve_free_E,
@@ -238,17 +237,6 @@ def test_periodic_B_zero_field_keeps_k():
 
 # --------------------------------------------------------------------------
 # plumbing
-
-
-def test_field_config_validation():
-    cfg = FieldConfig(E=[1.0, 0.0], B=2.0)
-    assert cfg.omega_c == 2.0
-    with pytest.raises(ValueError):
-        FieldConfig(E=[1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        FieldConfig(E=[float("inf")])
-    with pytest.raises(ValueError):
-        FieldConfig(E=[0.0], B=float("nan"))
 
 
 def test_time_grid_rounding():
