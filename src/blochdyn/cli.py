@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,13 +18,8 @@ import numpy as np
 from . import __version__
 from .acceptance import CRITERIA, run_all
 from .central_equation import band_sweep
-from .conduction import (
-    BandFilling,
-    classify,
-    fractional_displacement,
-    solenoid_shift,
-    velocity_sum,
-)
+from .conduction import (BandFilling, classify, fractional_displacement, solenoid_shift,
+                         velocity_sum)
 from .errors import ConfigError, PhysicsError
 from .potential import FourierPotential
 from .quantum import adiabatic_diagnostics, gaussian_packet, integrate_basis, split_step_free
@@ -36,7 +30,95 @@ _FLOAT = "%.17g"
 
 
 # --------------------------------------------------------------------------
-# strict scenario parsing
+# scenario schema
+#
+# A schema maps each key of a block to its kind; a kind that is a dict is a
+# nested block. A trailing "?" marks an optional block or key. A key written
+# as a tuple is a unit choice: exactly one of its names must appear, and the
+# value, converted to internal units, is returned under the first name.
+
+
+def _is_num(v) -> bool:
+    # the bound also rejects 1e400, which JSON reads as inf, and ints past float range
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# kind -> (test, what a value of that kind is)
+_KINDS = {
+    "num": (_is_num, "a finite number"),
+    "int": (_is_int, "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "vec2": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_num, v)),
+             "a list of two numbers"),
+    "nums": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_num, v)),
+             "a non-empty list of numbers"),
+    "triples": (lambda v: isinstance(v, list) and all(
+                    isinstance(t, list) and len(t) == 3 and _is_int(t[0])
+                    and all(map(_is_num, t[1:])) for t in v),
+                "a list of [l, re, im] with integer l"),
+}
+
+# SI name of a scalar unit choice -> the dimension tag it converts from
+_SI_TAGS = {"E_V_per_m": "electric_field", "B_tesla": "magnetic_field"}
+
+# keys every scenario carries; "version" is checked by load_scenario
+HEADER = {"version": "int", "name": "str", "units": {"a_ref_m": "num"}}
+
+_POTENTIAL = {"a_internal": "num", ("coefficients_internal", "coefficients_eV"): "triples"}
+_SCALAR_FIELD = {("E_internal", "E_V_per_m"): "num"}
+_PLANAR_FIELD = {"E_internal?": "vec2", ("B_internal", "B_tesla"): "num"}
+_PLANAR_DYNAMICS = {"k0_internal": "vec2", "x0_internal": "vec2",
+                    "T_internal": "num", "dt_internal": "num"}
+_OUTPUT = {"sample_stride?": "int"}
+_MODES = ("probe", "sweep")
+_ADIABATIC = {"mode": _MODES, "k0_internal": "num", "n_waves": "int"}
+
+# subcommand, or (subcommand, dynamics.mode) for adiabatic -> block -> key -> kind
+SCHEMAS = {
+    "bands": {
+        "potential": _POTENTIAL,
+        "sweep": {"n_waves": "int", "k_points": "int", "n_bands": "int"},
+    },
+    "wavepacket": {
+        "field": _SCALAR_FIELD,
+        "dynamics": {"domain_internal": "num", "grid_points": "int",
+                     "x0_internal": "num", "k0_internal": "num",
+                     "sigma_internal": "num", "T_internal": "num",
+                     "dt_internal": "num"},
+        "output?": _OUTPUT,
+    },
+    "cyclotron": {
+        "field": _PLANAR_FIELD,
+        "dynamics": {"equation": ("fundamental", "lorentz"), **_PLANAR_DYNAMICS},
+    },
+    "compare-eom": {"field": _PLANAR_FIELD, "dynamics": _PLANAR_DYNAMICS},
+    ("adiabatic", "probe"): {
+        "potential": _POTENTIAL,
+        "field": _SCALAR_FIELD,
+        "dynamics": {**_ADIABATIC, "t_probe_internal": "num"},
+    },
+    ("adiabatic", "sweep"): {
+        "potential": _POTENTIAL,
+        "field": _SCALAR_FIELD,
+        "dynamics": {**_ADIABATIC, "T_internal": "num", "dt_internal": "num"},
+        "output?": _OUTPUT,
+    },
+    "conduction": {
+        "potential": _POTENTIAL,
+        "dynamics": {"band": "int", "n_k": "int", "n_waves": "int",
+                     "shift_internal": "num", "fractions": "nums"},
+    },
+    "solenoid": {
+        "solenoid": {"turns_per_m": "num", "current_A": "num", "area_m2": "num",
+                     "radius_m": "num", "k0_per_m": "num",
+                     "reference_shift_per_m?": "num"},
+    },
+}
 
 
 def _reject_constant(token: str):
@@ -62,125 +144,86 @@ def load_scenario(path: str | Path) -> dict:
     return data
 
 
-def _take(block: dict, key: str, kind: str, path: str, required: bool = True,
-          default=None):
-    if key not in block:
-        if required:
-            raise ConfigError(f"missing key {path}.{key}")
-        return default
-    val = block.pop(key)
+def _value(val, kind, path: str, si_name: str | None, units: UnitSystem | None):
+    """One checked value; an enumeration kind is a tuple of allowed strings."""
+    if isinstance(kind, tuple):
+        test, what = (lambda v: isinstance(v, str) and v in kind), f"one of {kind}"
+    else:
+        test, what = _KINDS[kind]
+    if not test(val):
+        raise ConfigError(f"{path} must be {what}, got {val!r}")
     if kind == "num":
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}.{key} must be a number, got {val!r}")
-        return float(val)
-    if kind == "int":
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{path}.{key} must be an integer, got {val!r}")
-        return val
-    if kind == "str":
-        if not isinstance(val, str):
-            raise ConfigError(f"{path}.{key} must be a string, got {val!r}")
-        return val
-    if kind == "bool":
-        if not isinstance(val, bool):
-            raise ConfigError(f"{path}.{key} must be a boolean, got {val!r}")
-        return val
-    if kind == "vec2":
-        if (not isinstance(val, list) or len(val) != 2
-                or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                       for c in val)):
-            raise ConfigError(f"{path}.{key} must be a list of two numbers, got {val!r}")
+        return float(val) if si_name is None else units.to_internal(float(val),
+                                                                   _SI_TAGS[si_name])
+    if kind in ("vec2", "nums"):
         return [float(c) for c in val]
-    if kind == "list":
-        if not isinstance(val, list):
-            raise ConfigError(f"{path}.{key} must be a list, got {val!r}")
-        return val
-    raise AssertionError(kind)
-
-
-def _close(block: dict, path: str):
-    if block:
-        raise ConfigError(f"unknown key {path}.{sorted(block)[0]}")
-
-
-def _block(scn: dict, name: str, required: bool = True) -> dict:
-    if name not in scn:
-        if required:
-            raise ConfigError(f"missing block \"{name}\"")
-        return {}
-    val = scn.pop(name)
-    if not isinstance(val, dict):
-        raise ConfigError(f"block \"{name}\" must be a JSON object")
+    if kind == "triples":
+        # eV coefficients take the reciprocal factor, internal ones a factor 1.0
+        scale = 1.0 if si_name is None else 1.0 / units.energy_eV
+        coeffs = {}
+        for l, re, im in val:
+            if l in coeffs:
+                raise ConfigError(f"{path} repeats l={l}")
+            coeffs[l] = complex(re, im) * scale
+        return coeffs
     return val
 
 
-def _parse_header(scn: dict) -> str:
-    scn.pop("version")
-    name = _take(scn, "name", "str", "scenario")
-    return name
+def parse_scenario(scn: dict, schema: dict, units: UnitSystem | None) -> dict:
+    """Values of ``scn`` checked against ``schema``, in internal units.
+
+    Rejects unknown and missing keys, wrong kinds and incomplete unit
+    choices with ConfigError. An absent optional key is left out of the
+    result; an absent optional block reads as empty.
+    """
+    return _parse(scn, schema, units, "")
 
 
-def _parse_units(scn: dict) -> UnitSystem:
-    block = _block(scn, "units")
-    a_ref = _take(block, "a_ref_m", "num", "units")
-    _close(block, "units")
-    return UnitSystem(a_ref)
+def _parse(scn, schema: dict, units: UnitSystem | None, path: str) -> dict:
+    if not isinstance(scn, dict):
+        raise ConfigError(f"block {path} must be a JSON object, got {scn!r}")
+    at = lambda name: f"{path}.{name}" if path else name
+    choices = {key: tuple(n.rstrip("?") for n in (key if isinstance(key, tuple) else (key,)))
+               for key in schema}
+    unknown = sorted(set(scn) - {name for names in choices.values() for name in names})
+    if unknown:
+        raise ConfigError(f"unknown key {at(unknown[0])}")
+    out = {}
+    for key, kind in schema.items():
+        names = choices[key]
+        given = [name for name in names if name in scn]
+        if isinstance(key, tuple) and len(given) != 1:
+            raise ConfigError(f"{path}: give exactly one of {' / '.join(names)}")
+        if not given:
+            if not key.endswith("?"):
+                raise ConfigError(f"missing key {at(names[0])}")
+            if isinstance(kind, dict):
+                out[names[0]] = {}
+            continue
+        name = given[0]
+        if isinstance(kind, dict):
+            out[name] = _parse(scn[name], kind, units, at(name))
+        else:
+            out[names[0]] = _value(scn[name], kind, at(name),
+                                   None if name == names[0] else name, units)
+    return out
 
 
-def _parse_potential(scn: dict, units: UnitSystem) -> FourierPotential:
-    block = _block(scn, "potential")
-    a = _take(block, "a_internal", "num", "potential")
-    triples_ev = _take(block, "coefficients_eV", "list", "potential", required=False)
-    triples_int = _take(block, "coefficients_internal", "list", "potential",
-                        required=False)
-    _close(block, "potential")
-    if (triples_ev is None) == (triples_int is None):
-        raise ConfigError(
-            "potential needs exactly one of coefficients_eV / coefficients_internal")
-    triples = triples_ev if triples_ev is not None else triples_int
-    scale = 1.0 / units.energy_eV if triples_ev is not None else 1.0
-    coeffs = {}
-    for i, item in enumerate(triples):
-        if (not isinstance(item, list) or len(item) != 3
-                or isinstance(item[0], bool) or not isinstance(item[0], int)
-                or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                       for c in item[1:])):
-            raise ConfigError(
-                f"potential coefficient {i} must be [l, re, im] with integer l")
-        l, re, im = item
-        if l in coeffs:
-            raise ConfigError(f"duplicate potential coefficient l={l}")
-        coeffs[l] = complex(re, im) * scale
-    return FourierPotential(a, coeffs)
-
-
-def _parse_E_scalar(block: dict, units: UnitSystem, path: str,
-                    required: bool = True) -> float | None:
-    e_int = _take(block, "E_internal", "num", path, required=False)
-    e_si = _take(block, "E_V_per_m", "num", path, required=False)
-    if e_int is not None and e_si is not None:
-        raise ConfigError(f"{path}: give E_internal or E_V_per_m, not both")
-    if e_int is None and e_si is None:
-        if required:
-            raise ConfigError(f"{path}: one of E_internal / E_V_per_m is required")
-        return None
-    return e_int if e_int is not None else units.to_internal(e_si, "electric_field")
-
-
-def _parse_B(block: dict, units: UnitSystem, path: str) -> float:
-    b_int = _take(block, "B_internal", "num", path, required=False)
-    b_si = _take(block, "B_tesla", "num", path, required=False)
-    if (b_int is None) == (b_si is None):
-        raise ConfigError(f"{path}: give exactly one of B_internal / B_tesla")
-    return b_int if b_int is not None else units.to_internal(b_si, "magnetic_field")
+def _schema(command: str, scn: dict) -> dict:
+    """The SCHEMAS entry of a run; adiabatic's is picked by dynamics.mode."""
+    if command in SCHEMAS:
+        return SCHEMAS[command]
+    dyn = scn.get("dynamics")
+    mode = dyn.get("mode") if isinstance(dyn, dict) else None
+    # a missing or unknown mode fails the enumeration in the first entry
+    return SCHEMAS[command, mode if mode in _MODES else _MODES[0]]
 
 
 # --------------------------------------------------------------------------
 # output helpers
 
 
-def _write_csv(path: Path, header_comment: str, columns: list[str],
-               rows) -> None:
+def _write_csv(path: Path, header_comment: str, columns: list[str], rows) -> None:
     lines = [f"# {header_comment}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_FLOAT % v for v in row))
@@ -192,96 +235,57 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed scenario, the unit system and --out
+
+
+def _potential(scn: dict) -> FourierPotential:
+    return FourierPotential(scn["potential"]["a_internal"],
+                            scn["potential"]["coefficients_internal"])
 
 
 def _run_bands(scn: dict, units: UnitSystem, out: Path) -> int:
-    pot = _parse_potential(scn, units)
-    block = _block(scn, "sweep")
-    n = _take(block, "n_waves", "int", "sweep")
-    k_points = _take(block, "k_points", "int", "sweep")
-    n_bands = _take(block, "n_bands", "int", "sweep")
-    _close(block, "sweep")
-    _close(scn, "scenario")
-
-    rows = band_sweep(pot, n, k_points, n_bands, units.energy_eV,
-                      units.factor("velocity"))
+    sweep = scn["sweep"]
+    rows = band_sweep(_potential(scn), sweep["n_waves"], sweep["k_points"],
+                      sweep["n_bands"], units.energy_eV, units.factor("velocity"))
     _write_csv(out / "bands.csv", "band sweep over the reduced zone",
                ["k", "band", "energy_eV", "v_g_SI", "m_star_ratio"], rows)
     return 0
 
 
 def _run_wavepacket(scn: dict, units: UnitSystem, out: Path) -> int:
-    block = _block(scn, "field")
-    e_field = _parse_E_scalar(block, units, "field")
-    _close(block, "field")
-    dyn = _block(scn, "dynamics")
-    domain = _take(dyn, "domain_internal", "num", "dynamics")
-    n_grid = _take(dyn, "grid_points", "int", "dynamics")
-    x0 = _take(dyn, "x0_internal", "num", "dynamics")
-    k0 = _take(dyn, "k0_internal", "num", "dynamics")
-    sigma = _take(dyn, "sigma_internal", "num", "dynamics")
-    horizon = _take(dyn, "T_internal", "num", "dynamics")
-    dt = _take(dyn, "dt_internal", "num", "dynamics")
-    _close(dyn, "dynamics")
-    outb = _block(scn, "output", required=False)
-    stride = _take(outb, "sample_stride", "int", "output", required=False, default=1)
-    _close(outb, "output")
-    _close(scn, "scenario")
-
-    psi0 = gaussian_packet(domain, n_grid, x0=x0, k0=k0, sigma=sigma)
-    res = split_step_free(psi0, e_field, horizon, dt, sample_stride=stride)
+    dyn = scn["dynamics"]
+    psi0 = gaussian_packet(dyn["domain_internal"], dyn["grid_points"],
+                           x0=dyn["x0_internal"], k0=dyn["k0_internal"],
+                           sigma=dyn["sigma_internal"])
+    res = split_step_free(psi0, scn["field"]["E_internal"], dyn["T_internal"],
+                          dyn["dt_internal"],
+                          sample_stride=scn["output"].get("sample_stride", 1))
     rows = zip(res.times, res.x_mean, res.k_mean, res.sigma_x, res.norms)
     _write_csv(out / "wavepacket.csv", "split-step packet moments",
                ["t", "x_mean", "k_mean", "sigma_x", "norm"], rows)
     return 0
 
 
-def _parse_planar(scn: dict, units: UnitSystem):
-    block = _block(scn, "field")
-    ex_ey = _take(block, "E_internal", "vec2", "field", required=False,
-                  default=[0.0, 0.0])
-    b_field = _parse_B(block, units, "field")
-    _close(block, "field")
-    dyn = _block(scn, "dynamics")
-    k0 = _take(dyn, "k0_internal", "vec2", "dynamics")
-    x0 = _take(dyn, "x0_internal", "vec2", "dynamics")
-    horizon = _take(dyn, "T_internal", "num", "dynamics")
-    dt = _take(dyn, "dt_internal", "num", "dynamics")
-    tag = _take(dyn, "equation", "str", "dynamics", required=False, default=None)
-    _close(dyn, "dynamics")
-    return ex_ey, b_field, k0, x0, horizon, dt, tag
-
-
-def _trajectory_rows(traj):
-    radius = np.linalg.norm(traj.x, axis=1)
-    return zip(traj.times, traj.k[:, 0], traj.k[:, 1], traj.x[:, 0],
-               traj.x[:, 1], traj.v_g[:, 0], traj.v_g[:, 1], radius)
+def _planar(scn: dict, evolve):
+    field, dyn = scn["field"], scn["dynamics"]
+    return evolve(dyn["k0_internal"], dyn["x0_internal"],
+                  field.get("E_internal", [0.0, 0.0]), field["B_internal"],
+                  dyn["T_internal"], dyn["dt_internal"])
 
 
 def _run_cyclotron(scn: dict, units: UnitSystem, out: Path) -> int:
-    e_vec, b_field, k0, x0, horizon, dt, tag = _parse_planar(scn, units)
-    _close(scn, "scenario")
-    if tag is None:
-        raise ConfigError("dynamics.equation is required (fundamental or lorentz)")
-    if tag == "fundamental":
-        traj = evolve_fundamental(k0, x0, e_vec, b_field, horizon, dt)
-    elif tag == "lorentz":
-        traj = evolve_lorentz(k0, x0, e_vec, b_field, horizon, dt)
-    else:
-        raise ConfigError(f"unknown dynamics.equation {tag!r}")
+    evolve = {"fundamental": evolve_fundamental,
+              "lorentz": evolve_lorentz}[scn["dynamics"]["equation"]]
+    traj = _planar(scn, evolve)
+    rows = zip(traj.times, traj.k[:, 0], traj.k[:, 1], traj.x[:, 0], traj.x[:, 1],
+               traj.v_g[:, 0], traj.v_g[:, 1], np.linalg.norm(traj.x, axis=1))
     _write_csv(out / "trajectory.csv", f"equation: {traj.equation_tag}",
-               ["t", "kx", "ky", "x", "y", "vx", "vy", "radius"],
-               _trajectory_rows(traj))
+               ["t", "kx", "ky", "x", "y", "vx", "vy", "radius"], rows)
     return 0
 
 
 def _run_compare_eom(scn: dict, units: UnitSystem, out: Path) -> int:
-    e_vec, b_field, k0, x0, horizon, dt, tag = _parse_planar(scn, units)
-    _close(scn, "scenario")
-    if tag is not None:
-        raise ConfigError("compare-eom runs both equations; drop dynamics.equation")
-    rep = compare_fundamental_lorentz(k0, x0, e_vec, b_field, horizon, dt)
+    rep = _planar(scn, compare_fundamental_lorentz)
     f, lz = rep.fundamental, rep.lorentz
     dx = np.linalg.norm(f.x - lz.x, axis=1)
     dv = np.linalg.norm(f.v_g - lz.v_g, axis=1)
@@ -291,124 +295,76 @@ def _run_compare_eom(scn: dict, units: UnitSystem, out: Path) -> int:
                ["t", "x_fund", "y_fund", "x_lor", "y_lor", "vx_fund", "vy_fund",
                 "vx_lor", "vy_lor", "dx_norm", "dv_norm"], rows)
     _write_json(out / "compare.json", {
-        "version": 1,
-        "max_position_divergence": rep.max_position_divergence,
-        "max_velocity_divergence": rep.max_velocity_divergence,
-    })
+        "version": 1, "max_position_divergence": rep.max_position_divergence,
+        "max_velocity_divergence": rep.max_velocity_divergence})
     return 0
 
 
 def _run_adiabatic(scn: dict, units: UnitSystem, out: Path) -> int:
-    pot = _parse_potential(scn, units)
-    block = _block(scn, "field")
-    e_field = _parse_E_scalar(block, units, "field")
-    _close(block, "field")
-    dyn = _block(scn, "dynamics")
-    mode = _take(dyn, "mode", "str", "dynamics")
-    k0 = _take(dyn, "k0_internal", "num", "dynamics")
-    n = _take(dyn, "n_waves", "int", "dynamics")
+    pot, e_field, dyn = _potential(scn), scn["field"]["E_internal"], scn["dynamics"]
     ev = units.energy_eV
-
-    if mode == "probe":
-        t_probe = _take(dyn, "t_probe_internal", "num", "dynamics")
-        _close(dyn, "dynamics")
-        _close(scn, "scenario")
-        rep = adiabatic_diagnostics(k0, pot, n, e_field, t_probe)
+    if dyn["mode"] == "probe":
+        t_probe = dyn["t_probe_internal"]
+        rep = adiabatic_diagnostics(dyn["k0_internal"], pot, dyn["n_waves"], e_field,
+                                    t_probe)
         _write_json(out / "adiabatic.json", {
-            "version": 1,
-            "t_internal": t_probe,
-            "gap_eV": rep.gap[0] * ev,
-            "hdot_norm_eV": rep.hdot_norm[0] * ev,
-            "omega_bar_star_eV": rep.omega_bar_star[0] * ev,
-            "bound_rhs_eV": rep.bound_rhs[0] * ev,
-            "comm_norm_eV": rep.comm_norm[0] * ev,
+            "version": 1, "t_internal": t_probe,
+            **{f"{name}_eV": getattr(rep, name)[0] * ev for name in
+               ("gap", "hdot_norm", "omega_bar_star", "bound_rhs", "comm_norm")},
             "chain_holds": rep.chain_holds(),
         })
         return 0
-    if mode == "sweep":
-        horizon = _take(dyn, "T_internal", "num", "dynamics")
-        dt = _take(dyn, "dt_internal", "num", "dynamics")
-        _close(dyn, "dynamics")
-        outb = _block(scn, "output", required=False)
-        stride = _take(outb, "sample_stride", "int", "output", required=False,
-                       default=1)
-        _close(outb, "output")
-        _close(scn, "scenario")
-        state, rep = integrate_basis(k0, pot, n, e_field, horizon, dt,
-                                     report_stride=stride)
-        rows = zip(rep.t, rep.gap * ev, rep.hdot_norm * ev,
-                   rep.omega_bar_star * ev, rep.bound_rhs * ev, rep.fidelity,
-                   rep.comm_norm * ev)
-        _write_csv(out / "adiabatic.csv", "eigenframe diagnostics along the sweep",
-                   ["t", "gap_eV", "hdot_norm_eV", "omega_bar_star_eV",
-                    "bound_rhs_eV", "fidelity", "comm_norm_eV"], rows)
-        return 0
-    raise ConfigError(f"dynamics.mode must be \"sweep\" or \"probe\", got {mode!r}")
+    _, rep = integrate_basis(dyn["k0_internal"], pot, dyn["n_waves"], e_field,
+                             dyn["T_internal"], dyn["dt_internal"],
+                             report_stride=scn["output"].get("sample_stride", 1))
+    rows = zip(rep.t, rep.gap * ev, rep.hdot_norm * ev,
+               rep.omega_bar_star * ev, rep.bound_rhs * ev, rep.fidelity,
+               rep.comm_norm * ev)
+    _write_csv(out / "adiabatic.csv", "eigenframe diagnostics along the sweep",
+               ["t", "gap_eV", "hdot_norm_eV", "omega_bar_star_eV",
+                "bound_rhs_eV", "fidelity", "comm_norm_eV"], rows)
+    return 0
 
 
 def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
-    pot = _parse_potential(scn, units)
-    dyn = _block(scn, "dynamics")
-    band = _take(dyn, "band", "int", "dynamics")
-    n_k = _take(dyn, "n_k", "int", "dynamics")
-    n = _take(dyn, "n_waves", "int", "dynamics")
-    shift = _take(dyn, "shift_internal", "num", "dynamics")
-    fractions = _take(dyn, "fractions", "list", "dynamics")
-    _close(dyn, "dynamics")
-    _close(scn, "scenario")
-    if not fractions or any(isinstance(f, bool) or not isinstance(f, (int, float))
-                            for f in fractions):
-        raise ConfigError("dynamics.fractions must be a non-empty list of numbers")
-
+    pot, dyn = _potential(scn), scn["dynamics"]
+    band, n_k, n, shift = dyn["band"], dyn["n_k"], dyn["n_waves"], dyn["shift_internal"]
     entries = []
-    for frac in fractions:
-        base = BandFilling(band=band, n_k=n_k, fraction=float(frac))
-        shifted = BandFilling(band=band, n_k=n_k, fraction=float(frac), shift=shift)
+    for frac in dyn["fractions"]:
+        base = BandFilling(band=band, n_k=n_k, fraction=frac, a=pot.a)
+        shifted = BandFilling(band=band, n_k=n_k, fraction=frac, shift=shift, a=pot.a)
         entries.append({
-            "fraction": float(frac),
+            "fraction": frac,
             "velocity_sum_unshifted": velocity_sum(base, pot, n),
             "velocity_sum_shifted": velocity_sum(shifted, pot, n),
             "classification": classify(base, pot, n),
         })
-    _write_json(out / "conduction.json", {
-        "version": 1,
-        "band": band,
-        "n_k": n_k,
-        "shift_internal": shift,
-        "fillings": entries,
-    })
+    _write_json(out / "conduction.json", {"version": 1, "band": band, "n_k": n_k,
+                                          "shift_internal": shift, "fillings": entries})
     return 0
 
 
 def _run_solenoid(scn: dict, units: UnitSystem, out: Path) -> int:
-    block = _block(scn, "solenoid")
-    turns = _take(block, "turns_per_m", "num", "solenoid")
-    current = _take(block, "current_A", "num", "solenoid")
-    area = _take(block, "area_m2", "num", "solenoid")
-    radius = _take(block, "radius_m", "num", "solenoid")
-    k0 = _take(block, "k0_per_m", "num", "solenoid")
-    reference = _take(block, "reference_shift_per_m", "num", "solenoid",
-                      required=False)
-    _close(block, "solenoid")
-    _close(scn, "scenario")
-
-    shift = solenoid_shift(turns, current, area, radius)
-    payload = {
-        "version": 1,
-        "shift_per_m": shift,
-        "k0_per_m": k0,
-        "fractional_displacement": fractional_displacement(k0, shift),
-    }
+    block = scn["solenoid"]
+    k0, reference = block["k0_per_m"], block.get("reference_shift_per_m")
+    shift = solenoid_shift(block["turns_per_m"], block["current_A"],
+                           block["area_m2"], block["radius_m"])
+    payload = {"version": 1, "shift_per_m": shift, "k0_per_m": k0,
+               "fractional_displacement": fractional_displacement(k0, shift)}
     if reference is not None:
-        payload["reference_shift_per_m"] = reference
-        payload["reference_fractional_displacement"] = fractional_displacement(
-            k0, reference)
+        payload.update(reference_shift_per_m=reference,
+                       reference_fractional_displacement=fractional_displacement(k0, reference))
     _write_json(out / "solenoid.json", payload)
     return 0
 
 
-def _run_validate(out: Path, seed: int, only: list[int] | None) -> int:
-    results = run_all(seed=seed, only=only)
+def _run_validate(out: Path, seed: int, only: str | None) -> int:
+    try:
+        ids = None if only is None else [int(tok) for tok in only.split(",")
+                                         if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"--only must be comma-separated integers, got {only!r}") from None
+    results = run_all(seed=seed, only=ids)
     if not results:
         raise ConfigError(f"--only selected no known criterion (valid: 1..{len(CRITERIA)})")
     for r in results:
@@ -426,6 +382,19 @@ def _run_validate(out: Path, seed: int, only: list[int] | None) -> int:
 # --------------------------------------------------------------------------
 # entry point
 
+# scenario subcommand -> (help, runner); the runner reads what SCHEMAS admits
+COMMANDS = {
+    "bands": ("band energies, velocities and mass ratios over the zone", _run_bands),
+    "wavepacket": ("split-step packet moments under a uniform field", _run_wavepacket),
+    "cyclotron": ("planar orbit under E and B (fundamental or lorentz)", _run_cyclotron),
+    "compare-eom": ("run both planar equations and report their divergence",
+                    _run_compare_eom),
+    "adiabatic": ("eigenframe diagnostics: single probe or full sweep", _run_adiabatic),
+    "conduction": ("velocity sums and classification for band fillings",
+                   _run_conduction),
+    "solenoid": ("vector-potential momentum kick of a threaded loop", _run_solenoid),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -433,20 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Band-structure and field-driven electron dynamics toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    needs_scenario = ("bands", "wavepacket", "cyclotron", "compare-eom",
-                      "adiabatic", "conduction", "solenoid")
-    helps = {
-        "bands": "band energies, velocities and mass ratios over the zone",
-        "wavepacket": "split-step packet moments under a uniform field",
-        "cyclotron": "planar orbit under E and B (fundamental or lorentz)",
-        "compare-eom": "run both planar equations and report their divergence",
-        "adiabatic": "eigenframe diagnostics: single probe or full sweep",
-        "conduction": "velocity sums and classification for band fillings",
-        "solenoid": "vector-potential momentum kick of a threaded loop",
-    }
-    for name in needs_scenario:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
 
@@ -465,33 +422,11 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "validate":
-            only = None
-            if args.only is not None:
-                try:
-                    only = [int(tok) for tok in args.only.split(",") if tok.strip()]
-                except ValueError:
-                    raise ConfigError(f"--only must be comma-separated integers, "
-                                      f"got {args.only!r}") from None
-            return _run_validate(out, args.seed, only)
-
+            return _run_validate(out, args.seed, args.only)
         scn = load_scenario(args.scenario)
-        _parse_header(scn)
-        units = _parse_units(scn)
-        if args.command == "bands":
-            return _run_bands(scn, units, out)
-        if args.command == "wavepacket":
-            return _run_wavepacket(scn, units, out)
-        if args.command == "cyclotron":
-            return _run_cyclotron(scn, units, out)
-        if args.command == "compare-eom":
-            return _run_compare_eom(scn, units, out)
-        if args.command == "adiabatic":
-            return _run_adiabatic(scn, units, out)
-        if args.command == "conduction":
-            return _run_conduction(scn, units, out)
-        if args.command == "solenoid":
-            return _run_solenoid(scn, units, out)
-        raise AssertionError(args.command)
+        units = UnitSystem(_parse(scn.get("units"), HEADER["units"], None, "units")["a_ref_m"])
+        values = parse_scenario(scn, {**HEADER, **_schema(args.command, scn)}, units)
+        return COMMANDS[args.command][1](values, units, out)
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3

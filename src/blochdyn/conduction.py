@@ -35,6 +35,8 @@ class BandFilling:
     a: float = 1.0
 
     def __post_init__(self):
+        if self.band < 0:
+            raise ValueError(f"band must be nonnegative, got {self.band}")
         if self.n_k < 64:
             raise ValueError(f"need at least 64 k points, got {self.n_k}")
         if not 0.0 <= self.fraction <= 1.0:
@@ -65,6 +67,8 @@ def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
     momenta (the exact band derivative); accumulation uses exact summation
     so the result is independent of evaluation order.
     """
+    if filling.a != pot.a:
+        raise ValueError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
     ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
     _, velocity, _ = band_derivatives(ks, pot, n, filling.band + 1)
     return math.fsum(velocity[:, filling.band])

@@ -89,7 +89,11 @@ def frame_generator(k: float, pot: FourierPotential, n: int, A: float,
 
 
 def _diagnostic_sample(k, pot, n, E, t):
-    """One adiabatic sample at time t, where the gauge shift is A(t) = -E t."""
+    """One adiabatic sample at time t, where the gauge shift is A(t) = -E t.
+
+    Returns the instantaneous ground vector and the diagnostics
+    (gap, hdot_norm, omega_star, bound_rhs, comm_norm).
+    """
     A = -E * t
     center, omega_bar, m = frame_generator(k, pot, n, A, -E)
     w = center.energies
@@ -98,18 +102,19 @@ def _diagnostic_sample(k, pot, n, E, t):
         raise DegeneratePointError(f"ground-state gap {gap:.3e} closed at A={A!r}")
     kappa = center.plane_wavevectors
     hdot_norm = abs(E) * float(np.sqrt(np.sum(kappa ** 2)))
+    ground = center.vectors[:, 0]
     if E == 0.0:
-        return gap, hdot_norm, 0.0, 0.0, 0.0
+        return ground, (gap, hdot_norm, 0.0, 0.0, 0.0)
     omega_star = float(np.max(np.abs(omega_bar[0, 1:])))
     comm = m - np.diag(np.diag(m))     # [Ω̄, Λ]_{ij} = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
     comm_norm = float(np.linalg.norm(comm))
-    return gap, hdot_norm, omega_star, hdot_norm / gap, comm_norm
+    return ground, (gap, hdot_norm, omega_star, hdot_norm / gap, comm_norm)
 
 
 def adiabatic_diagnostics(k: float, pot: FourierPotential, n: int, E: float,
                           t: float) -> AdiabaticReport:
     """Single-sample eigenframe diagnostics; no state is propagated (fidelity NaN)."""
-    gap, hdot, om_star, bound, comm = _diagnostic_sample(k, pot, n, E, t)
+    _, (gap, hdot, om_star, bound, comm) = _diagnostic_sample(k, pot, n, E, t)
     one = lambda v: np.array([v], dtype=np.float64)
     return AdiabaticReport(one(t), one(gap), one(hdot), one(om_star),
                            one(bound), one(float("nan")), one(comm))
@@ -146,8 +151,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
 
     def take_sample(j, Xnow):
         t = j * h
-        gap, hdot, om_star, bound, comm = _diagnostic_sample(k, pot, n, E, t)
-        ground = solve_at(k, -E * t, pot, n).vectors[:, 0]
+        ground, (gap, hdot, om_star, bound, comm) = _diagnostic_sample(k, pot, n, E, t)
         fid = float(np.abs(np.vdot(ground, Xnow)) ** 2)
         samples.append((t, gap, hdot, om_star, bound, fid, comm))
 
@@ -196,6 +200,8 @@ def gaussian_packet(Ldom: float, N: int, x0: float, k0: float, sigma: float) -> 
     """Normalized Gaussian wavepacket exp(-(x-x0)²/(4σ²) + ik0 x)."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    if not Ldom > 0.0 or N < 1:
+        raise ValueError(f"need Ldom > 0 and N >= 1, got Ldom={Ldom!r}, N={N!r}")
     dx = Ldom / N
     x = -0.5 * Ldom + dx * np.arange(N)
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
@@ -225,6 +231,8 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     """
     if not (dt > 0.0 and T >= dt):
         raise ValueError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
     nsteps = max(1, int(round(T / dt)))
     h = T / nsteps
     x = psi0.x

@@ -143,6 +143,16 @@ def test_conduction_classifications(tmp_path):
     assert abs(full["velocity_sum_shifted"]) < 1e-8 * rep["n_k"]
 
 
+def test_conduction_uses_the_lattice_constant(tmp_path):
+    scn_obj = json.loads((SCENARIOS / "conduction_fillings.json").read_text())
+    scn_obj["potential"]["a_internal"] = 2.0
+    scn = _write(tmp_path, scn_obj)
+    assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "conduction.json").read_text())
+    tags = [e["classification"] for e in rep["fillings"]]
+    assert tags == ["insulator", "conductor", "insulator"]
+
+
 def test_solenoid_json_values(tmp_path):
     scn = str(SCENARIOS / "solenoid_reference.json")
     for d in ("one", "two"):
@@ -182,6 +192,15 @@ def test_nan_rejected(tmp_path, capsys):
     p.write_text('{"version": 1, "name": "x", "units": {"a_ref_m": NaN}}')
     assert main(["bands", "--scenario", str(p), "--out", str(tmp_path)]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
+def test_numbers_beyond_float_range_rejected(tmp_path, capsys, literal):
+    text = (SCENARIOS / "wavepacket_free.json").read_text()
+    p = tmp_path / "huge.json"
+    p.write_text(text.replace('"E_internal": 0.05', f'"E_internal": {literal}'))
+    assert main(["wavepacket", "--scenario", str(p), "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
@@ -243,6 +262,20 @@ def test_potential_coefficient_validation(tmp_path):
     scn_obj["potential"]["coefficients_internal"] = [[1, 0.1, 0], [1, 0.2, 0]]
     scn = _write(tmp_path, scn_obj, "dup.json")
     assert main(["bands", "--scenario", scn, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("stem, command, block, key, value", [
+    ("wavepacket_free", "wavepacket", "output", "sample_stride", 0),
+    ("wavepacket_free", "wavepacket", "dynamics", "grid_points", 0),
+    ("wavepacket_free", "wavepacket", "dynamics", "domain_internal", 0),
+    ("wavepacket_free", "wavepacket", "dynamics", "domain_internal", -1),
+    ("conduction_fillings", "conduction", "dynamics", "band", -1),
+])
+def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
+    scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())
+    scn_obj[block][key] = value
+    scn = _write(tmp_path, scn_obj)
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
 
 
 # --------------------------------------------------------------------------

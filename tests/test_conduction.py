@@ -57,6 +57,8 @@ def test_filling_validation():
         BandFilling(band=0, n_k=64, fraction=1.5)
     with pytest.raises(ValueError):
         BandFilling(band=0, n_k=64, fraction=-0.1)
+    with pytest.raises(ValueError):
+        BandFilling(band=-1, n_k=64, fraction=0.5)
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +115,13 @@ def test_classification_trio():
     assert classify(BandFilling(0, 256, 0.0), WEAK, 8) == "insulator"
     assert classify(BandFilling(0, 256, 0.5), WEAK, 8) == "conductor"
     assert classify(BandFilling(0, 256, 1.0), WEAK, 8) == "insulator"
+
+
+def test_velocity_sum_needs_the_potential_lattice_constant():
+    wide = single_cosine(2.0, 0.25)
+    assert classify(BandFilling(0, 256, 0.5, a=2.0), wide, 8) == "conductor"
+    with pytest.raises(ValueError):
+        velocity_sum(BandFilling(0, 256, 0.5), wide, 8)
 
 
 def test_classify_probe_default_matches_explicit():

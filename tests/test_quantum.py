@@ -140,7 +140,7 @@ def test_diagnostics_survive_exact_zone_edge():
 
 
 def test_diagnostics_zero_field():
-    gap, hdot, om_star, bound, comm = _diagnostic_sample(0.5, WEAK, 10, 0.0, 3.0)
+    _, (gap, hdot, om_star, bound, comm) = _diagnostic_sample(0.5, WEAK, 10, 0.0, 3.0)
     assert hdot == 0.0 and om_star == 0.0 and bound == 0.0 and comm == 0.0
     assert gap > 0.0
 
@@ -191,6 +191,12 @@ def test_grid_state_validation():
         GridState(Ldom=40.0, N=64, psi=np.ones(32), x=x)
     with pytest.raises(ValueError):
         gaussian_packet(40.0, 64, x0=0.0, k0=0.0, sigma=-1.0)
+    for ldom, n in ((0.0, 64), (-40.0, 64), (40.0, 0)):
+        with pytest.raises(ValueError):
+            gaussian_packet(ldom, n, x0=0.0, k0=0.0, sigma=1.0)
+    psi0 = gaussian_packet(40.0, 64, x0=0.0, k0=0.0, sigma=1.0)
+    with pytest.raises(ValueError):
+        split_step_free(psi0, 0.0, 1.0, 0.1, sample_stride=0)
 
 
 # --------------------------------------------------------------------------
