@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePointError, InfiniteMassError
+from .errors import ConfigError, DegeneratePointError, InfiniteMassError
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * np.pi
@@ -77,11 +77,11 @@ def _hamiltonians(ks: np.ndarray, A_shift: float, pot: FourierPotential,
     """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k."""
     k_max = float(np.abs(ks).max(initial=0.0))
     if k_max > np.pi / pot.a * (1.0 + 1e-12):
-        raise ValueError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")
+        raise ConfigError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")
     if n < 1:
-        raise ValueError(f"truncation half-width must be >= 1, got {n}")
+        raise ConfigError(f"truncation half-width must be >= 1, got {n}")
     if n < pot.cutoff:
-        raise ValueError(
+        raise ConfigError(
             f"truncation n={n} smaller than potential cutoff L={pot.cutoff}; "
             "harmonics would be silently dropped"
         )
@@ -214,7 +214,7 @@ def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.float64))
     if not 0 <= n_bands <= 2 * n + 1:
-        raise ValueError(f"n_bands={n_bands} out of range for truncation n={n}")
+        raise ConfigError(f"n_bands={n_bands} out of range for truncation n={n}")
     out = np.empty((3, ks.size, n_bands))
     own = np.arange(n_bands)
     for lo in range(0, ks.size, _K_BLOCK):
@@ -247,6 +247,8 @@ def band_sweep(pot: FourierPotential, n: int, k_points: int, n_bands: int,
     mass ratio m*/m_e is dimensionless and inf where the curvature vanishes.
     Rows are ordered by (k, band).
     """
+    if k_points < 1:
+        raise ConfigError(f"k_points must be >= 1, got {k_points!r}")
     edge = np.pi / pot.a
     ks = np.linspace(-edge, edge, k_points)
     energies, velocity, inv_mass = band_derivatives(ks, pot, n, n_bands)

@@ -1,8 +1,8 @@
 """Scenario-driven command line: runs named experiments from strict JSON
 scenario files and writes plot-ready CSV/JSON into an output directory.
 
-Exit codes: 0 success, 2 configuration error, 3 physics error during a run,
-4 validation failure. Outputs are deterministic: floats use %.17g in CSV and
+Exit codes: 0 success, 2 bad input (ConfigError, or OSError on a file), 3
+physics error during a run, 4 validation failure. Outputs are deterministic: floats use %.17g in CSV and
 repr round-tripping in JSON, so identical scenarios give identical bytes.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .acceptance import CRITERIA, run_all
 from .central_equation import band_sweep
-from .conduction import (BandFilling, classify, fractional_displacement, solenoid_shift,
+from .conduction import (BandFilling, _classify, fractional_displacement, solenoid_shift,
                          velocity_sum)
 from .errors import ConfigError, PhysicsError
 from .potential import FourierPotential
@@ -333,11 +333,12 @@ def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
     for frac in dyn["fractions"]:
         base = BandFilling(band=band, n_k=n_k, fraction=frac, a=pot.a)
         shifted = BandFilling(band=band, n_k=n_k, fraction=frac, shift=shift, a=pot.a)
+        unshifted = velocity_sum(base, pot, n)
         entries.append({
             "fraction": frac,
-            "velocity_sum_unshifted": velocity_sum(base, pot, n),
+            "velocity_sum_unshifted": unshifted,
             "velocity_sum_shifted": velocity_sum(shifted, pot, n),
-            "classification": classify(base, pot, n),
+            "classification": _classify(unshifted, base, pot, n),
         })
     _write_json(out / "conduction.json", {"version": 1, "band": band, "n_k": n_k,
                                           "shift_internal": shift, "fillings": entries})
@@ -430,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .central_equation import TWO_PI, band_derivatives, reduce_to_zone
+from .errors import ConfigError
 from .potential import FourierPotential
 from .units import E_CHARGE_SI, HBAR_SI, MU0_SI
 
@@ -36,11 +37,11 @@ class BandFilling:
 
     def __post_init__(self):
         if self.band < 0:
-            raise ValueError(f"band must be nonnegative, got {self.band}")
+            raise ConfigError(f"band must be nonnegative, got {self.band}")
         if self.n_k < 64:
-            raise ValueError(f"need at least 64 k points, got {self.n_k}")
+            raise ConfigError(f"need at least 64 k points, got {self.n_k}")
         if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must lie in [0, 1], got {self.fraction!r}")
+            raise ConfigError(f"fraction must lie in [0, 1], got {self.fraction!r}")
 
     @property
     def k_grid(self) -> np.ndarray:
@@ -68,7 +69,7 @@ def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
     so the result is independent of evaluation order.
     """
     if filling.a != pot.a:
-        raise ValueError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
+        raise ConfigError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
     ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
     _, velocity, _ = band_derivatives(ks, pot, n, filling.band + 1)
     return math.fsum(velocity[:, filling.band])
@@ -80,11 +81,16 @@ def classify(filling: BandFilling, pot: FourierPotential, n: int,
 
     probe_shift defaults to 1e-4 of a reciprocal lattice vector.
     """
+    return _classify(velocity_sum(filling, pot, n), filling, pot, n, probe_shift)
+
+
+def _classify(base: float, filling: BandFilling, pot: FourierPotential, n: int,
+              probe_shift: float | None = None) -> str:
+    """classify() given base, the velocity sum of filling already computed."""
     if probe_shift is None:
         probe_shift = 1e-4 * 2.0 * math.pi / pot.a
     if probe_shift <= 0.0:
-        raise ValueError("probe_shift must be positive")
-    base = velocity_sum(filling, pot, n)
+        raise ConfigError("probe_shift must be positive")
     probed = velocity_sum(BandFilling(filling.band, filling.n_k, filling.fraction,
                                       probe_shift, filling.a), pot, n)
     return "conductor" if abs(probed - base) > 1e-8 * filling.n_k else "insulator"
@@ -98,9 +104,9 @@ def solenoid_shift(n_turns_per_m: float, current_A: float, area_m2: float,
     vector potential A = B·a_r/(2πr).
     """
     if n_turns_per_m <= 0.0 or area_m2 <= 0.0 or radius_m <= 0.0:
-        raise ValueError("turn density, area and radius must be positive")
+        raise ConfigError("turn density, area and radius must be positive")
     if current_A < 0.0:
-        raise ValueError("current must be nonnegative")
+        raise ConfigError("current must be nonnegative")
     B = MU0_SI * n_turns_per_m * current_A
     A = B * area_m2 / (2.0 * np.pi * radius_m)
     return E_CHARGE_SI * A / HBAR_SI
@@ -109,5 +115,5 @@ def solenoid_shift(n_turns_per_m: float, current_A: float, area_m2: float,
 def fractional_displacement(k0_si: float, shift_si: float) -> float:
     """shift/k0 for SI wavevectors; the relative crowding of the filled sea."""
     if k0_si <= 0.0:
-        raise ValueError("k0 must be positive")
+        raise ConfigError("k0 must be positive")
     return shift_si / k0_si

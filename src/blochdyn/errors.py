@@ -1,9 +1,14 @@
 """Exception taxonomy.
 
-ConfigError is for malformed user input (scenario files, bad dimension tags).
-PhysicsError subclasses mark conditions where the requested computation is
-ill-defined at the evaluation point; the CLI maps ConfigError to exit code 2
-and PhysicsError to exit code 3.
+ConfigError is for bad input: malformed scenario files and every argument
+check in the library (a step larger than the run, a negative band index,
+an unknown dimension tag). It subclasses ValueError. PhysicsError
+subclasses mark conditions where the requested computation is ill-defined
+at the evaluation point.
+
+The CLI maps ConfigError, and an OSError while reading or writing files, to
+exit code 2, and PhysicsError to exit code 3. Any other exception, a bare
+ValueError included, is a fault of the program and propagates unmapped.
 """
 
 

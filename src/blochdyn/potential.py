@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _IMAG_TOL = 1e-12
 
 
@@ -25,21 +27,21 @@ class FourierPotential:
 
     def __init__(self, a: float, coeffs: dict[int, complex]):
         if not a > 0.0:
-            raise ValueError(f"lattice constant must be positive, got {a!r}")
+            raise ConfigError(f"lattice constant must be positive, got {a!r}")
         clean: dict[int, complex] = {}
         for l, v in coeffs.items():
             if l != int(l):
-                raise ValueError(f"coefficient index must be an integer, got {l!r}")
+                raise ConfigError(f"coefficient index must be an integer, got {l!r}")
             clean[int(l)] = complex(v)
         for l, v in clean.items():
             if l == 0:
                 if abs(v.imag) > _IMAG_TOL:
-                    raise ValueError(f"V_0 must be real, got {v!r}")
+                    raise ConfigError(f"V_0 must be real, got {v!r}")
                 continue
             if -l not in clean:
-                raise ValueError(f"coefficient for l={-l} missing (Hermitian partner of l={l})")
+                raise ConfigError(f"coefficient for l={-l} missing (Hermitian partner of l={l})")
             if abs(clean[-l] - v.conjugate()) > _IMAG_TOL * max(1.0, abs(v)):
-                raise ValueError(
+                raise ConfigError(
                     f"Hermiticity violated: V_{-l}={clean[-l]!r} != conj(V_{l})={v.conjugate()!r}"
                 )
         self.a = float(a)

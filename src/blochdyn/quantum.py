@@ -17,8 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from .central_equation import _GAP_MIN, TWO_PI, solve_at
-from .errors import BoundaryProximityError, DegeneratePointError
+from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
 from .potential import FourierPotential
+from .semiclassical import _sample_rule, _time_grid
 
 
 # --------------------------------------------------------------------------
@@ -131,26 +132,22 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     Diagnostics and fidelity are sampled every report_stride steps plus the
     final instant. Returns (BasisState at T, AdiabaticReport).
     """
-    if not (dt > 0.0 and T >= dt):
-        raise ValueError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
-    if report_stride < 1:
-        raise ValueError("report_stride must be >= 1")
-    nsteps = max(1, int(round(T / dt)))
-    h = T / nsteps
+    times, nsteps, h = _time_grid(T, dt)
+    sampled = _sample_rule(nsteps, report_stride, "report_stride")
     size = 2 * n + 1
     if X0 is None:
         X = solve_at(k, 0.0, pot, n).vectors[:, 0].astype(np.complex128)
     else:
         X = np.asarray(X0, dtype=np.complex128).copy()
         if X.shape != (size,):
-            raise ValueError(f"X0 must have shape ({size},)")
+            raise ConfigError(f"X0 must have shape ({size},)")
         if abs(np.linalg.norm(X) - 1.0) > 1e-10:
-            raise ValueError("X0 must be normalized")
+            raise ConfigError("X0 must be normalized")
 
     samples = []
 
     def take_sample(j, Xnow):
-        t = j * h
+        t = float(times[j])
         ground, (gap, hdot, om_star, bound, comm) = _diagnostic_sample(k, pot, n, E, t)
         fid = float(np.abs(np.vdot(ground, Xnow)) ** 2)
         samples.append((t, gap, hdot, om_star, bound, fid, comm))
@@ -160,7 +157,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
         mid = solve_at(k, -E * (j + 0.5) * h, pot, n)
         w, v = mid.energies, mid.vectors
         X = v @ (np.exp(-1j * w * h) * (v.conj().T @ X))
-        if (j + 1) % report_stride == 0 or j + 1 == nsteps:
+        if sampled(j + 1):
             take_sample(j + 1, X)
 
     cols = [np.array(c, dtype=np.float64) for c in zip(*samples)]
@@ -183,9 +180,9 @@ class GridState:
 
     def __post_init__(self):
         if self.psi.shape != (self.N,):
-            raise ValueError("psi must have shape (N,)")
+            raise ConfigError("psi must have shape (N,)")
         if abs(self.norm - 1.0) > 1e-8:
-            raise ValueError(f"state not normalized: ∫|ψ|²dx = {self.norm!r}")
+            raise ConfigError(f"state not normalized: ∫|ψ|²dx = {self.norm!r}")
 
     @property
     def dx(self) -> float:
@@ -199,9 +196,9 @@ class GridState:
 def gaussian_packet(Ldom: float, N: int, x0: float, k0: float, sigma: float) -> GridState:
     """Normalized Gaussian wavepacket exp(-(x-x0)²/(4σ²) + ik0 x)."""
     if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+        raise ConfigError("sigma must be positive")
     if not Ldom > 0.0 or N < 1:
-        raise ValueError(f"need Ldom > 0 and N >= 1, got Ldom={Ldom!r}, N={N!r}")
+        raise ConfigError(f"need Ldom > 0 and N >= 1, got Ldom={Ldom!r}, N={N!r}")
     dx = Ldom / N
     x = -0.5 * Ldom + dx * np.arange(N)
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
@@ -229,12 +226,8 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     of either boundary the run aborts with BoundaryProximityError. Centroid
     series ⟨x⟩(t), ⟨k⟩(t) and σ_x(t) are sampled every sample_stride steps.
     """
-    if not (dt > 0.0 and T >= dt):
-        raise ValueError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    nsteps = max(1, int(round(T / dt)))
-    h = T / nsteps
+    t_grid, nsteps, h = _time_grid(T, dt)
+    sampled = _sample_rule(nsteps, sample_stride, "sample_stride")
     x = psi0.x
     dx = psi0.dx
     kgrid = TWO_PI * np.fft.fftfreq(psi0.N, d=dx)
@@ -262,9 +255,9 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
         if min(mx - x_lo, x_hi - mx) < guard_sigmas * sig:
             raise BoundaryProximityError(
                 f"centroid {mx:.3f} within {guard_sigmas}σ (σ={sig:.3f}) of the "
-                f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={j * h:.6g}"
+                f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t_grid[j]:.6g}"
             )
-        times.append(j * h)
+        times.append(float(t_grid[j]))
         xm.append(mx)
         km.append(mk)
         sg.append(sig)
@@ -275,7 +268,7 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
         psi = half_kick * psi
         psi = np.fft.ifft(kinetic * np.fft.fft(psi))
         psi = half_kick * psi
-        if (j + 1) % sample_stride == 0 or j + 1 == nsteps:
+        if sampled(j + 1):
             record(j + 1, psi)
 
     final = GridState(Ldom=psi0.Ldom, N=psi0.N, psi=psi / np.sqrt(nm[-1]), x=x)
@@ -301,7 +294,7 @@ class GridBands:
     def ground_band_energy(self, k: float, tol: float = 1e-9) -> float:
         match = np.abs(self.k - k) < tol
         if not np.any(match):
-            raise ValueError(f"no labeled state at k={k!r}")
+            raise ConfigError(f"no labeled state at k={k!r}")
         return float(np.min(self.energies[match]))
 
 
@@ -316,15 +309,15 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
     2πm/(Ma), m in (-M/2, M/2].
     """
     if N & (N - 1) or N <= 0:
-        raise ValueError(f"N must be a power of two, got {N}")
+        raise ConfigError(f"N must be a power of two, got {N}")
     if M < 8:
-        raise ValueError(f"need at least 8 periods, got M={M}")
+        raise ConfigError(f"need at least 8 periods, got M={M}")
     if N % M:
-        raise ValueError(f"N={N} must be divisible by M={M}")
+        raise ConfigError(f"N={N} must be divisible by M={M}")
     if n_levels is None:
         n_levels = 3 * M
     if not 1 <= n_levels <= N:
-        raise ValueError(f"n_levels must lie in [1, {N}], got {n_levels}")
+        raise ConfigError(f"n_levels must lie in [1, {N}], got {n_levels}")
     a = pot.a
     Ldom = M * a
     dx = Ldom / N

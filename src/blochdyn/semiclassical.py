@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .central_equation import (_mass_from_curvature, band_derivatives,
                                hellmann_feynman_velocity, reduce_to_zone, solve_at)
-from .errors import EnergyDriftError
+from .errors import ConfigError, EnergyDriftError
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * np.pi
@@ -53,11 +52,26 @@ class Trajectory:
 
 
 def _time_grid(T: float, dt: float):
+    """(times, nsteps, h) of every fixed-step integrator: round(T/dt) steps of T/nsteps."""
     if not (dt > 0.0 and T >= dt):
-        raise ValueError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
+        raise ConfigError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
     return np.arange(nsteps + 1) * dt_eff, nsteps, dt_eff
+
+
+def _sample_rule(nsteps: int, stride: int, name: str):
+    """Whether a sampling integrator records after step j: every stride-th and the last."""
+    if stride < 1:
+        raise ConfigError(f"{name} must be >= 1, got {stride!r}")
+    return lambda j: j % stride == 0 or j == nsteps
+
+
+def _trapezoid_integral(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y along axis 0 over the grid t, starting at 0."""
+    d = np.diff(t).reshape((-1,) + (1,) * (y.ndim - 1))
+    steps = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros_like(steps[:1]), steps])
 
 
 def _rk4(f: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, T: float, dt: float):
@@ -78,19 +92,15 @@ def _rk4(f: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, T: float, dt: fl
 def evolve_free_E(k0: float, E: float, T: float, dt: float, x0: float = 0.0) -> Trajectory:
     """Free electron in a uniform field: exact k(t) = k0 - E t.
 
-    x(t) integrates v_g = k(t) in closed form; the accumulated dispersion
-    phase ∫ω(k(τ))dτ with ω = k²/2 is attached via Simpson's rule for
-    comparison against quantum propagation.
+    x(t) integrates v_g = k(t) in closed form, and so does the accumulated
+    dispersion phase ∫ω(k(τ))dτ with ω = k²/2, attached for comparison
+    against quantum propagation.
     """
     times, _, _ = _time_grid(T, dt)
     k = k0 - E * times
     x = x0 + k0 * times - 0.5 * E * times ** 2
-    omega = 0.5 * k ** 2
-    phase = cumulative_simpson(omega, x=times, initial=0.0)
-    return Trajectory("FREE_E", times, k, x, k.copy(),
-                      meta={"dt": float(times[1] - times[0]), "method": "closed_form",
-                            "E": float(E)},
-                      phase=phase)
+    phase = k0 ** 2 * times / 2.0 - k0 * E * times ** 2 / 2.0 + E ** 2 * times ** 3 / 6.0
+    return Trajectory("FREE_E", times, k, x, k.copy(), meta={"E": float(E)}, phase=phase)
 
 
 def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
@@ -128,8 +138,7 @@ def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
             raise EnergyDriftError(
                 f"relative energy drift {drift:.3e} exceeds {energy_tol:.1e}; reduce dt"
             )
-    return Trajectory("GENERAL_V", times, v.copy(), x, v,
-                      meta={"dt": float(times[1] - times[0]), "method": "rk4"})
+    return Trajectory("GENERAL_V", times, v.copy(), x, v)
 
 
 def cyclotron_center_offset(v0: np.ndarray, omega_c: float) -> np.ndarray:
@@ -147,8 +156,25 @@ def _planar(vec, name):
     if v.size == 1:
         v = np.array([float(v[0]), 0.0])
     if v.size != 2:
-        raise ValueError(f"{name} must have 1 or 2 components, got {vec!r}")
+        raise ConfigError(f"{name} must have 1 or 2 components, got {vec!r}")
     return v
+
+
+def _evolve_planar(tag: str, accel, v0, v_name: str, x0, E, B: float, T: float,
+                   dt: float) -> Trajectory:
+    """RK4 on (x, y, vx, vy) with accel(x, y, vx, vy, ω_c, E) giving (ax, ay)."""
+    v0 = _planar(v0, v_name)
+    x0 = _planar(x0, "x0")
+    Ev = _planar(E, "E")
+    wc = float(B)
+
+    def rhs(y):
+        x, yy, vx, vy = y
+        return np.array([vx, vy, *accel(x, yy, vx, vy, wc, Ev)])
+
+    times, ys = _rk4(rhs, np.concatenate([x0, v0]), T, dt)
+    v = ys[:, 2:4]
+    return Trajectory(tag, times, v.copy(), ys[:, 0:2], v, meta={"B": wc, "E": Ev.copy()})
 
 
 def evolve_fundamental(k0, x0, E, B: float, T: float, dt: float) -> Trajectory:
@@ -159,43 +185,22 @@ def evolve_fundamental(k0, x0, E, B: float, T: float, dt: float) -> Trajectory:
     v_g(t) coincide in internal units.
     """
     if B == 0.0:
-        raise ValueError("B must be nonzero; use evolve_free_E for the field-free case")
-    v0 = _planar(k0, "k0")
-    x0 = _planar(x0, "x0")
-    Ev = _planar(E, "E")
-    wc = float(B)
+        raise ConfigError("B must be nonzero; use evolve_free_E for the field-free case")
 
-    def rhs(y):
-        x, yy, vx, vy = y
-        ax = -0.5 * wc * vy - 0.5 * wc * wc * x - Ev[0]
-        ay = +0.5 * wc * vx - 0.5 * wc * wc * yy - Ev[1]
-        return np.array([vx, vy, ax, ay])
+    def accel(x, y, vx, vy, wc, E):
+        return (-0.5 * wc * vy - 0.5 * wc * wc * x - E[0],
+                +0.5 * wc * vx - 0.5 * wc * wc * y - E[1])
 
-    times, ys = _rk4(rhs, np.concatenate([x0, v0]), T, dt)
-    v = ys[:, 2:4]
-    return Trajectory("FUNDAMENTAL", times, v.copy(), ys[:, 0:2], v,
-                      meta={"dt": float(times[1] - times[0]), "method": "rk4",
-                            "B": wc, "E": Ev.copy()})
+    return _evolve_planar("FUNDAMENTAL", accel, k0, "k0", x0, E, B, T, dt)
 
 
 def evolve_lorentz(v0, x0, E, B: float, T: float, dt: float) -> Trajectory:
     """Classical Lorentz force: dv/dt = -v×B - E (planar, B along ẑ)."""
-    v0 = _planar(v0, "v0")
-    x0 = _planar(x0, "x0")
-    Ev = _planar(E, "E")
-    wc = float(B)
 
-    def rhs(y):
-        x, yy, vx, vy = y
-        ax = -wc * vy - Ev[0]
-        ay = +wc * vx - Ev[1]
-        return np.array([vx, vy, ax, ay])
+    def accel(x, y, vx, vy, wc, E):
+        return -wc * vy - E[0], +wc * vx - E[1]
 
-    times, ys = _rk4(rhs, np.concatenate([x0, v0]), T, dt)
-    v = ys[:, 2:4]
-    return Trajectory("LORENTZ", times, v.copy(), ys[:, 0:2], v,
-                      meta={"dt": float(times[1] - times[0]), "method": "rk4",
-                            "B": wc, "E": Ev.copy()})
+    return _evolve_planar("LORENTZ", accel, v0, "v0", x0, E, B, T, dt)
 
 
 @dataclass(frozen=True)
@@ -234,9 +239,8 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     k_unred = k0 - E * times
     _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
     v = v[:, band]
-    x = x0 + cumulative_trapezoid(v, times, initial=0.0)
-    meta = {"dt": float(times[1] - times[0]), "method": "band_sampling",
-            "a": pot.a, "E": float(E)}
+    x = x0 + _trapezoid_integral(v, times)
+    meta = {"a": pot.a, "E": float(E)}
     if with_mass:
         meta["m_star"] = _mass_from_curvature(inv_mass[:, band])
     return Trajectory("PERIODIC_E", times, k_unred, x, v, meta=meta)
@@ -267,7 +271,5 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
 
     times, ks = _rk4(rhs, k0, T, dt)
     vs = np.array([vg_of(k) for k in ks])
-    x = cumulative_trapezoid(vs, times, initial=0.0, axis=0)
-    return Trajectory("PERIODIC_B", times, ks, x, vs,
-                      meta={"dt": float(times[1] - times[0]), "method": "rk4",
-                            "a": pot.a, "B": wc})
+    x = _trapezoid_integral(vs, times)
+    return Trajectory("PERIODIC_B", times, ks, x, vs, meta={"a": pot.a, "B": wc})

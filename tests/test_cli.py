@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blochdyn import (BandFilling, ConfigError, FourierPotential, band_derivatives,
+                      band_sweep, cli, conduction, evolve_fundamental, gaussian_packet,
+                      single_cosine, split_step_free)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
+from blochdyn.semiclassical import _time_grid
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def _write(tmp_path, obj, name="scn.json"):
@@ -44,6 +50,17 @@ def test_help_runs_as_module():
                          capture_output=True)
     assert res.returncode == 0
     assert b"usage" in res.stdout
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys, blochdyn.cli; print('scipy.integrate' in sys.modules)"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_bands_rows_and_byte_determinism(tmp_path):
@@ -151,6 +168,20 @@ def test_conduction_uses_the_lattice_constant(tmp_path):
     rep = json.loads((tmp_path / "conduction.json").read_text())
     tags = [e["classification"] for e in rep["fillings"]]
     assert tags == ["insulator", "conductor", "insulator"]
+
+
+def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
+    # per fraction: the unshifted, the shifted and the probed sum, so 3 x 3
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return band_derivatives(*args)
+
+    monkeypatch.setattr(conduction, "band_derivatives", counted)
+    scn = str(SCENARIOS / "conduction_fillings.json")
+    assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 9
 
 
 def test_solenoid_json_values(tmp_path):
@@ -270,12 +301,41 @@ def test_potential_coefficient_validation(tmp_path):
     ("wavepacket_free", "wavepacket", "dynamics", "domain_internal", 0),
     ("wavepacket_free", "wavepacket", "dynamics", "domain_internal", -1),
     ("conduction_fillings", "conduction", "dynamics", "band", -1),
+    ("bands_weak_cosine", "bands", "sweep", "k_points", -1),
+    ("bands_weak_cosine", "bands", "sweep", "k_points", 0),
 ])
 def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())
     scn_obj[block][key] = value
     scn = _write(tmp_path, scn_obj)
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _time_grid(1.0, 2.0),
+    lambda: band_sweep(single_cosine(1.0, 0.05), 4, 0, 1, 1.0, 1.0),
+    lambda: band_derivatives([0.0], single_cosine(1.0, 0.05), 4, 10),
+    lambda: FourierPotential(1.0, {1: 0.1}),
+    lambda: BandFilling(band=0, n_k=8, fraction=0.5),
+    lambda: evolve_fundamental([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0, 1.0, 0.1),
+    lambda: split_step_free(gaussian_packet(400.0, 256, 0.0, 1.0, 10.0), 0.0, 1.0, 0.1,
+                            sample_stride=0),
+], ids=["time_grid", "band_sweep", "band_derivatives", "potential", "filling",
+        "fundamental", "split_step"])
+def test_library_input_checks_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_unexpected_value_error_is_not_exit_2(tmp_path, monkeypatch):
+    # only ConfigError (and OSError) mean bad input; anything else is a fault
+    def broken(scn, units, out):
+        raise ValueError("a fault in the runner")
+
+    monkeypatch.setitem(cli.COMMANDS, "solenoid", (cli.COMMANDS["solenoid"][0], broken))
+    scn = str(SCENARIOS / "solenoid_reference.json")
+    with pytest.raises(ValueError, match="a fault in the runner"):
+        main(["solenoid", "--scenario", scn, "--out", str(tmp_path)])
 
 
 # --------------------------------------------------------------------------

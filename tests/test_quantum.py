@@ -21,6 +21,7 @@ from blochdyn import (
 )
 from blochdyn.central_equation import solve_at
 from blochdyn.quantum import _diagnostic_sample
+from blochdyn.semiclassical import _time_grid
 
 TWO_PI = 2.0 * math.pi
 WEAK = single_cosine(1.0, 0.05)
@@ -89,6 +90,18 @@ def test_integrate_basis_validation():
         integrate_basis(0.0, WEAK, 10, 0.1, 1.0, 0.1, X0=np.ones(3))
     with pytest.raises(ValueError):
         integrate_basis(0.0, WEAK, 10, 0.1, 1.0, 0.1, X0=np.ones(21))
+
+
+def test_stride_not_dividing_the_steps_keeps_the_last_step():
+    # T = 1, dt = 0.1 takes ten steps; stride 3 records after steps 0, 3, 6, 9 and 10
+    grid, nsteps, _ = _time_grid(1.0, 0.1)
+    assert nsteps == 10
+    expect = grid[[0, 3, 6, 9, 10]]
+    psi0 = gaussian_packet(400.0, 1024, x0=-30.0, k0=1.0, sigma=10.0)
+    res = split_step_free(psi0, 0.05, 1.0, 0.1, sample_stride=3)
+    np.testing.assert_array_equal(res.times, expect)
+    _, report = integrate_basis(0.4, WEAK, 10, 0.05, 1.0, 0.1, report_stride=3)
+    np.testing.assert_array_equal(report.t, expect)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from blochdyn import (
     evolve_periodic_E,
     single_cosine,
 )
-from blochdyn.semiclassical import _time_grid
+from blochdyn.semiclassical import _time_grid, _trapezoid_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +40,17 @@ def test_free_E_with_offset_and_initial_k():
     traj = evolve_free_E(1.5, 0.2, 3.0, 0.01, x0=4.0)
     t = traj.times
     np.testing.assert_allclose(traj.x, 4.0 + 1.5 * t - 0.1 * t ** 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("k0, e_field, horizon, phase", [
+    (1.5, 0.2, 3.0, 2.205),                # k0²T/2 - k0·E·T²/2 + E²T³/6
+    (2.0, -0.5, 1.0, 2.0 + 0.5 + 0.25 / 6.0),
+    (0.7, 0.0, 2.0, 0.49),                 # no field: the phase grows as k0²t/2
+])
+def test_free_E_phase_with_initial_k(k0, e_field, horizon, phase):
+    traj = evolve_free_E(k0, e_field, horizon, 0.01)
+    assert traj.phase[0] == 0.0
+    assert traj.phase[-1] == pytest.approx(phase, rel=1e-12)
 
 
 def test_linear_potential_reproduces_free_E():
@@ -248,6 +259,16 @@ def test_time_grid_rounding():
         _time_grid(1.0, 2.0)
     with pytest.raises(ValueError):
         _time_grid(1.0, 0.0)
+
+
+def test_trapezoid_integral_matches_scipy():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(3)
+    t = np.cumsum(rng.uniform(0.1, 1.0, 40))
+    for y in (rng.normal(size=40), rng.normal(size=(40, 2))):
+        np.testing.assert_array_equal(_trapezoid_integral(y, t),
+                                      cumulative_trapezoid(y, t, axis=0, initial=0.0))
 
 
 def test_trajectory_properties():
