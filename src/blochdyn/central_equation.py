@@ -66,15 +66,21 @@ class BandSolution:
         return _plane_wavevectors(self.k, self.A_shift, self.a, self.n)
 
 
-def _plane_wavevectors(k, A_shift: float, a: float, n: int) -> np.ndarray:
-    """κ_l = k + 2πl/a + A_shift for l = -n..n, along a new last axis of k."""
+def _plane_wavevectors(k, A_shift, a: float, n: int) -> np.ndarray:
+    """κ_l = k + 2πl/a + A_shift for l = -n..n, along a new last axis of k.
+
+    A_shift is a scalar or an array that broadcasts against k.
+    """
     ls = np.arange(-n, n + 1)
-    return np.asarray(k)[..., None] + TWO_PI * ls / a + A_shift
+    return np.asarray(k)[..., None] + TWO_PI * ls / a + np.asarray(A_shift)[..., None]
 
 
-def _hamiltonians(ks: np.ndarray, A_shift: float, pot: FourierPotential,
+def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
                   n: int) -> np.ndarray:
-    """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k."""
+    """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k.
+
+    A_shift is one gauge shift for every matrix, or one per entry of ks.
+    """
     k_max = float(np.abs(ks).max(initial=0.0))
     if k_max > np.pi / pot.a * (1.0 + 1e-12):
         raise ConfigError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")

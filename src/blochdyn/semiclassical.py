@@ -27,6 +27,8 @@ from .errors import ConfigError, EnergyDriftError
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * np.pi
+# step count past which _time_grid refuses a (T, dt) pair as bad input
+_MAX_STEPS = 2 ** 31
 
 
 @dataclass
@@ -55,7 +57,10 @@ def _time_grid(T: float, dt: float):
     """(times, nsteps, h) of every fixed-step integrator: round(T/dt) steps of T/nsteps."""
     if not (dt > 0.0 and T >= dt):
         raise ConfigError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
-    nsteps = max(1, int(round(T / dt)))
+    ratio = T / dt
+    if not ratio <= _MAX_STEPS:
+        raise ConfigError(f"T/dt = {ratio!r} steps exceeds the bound {_MAX_STEPS}")
+    nsteps = max(1, int(round(ratio)))
     dt_eff = T / nsteps
     return np.arange(nsteps + 1) * dt_eff, nsteps, dt_eff
 

@@ -19,6 +19,7 @@ from blochdyn import (
     solve,
 )
 from blochdyn.central_equation import (
+    _hamiltonians,
     _mass_from_curvature,
     _match_band,
     band_derivatives,
@@ -52,6 +53,16 @@ def test_gauge_shift_enters_diagonal():
     ls = np.arange(-3, 4)
     expect = (k + TWO_PI * ls + A) ** 2 / 2.0
     np.testing.assert_allclose(np.diag(h.matrix), expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+def test_stacked_shifts_equal_build(pot):
+    # one gauge shift per stacked matrix, each bit-identical to build(k, A)
+    k = -0.75 * math.pi
+    shifts = -0.3 * (np.arange(5) + 0.5) * 0.7
+    stacked = _hamiltonians(np.full(shifts.size, k), shifts, pot, 4)
+    for H, A in zip(stacked, shifts):
+        np.testing.assert_array_equal(H, build(k, float(A), pot, 4).matrix)
 
 
 def test_offdiagonal_coefficient_placement():

@@ -303,6 +303,8 @@ def test_potential_coefficient_validation(tmp_path):
     ("conduction_fillings", "conduction", "dynamics", "band", -1),
     ("bands_weak_cosine", "bands", "sweep", "k_points", -1),
     ("bands_weak_cosine", "bands", "sweep", "k_points", 0),
+    ("cyclotron", "cyclotron", "dynamics", "dt_internal", 1e-320),
+    ("cyclotron", "cyclotron", "dynamics", "T_internal", 1e20),
 ])
 def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())
@@ -313,6 +315,8 @@ def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
 
 @pytest.mark.parametrize("call", [
     lambda: _time_grid(1.0, 2.0),
+    lambda: _time_grid(1.0, 1e-320),
+    lambda: _time_grid(1e20, 1.0),
     lambda: band_sweep(single_cosine(1.0, 0.05), 4, 0, 1, 1.0, 1.0),
     lambda: band_derivatives([0.0], single_cosine(1.0, 0.05), 4, 10),
     lambda: FourierPotential(1.0, {1: 0.1}),
@@ -320,8 +324,9 @@ def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     lambda: evolve_fundamental([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0, 1.0, 0.1),
     lambda: split_step_free(gaussian_packet(400.0, 256, 0.0, 1.0, 10.0), 0.0, 1.0, 0.1,
                             sample_stride=0),
-], ids=["time_grid", "band_sweep", "band_derivatives", "potential", "filling",
-        "fundamental", "split_step"])
+], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
+        "band_sweep", "band_derivatives", "potential", "filling", "fundamental",
+        "split_step"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

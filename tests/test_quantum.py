@@ -1,5 +1,6 @@
 """Quantum propagators and the grid oracle against closed forms and each other."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.linalg
 from blochdyn import (
     BoundaryProximityError,
     DegeneratePointError,
+    FourierPotential,
     GridState,
     UnitSystem,
     adiabatic_diagnostics,
@@ -19,12 +21,16 @@ from blochdyn import (
     single_cosine,
     split_step_free,
 )
+from blochdyn import quantum
 from blochdyn.central_equation import solve_at
 from blochdyn.quantum import _diagnostic_sample
 from blochdyn.semiclassical import _time_grid
 
 TWO_PI = 2.0 * math.pi
 WEAK = single_cosine(1.0, 0.05)
+# complex coefficients with no mirror plane: V(x0 - x) != V(x0 + x) for every x0
+SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j,
+                              2: 0.1 - 0.15j, -2: 0.1 + 0.15j})
 
 
 # --------------------------------------------------------------------------
@@ -79,6 +85,57 @@ def test_rotated_frame_equivalence():
     sol_end = solve_at(k0, -e_field * horizon, pot, n)
     y_direct = sol_end.vectors.conj().T @ state.coeffs
     assert np.linalg.norm(y - y_direct) < 1e-8
+
+
+def _per_step_reference(k, pot, n, E, T, dt, stride):
+    """One phase-fixed solve_at per midpoint: the propagator before stacking."""
+    times, nsteps, h = _time_grid(T, dt)
+    X = solve_at(k, 0.0, pot, n).vectors[:, 0].astype(np.complex128)
+    rows = []
+
+    def sample(j):
+        ground, diagnostics = _diagnostic_sample(k, pot, n, E, float(times[j]))
+        fid = float(np.abs(np.vdot(ground, X)) ** 2)
+        rows.append((float(times[j]), *diagnostics[:4], fid, diagnostics[4]))
+
+    sample(0)
+    for j in range(nsteps):
+        mid = solve_at(k, -E * (j + 0.5) * h, pot, n)
+        w, v = mid.energies, mid.vectors
+        X = v @ (np.exp(-1j * w * h) * (v.conj().T @ X))
+        if (j + 1) % stride == 0 or j + 1 == nsteps:
+            sample(j + 1)
+    return X, [np.array(c) for c in zip(*rows)]
+
+
+def _compare_with_reference(args):
+    """(ΔX, {column: (stacked, reference)}) for integrate_basis against the reference."""
+    state, report = integrate_basis(*args[:6], report_stride=args[6])
+    X, cols = _per_step_reference(*args)
+    names = [f.name for f in dataclasses.fields(report)]
+    return state.coeffs - X, {name: (getattr(report, name), col)
+                              for name, col in zip(names, cols)}
+
+
+@pytest.mark.parametrize("args", [
+    (-0.75 * math.pi, WEAK, 10, 0.05, 3.0, 3.0 / 320, 40),
+    # 150 steps: two full blocks and a partial one; stride 7 straddles each boundary
+    (0.4, WEAK, 10, 0.05, 1.5, 0.01, 7),
+], ids=["real", "partial-blocks"])
+def test_stacked_propagation_is_bit_identical_on_a_real_lattice(args):
+    delta, columns = _compare_with_reference(args)
+    assert not np.any(delta)
+    for name, (got, expect) in columns.items():
+        np.testing.assert_array_equal(got, expect, err_msg=name)
+
+
+def test_stacked_propagation_on_a_complex_lattice():
+    delta, columns = _compare_with_reference((0.3, SKEW, 10, 0.02, 4.0, 0.01, 37))
+    assert np.linalg.norm(delta) <= 1e-12
+    got, expect = columns.pop("fidelity")
+    np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12)
+    for name, (got, expect) in columns.items():
+        np.testing.assert_array_equal(got, expect, err_msg=name)
 
 
 def test_integrate_basis_validation():
@@ -243,6 +300,26 @@ def test_grid_matches_plane_wave_solver_weak_and_strong():
             e_pw = solve_at(float(k), 0.0, pot, n).energies[0]
             worst = max(worst, abs(e_grid - e_pw))
         assert worst < 1e-6
+
+
+def test_grid_hamiltonian_is_the_gathered_circulant(monkeypatch):
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def spy(H, **kwargs):
+        seen.append(H.copy())
+        return eigh(H, **kwargs)
+
+    monkeypatch.setattr(quantum.scipy.linalg, "eigh", spy)
+    N = 64
+    grid_ground_state(SKEW, M=8, N=N, n_levels=4)
+    dx = 8.0 / N
+    kappa = TWO_PI * np.fft.fftfreq(N, d=dx)
+    circ = np.fft.ifft(0.5 * kappa ** 2).real
+    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    expect = circ[idx]
+    expect[np.diag_indices(N)] += SKEW.evaluate(dx * np.arange(N))
+    np.testing.assert_array_equal(seen[0], expect)
 
 
 def test_grid_ground_state_validation():
