@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .acceptance import CRITERIA, run_all
 from .central_equation import band_sweep
-from .conduction import (BandFilling, _classify, fractional_displacement, solenoid_shift,
+from .conduction import (BandFilling, _sum_and_label, fractional_displacement, solenoid_shift,
                          velocity_sum)
 from .errors import ConfigError, PhysicsError
 from .potential import FourierPotential
@@ -333,12 +333,12 @@ def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
     for frac in dyn["fractions"]:
         base = BandFilling(band=band, n_k=n_k, fraction=frac, a=pot.a)
         shifted = BandFilling(band=band, n_k=n_k, fraction=frac, shift=shift, a=pot.a)
-        unshifted = velocity_sum(base, pot, n)
+        unshifted, label = _sum_and_label(base, pot, n)
         entries.append({
             "fraction": frac,
             "velocity_sum_unshifted": unshifted,
             "velocity_sum_shifted": velocity_sum(shifted, pot, n),
-            "classification": _classify(unshifted, base, pot, n),
+            "classification": label,
         })
     _write_json(out / "conduction.json", {"version": 1, "band": band, "n_k": n_k,
                                           "shift_internal": shift, "fillings": entries})

@@ -3,7 +3,10 @@
 A steady loop vector potential shifts every crystal momentum by eA/ħ.
 Occupation labels ride along with the shift (states follow adiabatically),
 so a filled band keeps summing to zero velocity while a partially filled
-band acquires a net velocity: the conductor/insulator distinction.
+band acquires a net velocity: the conductor/insulator distinction. The
+label is read from Σ m/m* of the occupied states at the filling's own shift,
+the rate at which a further shift moves the velocity sum (the Drude weight
+of Kohn's insulator criterion), in the same band pass as the velocity sum.
 """
 
 from __future__ import annotations
@@ -60,6 +63,17 @@ class BandFilling:
         return grid[order[: self.occupied_count]]
 
 
+def _sum_and_label(filling: BandFilling, pot: FourierPotential, n: int) -> tuple[float, str]:
+    """velocity_sum and classify of filling, from one band pass over its occupied states."""
+    if filling.a != pot.a:
+        raise ConfigError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
+    ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
+    _, velocity, inv_mass = band_derivatives(ks, pot, n, filling.band + 1)
+    response = abs(math.fsum(inv_mass[:, filling.band])) * (1e-4 * TWO_PI / pot.a)
+    return (math.fsum(velocity[:, filling.band]),
+            "conductor" if response > 1e-8 * filling.n_k else "insulator")
+
+
 def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
     """Total group velocity of the occupied, shift-transported states.
 
@@ -68,32 +82,17 @@ def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
     momenta (the exact band derivative); accumulation uses exact summation
     so the result is independent of evaluation order.
     """
-    if filling.a != pot.a:
-        raise ConfigError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
-    ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
-    _, velocity, _ = band_derivatives(ks, pot, n, filling.band + 1)
-    return math.fsum(velocity[:, filling.band])
+    return _sum_and_label(filling, pot, n)[0]
 
 
-def classify(filling: BandFilling, pot: FourierPotential, n: int,
-             probe_shift: float | None = None) -> str:
-    """"conductor" when a small shift moves the velocity sum, else "insulator".
+def classify(filling: BandFilling, pot: FourierPotential, n: int) -> str:
+    """"conductor" when a small shift would move the velocity sum, else "insulator".
 
-    probe_shift defaults to 1e-4 of a reciprocal lattice vector.
+    The rate is Σ m/m* of the same occupied states at the filling's shift (k·p
+    inverse masses). A conductor's sum would move by more than 1e-8·n_k under
+    a further shift of 1e-4 of a reciprocal lattice vector.
     """
-    return _classify(velocity_sum(filling, pot, n), filling, pot, n, probe_shift)
-
-
-def _classify(base: float, filling: BandFilling, pot: FourierPotential, n: int,
-              probe_shift: float | None = None) -> str:
-    """classify() given base, the velocity sum of filling already computed."""
-    if probe_shift is None:
-        probe_shift = 1e-4 * 2.0 * math.pi / pot.a
-    if probe_shift <= 0.0:
-        raise ConfigError("probe_shift must be positive")
-    probed = velocity_sum(BandFilling(filling.band, filling.n_k, filling.fraction,
-                                      probe_shift, filling.a), pot, n)
-    return "conductor" if abs(probed - base) > 1e-8 * filling.n_k else "insulator"
+    return _sum_and_label(filling, pot, n)[1]
 
 
 def solenoid_shift(n_turns_per_m: float, current_A: float, area_m2: float,

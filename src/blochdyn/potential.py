@@ -60,26 +60,21 @@ class FourierPotential:
 
     def evaluate(self, x):
         """Real potential value at x (scalar or array)."""
-        x = np.asarray(x, dtype=np.float64)
-        if self._ls.size == 0:
-            out = np.zeros_like(x)
-            return out if out.ndim else float(out)
-        phases = np.exp(2j * np.pi * np.multiply.outer(x, self._ls) / self.a)
-        val = phases @ self._vs
-        assert np.max(np.abs(np.atleast_1d(val.imag))) < _IMAG_TOL
-        return val.real if val.ndim else float(val.real)
+        return self._series(x, self._vs, 1.0)
 
     def derivative(self, x):
         """dV/dx at x, real by the same Hermiticity."""
+        dcoef = 2j * np.pi * self._ls / self.a * self._vs
+        return self._series(x, dcoef, max(1.0, float(np.sum(np.abs(dcoef)))))
+
+    def _series(self, x, coeffs: np.ndarray, scale: float):
+        """Σ_l coeffs_l exp(i 2πl x/a); its imaginary part must lie below _IMAG_TOL·scale."""
         x = np.asarray(x, dtype=np.float64)
         if self._ls.size == 0:
             out = np.zeros_like(x)
             return out if out.ndim else float(out)
-        ik = 2j * np.pi * self._ls / self.a
-        dcoef = ik * self._vs
         phases = np.exp(2j * np.pi * np.multiply.outer(x, self._ls) / self.a)
-        val = phases @ dcoef
-        scale = max(1.0, float(np.sum(np.abs(dcoef))))
+        val = phases @ coeffs
         assert np.max(np.abs(np.atleast_1d(val.imag))) < _IMAG_TOL * scale
         return val.real if val.ndim else float(val.real)
 

@@ -146,7 +146,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
         X = np.asarray(X0, dtype=np.complex128).copy()
         if X.shape != (size,):
             raise ConfigError(f"X0 must have shape ({size},)")
-        if abs(np.linalg.norm(X) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(X) - 1.0) <= 1e-10:
             raise ConfigError("X0 must be normalized")
 
     samples = []
@@ -189,7 +189,7 @@ class GridState:
     def __post_init__(self):
         if self.psi.shape != (self.N,):
             raise ConfigError("psi must have shape (N,)")
-        if abs(self.norm - 1.0) > 1e-8:
+        if not abs(self.norm - 1.0) <= 1e-8:
             raise ConfigError(f"state not normalized: ∫|ψ|²dx = {self.norm!r}")
 
     @property
@@ -210,7 +210,10 @@ def gaussian_packet(Ldom: float, N: int, x0: float, k0: float, sigma: float) -> 
     dx = Ldom / N
     x = -0.5 * Ldom + dx * np.arange(N)
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+    norm = float(np.sum(np.abs(psi) ** 2) * dx)
+    if not 0.0 < norm < np.inf:
+        raise ConfigError(f"packet grid norm is {norm!r}: no weight on the grid at this x0, sigma")
+    psi /= np.sqrt(norm)
     return GridState(Ldom=float(Ldom), N=int(N), psi=psi, x=x)
 
 

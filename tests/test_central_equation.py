@@ -125,6 +125,43 @@ def test_weak_lattice_gap_and_symmetry():
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+# transformations that must leave the bands unchanged, on a mirror-symmetric
+# and a complex lattice; k = 0 and both zone edges are on the grid
+ZONE = np.linspace(-math.pi, math.pi, 41)
+
+
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+def test_gauge_shift_only_moves_the_wavevector(pot):
+    # only k + A enters; diagonal entries reach 2000 at n = 10, so roundoff
+    # differs there (measured worst 1.4e-12)
+    for k in ZONE:
+        for A in (-0.9, -0.31, 0.27, 1.3):
+            if abs(k + A) <= math.pi:
+                np.testing.assert_allclose(build(k, A, pot, 10).matrix,
+                                           build(k + A, 0.0, pot, 10).matrix,
+                                           rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+def test_energies_are_even_in_k(pot):
+    # V(x) is real, so time reversal gives E(k) = E(-k) without mirror
+    # symmetry; eigh roundoff is about eps·‖H‖ (measured worst 2.7e-12)
+    for k in ZONE:
+        np.testing.assert_allclose(solve_at(k, 0.0, pot, 10).energies,
+                                   solve_at(-k, 0.0, pot, 10).energies, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+@pytest.mark.parametrize("x0", [0.13, 0.5, 3.4])
+def test_translated_potential_keeps_the_energies(pot, x0):
+    # V(x - x0) has coefficients V_l·exp(-2πi l x0/a); measured worst 3.1e-12
+    moved = FourierPotential(pot.a, {l: v * np.exp(-2j * np.pi * l * x0 / pot.a)
+                                     for l, v in pot.items()})
+    for k in ZONE:
+        np.testing.assert_allclose(solve_at(k, 0.0, moved, 10).energies,
+                                   solve_at(k, 0.0, pot, 10).energies, rtol=0, atol=1e-11)
+
+
 def test_truncation_converged():
     pot = single_cosine(1.0, 0.5)
     for k in (0.0, 1.0, math.pi):

@@ -171,7 +171,7 @@ def test_conduction_uses_the_lattice_constant(tmp_path):
 
 
 def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
-    # per fraction: the unshifted, the shifted and the probed sum, so 3 x 3
+    # per fraction: the unshifted sum with its label, and the shifted sum, so 3 x 2
     calls = []
 
     def counted(*args):
@@ -181,7 +181,7 @@ def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
     monkeypatch.setattr(conduction, "band_derivatives", counted)
     scn = str(SCENARIOS / "conduction_fillings.json")
     assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 9
+    assert len(calls) == 6
 
 
 def test_solenoid_json_values(tmp_path):
@@ -305,6 +305,8 @@ def test_potential_coefficient_validation(tmp_path):
     ("bands_weak_cosine", "bands", "sweep", "k_points", 0),
     ("cyclotron", "cyclotron", "dynamics", "dt_internal", 1e-320),
     ("cyclotron", "cyclotron", "dynamics", "T_internal", 1e20),
+    ("wavepacket_free", "wavepacket", "dynamics", "x0_internal", 1e6),
+    ("wavepacket_free", "wavepacket", "dynamics", "sigma_internal", 1e-300),
 ])
 def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())

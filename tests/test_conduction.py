@@ -124,12 +124,33 @@ def test_velocity_sum_needs_the_potential_lattice_constant():
         velocity_sum(BandFilling(0, 256, 0.5), wide, 8)
 
 
-def test_classify_probe_default_matches_explicit():
-    f = BandFilling(0, 64, 0.5)
-    assert classify(f, WEAK, 8) == classify(f, WEAK, 8,
-                                            probe_shift=1e-4 * TWO_PI)
-    with pytest.raises(ValueError):
-        classify(f, WEAK, 8, probe_shift=0.0)
+def test_shifted_half_filling_is_a_conductor():
+    # the label is read at the filling's own shift, whatever that shift is
+    f = BandFilling(0, 256, 0.5, shift=1e-4 * TWO_PI)
+    assert classify(f, single_cosine(1.0, 0.05), 10) == "conductor"
+
+
+def _probe_label(filling, pot, n):
+    """Finite-difference reference: does a further shift of 1e-4·2π/a move the sum?"""
+    probed = BandFilling(filling.band, filling.n_k, filling.fraction,
+                         filling.shift + 1e-4 * TWO_PI / pot.a, filling.a)
+    moved = abs(velocity_sum(probed, pot, n) - velocity_sum(filling, pot, n))
+    return "conductor" if moved > 1e-8 * filling.n_k else "insulator"
+
+
+def test_labels_match_a_finite_difference_probe():
+    # measured margins: conductors at least 4000x the threshold, insulators
+    # at most 0.002x
+    rng = np.random.default_rng(11)
+    labels = set()
+    for pot in [WEAK] + [random_symmetric(1.0, rng) for _ in range(3)]:
+        for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for shift in (0.0, 1e-4 * TWO_PI, 0.37 * TWO_PI):
+                f = BandFilling(0, 256, fraction, shift)
+                label = classify(f, pot, 8)
+                assert label == _probe_label(f, pot, 8), (pot, fraction, shift)
+                labels.add(label)
+    assert labels == {"conductor", "insulator"}
 
 
 # --------------------------------------------------------------------------

@@ -147,6 +147,8 @@ def test_integrate_basis_validation():
         integrate_basis(0.0, WEAK, 10, 0.1, 1.0, 0.1, X0=np.ones(3))
     with pytest.raises(ValueError):
         integrate_basis(0.0, WEAK, 10, 0.1, 1.0, 0.1, X0=np.ones(21))
+    with pytest.raises(ValueError):
+        integrate_basis(0.0, WEAK, 10, 0.1, 1.0, 0.1, X0=np.full(21, np.nan))
 
 
 def test_stride_not_dividing_the_steps_keeps_the_last_step():
