@@ -42,15 +42,6 @@ def reduce_to_zone(k, a: float = 1.0):
 
 
 @dataclass(frozen=True)
-class CentralHamiltonian:
-    k: float
-    A_shift: float
-    n: int
-    pot: FourierPotential
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class BandSolution:
     """Eigendecomposition at one (k, A_shift): ascending energies, phase-fixed vectors."""
 
@@ -105,10 +96,9 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
     return H
 
 
-def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> CentralHamiltonian:
-    """Assemble the (2n+1)x(2n+1) Hermitian matrix at reduced k with gauge shift."""
-    H = _hamiltonians(np.array([k], dtype=np.float64), A_shift, pot, n)[0]
-    return CentralHamiltonian(k=float(k), A_shift=float(A_shift), n=n, pot=pot, matrix=H)
+def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> np.ndarray:
+    """The (2n+1)x(2n+1) Hermitian matrix at reduced k with gauge shift."""
+    return _hamiltonians(np.array([k], dtype=np.float64), A_shift, pot, n)[0]
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
@@ -121,16 +111,10 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.sign(lead)
 
 
-def solve(h: CentralHamiltonian) -> BandSolution:
-    energies, vectors = np.linalg.eigh(h.matrix)
-    vectors = _phase_fix(vectors)
-    return BandSolution(
-        k=h.k, A_shift=h.A_shift, a=h.pot.a, n=h.n, energies=energies, vectors=vectors
-    )
-
-
 def solve_at(k: float, A_shift: float, pot: FourierPotential, n: int) -> BandSolution:
-    return solve(build(k, A_shift, pot, n))
+    energies, vectors = np.linalg.eigh(build(k, A_shift, pot, n))
+    return BandSolution(k=float(k), A_shift=float(A_shift), a=pot.a, n=n,
+                        energies=energies, vectors=_phase_fix(vectors))
 
 
 def bloch_psi(sol: BandSolution, band: int, x):
@@ -154,28 +138,27 @@ def _match_band(center_vectors: np.ndarray, side_vectors: np.ndarray, band: int)
     return j
 
 
-def _stencil_energies(k, band, pot, n, A_shift, delta):
-    """Band energy at gauge shifts A_shift ± delta, overlap-tracked from the center.
+def _stencil_energies(k, band, pot, n, delta):
+    """Band energy at gauge shifts ±delta, overlap-tracked from the center.
 
     Shifting A instead of k probes the identical matrix (only k + A enters)
     while keeping one fixed plane-wave basis, so no zone rewrap or index
     roll is needed across the stencil.
     """
-    center = solve_at(k, A_shift, pot, n)
+    center = solve_at(k, 0.0, pot, n)
     if not 0 <= band < center.energies.size:
         raise IndexError(f"band {band} out of range for truncation n={n}")
     out = []
-    for s in (A_shift - delta, A_shift + delta):
+    for s in (-delta, delta):
         side = solve_at(k, s, pot, n)
         out.append(side.energies[_match_band(center.vectors, side.vectors, band)])
     return out[0], center.energies[band], out[1]
 
 
-def group_velocity(k: float, band: int, pot: FourierPotential, n: int,
-                   A_shift: float = 0.0) -> float:
+def group_velocity(k: float, band: int, pot: FourierPotential, n: int) -> float:
     """dω/dk by central difference with step 1e-5·(2π/a), band tracked by overlap."""
     delta = _DELTA_K_VELOCITY * TWO_PI / pot.a
-    e_minus, _, e_plus = _stencil_energies(k, band, pot, n, A_shift, delta)
+    e_minus, _, e_plus = _stencil_energies(k, band, pot, n, delta)
     return float((e_plus - e_minus) / (2.0 * delta))
 
 
@@ -195,14 +178,13 @@ def _mass_from_curvature(curvature):
     return 1.0 / curvature
 
 
-def effective_mass(k: float, band: int, pot: FourierPotential, n: int,
-                   A_shift: float = 0.0) -> float:
+def effective_mass(k: float, band: int, pot: FourierPotential, n: int) -> float:
     """ħ²/(d²ε/dk²) by second central difference with step 1e-4·(2π/a).
 
     Negative near band tops; raises InfiniteMassError at inflection points.
     """
     delta = _DELTA_K_MASS * TWO_PI / pot.a
-    e_minus, e_center, e_plus = _stencil_energies(k, band, pot, n, A_shift, delta)
+    e_minus, e_center, e_plus = _stencil_energies(k, band, pot, n, delta)
     curvature = (e_plus - 2.0 * e_center + e_minus) / delta ** 2
     return _mass_from_curvature(float(curvature))
 

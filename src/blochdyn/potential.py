@@ -93,12 +93,14 @@ def single_cosine(a: float, amplitude: float) -> FourierPotential:
     return FourierPotential(a, {1: amplitude, -1: amplitude})
 
 
-def random_symmetric(a: float, rng: np.random.Generator, lmax: int = 3,
-                     lo: float = 0.3, hi: float = 1.5) -> FourierPotential:
-    """Random real (mirror-symmetric) potential with |V_l| in [lo, hi]."""
+def random_symmetric(a: float, rng: np.random.Generator) -> FourierPotential:
+    """Random real (mirror-symmetric) potential on harmonics l = 1..3.
+
+    Each V_l = V_{-l} has magnitude uniform in [0.3, 1.5] and a random sign.
+    """
     coeffs: dict[int, complex] = {}
-    for l in range(1, lmax + 1):
-        v = rng.uniform(lo, hi) * (1.0 if rng.random() < 0.5 else -1.0)
+    for l in range(1, 4):
+        v = rng.uniform(0.3, 1.5) * (1.0 if rng.random() < 0.5 else -1.0)
         coeffs[l] = v
         coeffs[-l] = v
     return FourierPotential(a, coeffs)

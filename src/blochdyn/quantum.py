@@ -62,10 +62,10 @@ class AdiabaticReport:
     fidelity: np.ndarray
     comm_norm: np.ndarray
 
-    def chain_holds(self, slack: float = 1e-9) -> bool:
-        """gap·Ω̄* <= ||[Ω̄, Λ]||_F <= ||Ḣ||_F at every sample."""
-        lhs_ok = np.all(self.gap * self.omega_bar_star <= self.comm_norm + slack)
-        rhs_ok = np.all(self.comm_norm <= self.hdot_norm + slack)
+    def chain_holds(self) -> bool:
+        """gap·Ω̄* <= ||[Ω̄, Λ]||_F <= ||Ḣ||_F at every sample, with slack 1e-9."""
+        lhs_ok = np.all(self.gap * self.omega_bar_star <= self.comm_norm + 1e-9)
+        rhs_ok = np.all(self.comm_norm <= self.hdot_norm + 1e-9)
         return bool(lhs_ok and rhs_ok)
 
 
@@ -125,13 +125,13 @@ def adiabatic_diagnostics(k: float, pot: FourierPotential, n: int, E: float,
 
 
 def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
-                    T: float, dt: float, X0: np.ndarray | None = None,
-                    report_stride: int = 1):
+                    T: float, dt: float, report_stride: int = 1):
     """Advance X through Ẋ = -iH(t)X with per-step midpoint exponentials.
 
-    H(t) carries the gauge shift A(t) = -E t. Each step applies
-    Θ exp(-iΛ dt) Θ† of the midpoint Hamiltonian, so the update is unitary
-    to roundoff and integrator drift cannot masquerade as nonadiabaticity.
+    X starts as the band-0 state at k, and H(t) carries the gauge shift
+    A(t) = -E t. Each step applies Θ exp(-iΛ dt) Θ† of the midpoint
+    Hamiltonian, so the update is unitary to roundoff and integrator drift
+    cannot masquerade as nonadiabaticity.
     The midpoint Hamiltonians at A = -E(j + ½)dt are diagonalized _K_BLOCK
     steps at a time by one stacked eigh call, without a phase fix. Diagnostics
     and fidelity are sampled every report_stride steps plus the final instant.
@@ -139,16 +139,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     """
     times, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, report_stride, "report_stride")
-    size = 2 * n + 1
-    if X0 is None:
-        X = solve_at(k, 0.0, pot, n).vectors[:, 0].astype(np.complex128)
-    else:
-        X = np.asarray(X0, dtype=np.complex128).copy()
-        if X.shape != (size,):
-            raise ConfigError(f"X0 must have shape ({size},)")
-        if not abs(np.linalg.norm(X) - 1.0) <= 1e-10:
-            raise ConfigError("X0 must be normalized")
-
+    X = solve_at(k, 0.0, pot, n).vectors[:, 0].astype(np.complex128)
     samples = []
 
     def take_sample(j, Xnow):
@@ -209,7 +200,9 @@ def gaussian_packet(Ldom: float, N: int, x0: float, k0: float, sigma: float) -> 
         raise ConfigError(f"need Ldom > 0 and N >= 1, got Ldom={Ldom!r}, N={N!r}")
     dx = Ldom / N
     x = -0.5 * Ldom + dx * np.arange(N)
-    psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
+    # a sigma too small for the grid gives 0, inf or NaN here; the norm check rejects it
+    with np.errstate(all="ignore"):
+        psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
     norm = float(np.sum(np.abs(psi) ** 2) * dx)
     if not 0.0 < norm < np.inf:
         raise ConfigError(f"packet grid norm is {norm!r}: no weight on the grid at this x0, sigma")
@@ -234,14 +227,27 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
 
     The scalar-gauge linear potential is unbounded, so the packet must stay
     in the interior: if the centroid comes within guard_sigmas packet widths
-    of either boundary the run aborts with BoundaryProximityError. Centroid
-    series ⟨x⟩(t), ⟨k⟩(t) and σ_x(t) are sampled every sample_stride steps.
+    of either boundary the run aborts with BoundaryProximityError. The field
+    moves ⟨k⟩ from ⟨k⟩₀ to ⟨k⟩₀ - E·T, and the grid holds only |k| < π/dx: if
+    either end plus guard_sigmas momentum widths σ_k₀ reaches π/dx, the kick
+    would alias, and the run is refused with ConfigError before the first
+    step. ⟨k⟩₀ and σ_k₀ are read from the initial power spectrum; the kick of
+    an extra potential is not bounded by this check. Centroid series ⟨x⟩(t),
+    ⟨k⟩(t) and σ_x(t) are sampled every sample_stride steps.
     """
     t_grid, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, sample_stride, "sample_stride")
     x = psi0.x
     dx = psi0.dx
     kgrid = TWO_PI * np.fft.fftfreq(psi0.N, d=dx)
+    power = np.abs(np.fft.fft(psi0.psi)) ** 2
+    k_mean = float(np.sum(power * kgrid) / np.sum(power))
+    k_sigma = float(np.sqrt(np.sum(power * (kgrid - k_mean) ** 2) / np.sum(power)))
+    k_reach = max(abs(k_mean), abs(k_mean - E * T)) + guard_sigmas * k_sigma
+    if not k_reach < np.pi / dx:
+        raise ConfigError(
+            f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {guard_sigmas}σ_k "
+            f"it reaches {k_reach:.6g}, past the grid's k window π/dx = {np.pi / dx:.6g}")
     U = E * x
     if potential is not None:
         U = U + np.asarray(potential(x), dtype=np.float64)
@@ -302,8 +308,8 @@ class GridBands:
     energies: np.ndarray
     states: np.ndarray
 
-    def ground_band_energy(self, k: float, tol: float = 1e-9) -> float:
-        match = np.abs(self.k - k) < tol
+    def ground_band_energy(self, k: float) -> float:
+        match = np.abs(self.k - k) < 1e-9
         if not np.any(match):
             raise ConfigError(f"no labeled state at k={k!r}")
         return float(np.min(self.energies[match]))

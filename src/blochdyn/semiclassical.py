@@ -114,21 +114,16 @@ def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
     """Classical limit in a linearizable potential: dv/dt = +V'(x), dx/dt = v.
 
     V is an electrical potential (the potential energy is -V), given either
-    as a FourierPotential or a callable; a callable without dV gets a
-    central-difference derivative. Conservation of v²/2 - V(x) is checked
-    to energy_tol relative over the run unless energy_tol is None.
+    as a FourierPotential or as a callable together with its derivative dV;
+    a callable without dV raises ConfigError. Conservation of v²/2 - V(x) is
+    checked to energy_tol relative over the run unless energy_tol is None.
     """
     if isinstance(V, FourierPotential):
         Vx, dVx = V.evaluate, V.derivative
+    elif dV is None:
+        raise ConfigError("a callable V needs its derivative dV")
     else:
-        Vx = V
-        if dV is not None:
-            dVx = dV
-        else:
-            h = 1e-6
-
-            def dVx(x):
-                return (Vx(x + h) - Vx(x - h)) / (2.0 * h)
+        Vx, dVx = V, dV
 
     def rhs(y):
         return np.array([y[1], dVx(y[0])])
@@ -231,20 +226,20 @@ def compare_fundamental_lorentz(k0, x0, E, B: float, T: float, dt: float) -> Div
 
 
 def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
-                      E: float, T: float, dt: float, x0: float = 0.0,
+                      E: float, T: float, dt: float,
                       with_mass: bool = False) -> Trajectory:
     """Band transport under a uniform field: k(t) = reduce(k0 - E t).
 
     v_g is sampled from the band dispersion along the path and x(t) is its
-    trapezoid integral. With with_mass=True, meta["m_star"] carries the
-    effective mass along the path. Both come from one band_derivatives call
-    over the whole path.
+    trapezoid integral from the origin. With with_mass=True, meta["m_star"]
+    carries the effective mass along the path. Both come from one
+    band_derivatives call over the whole path.
     """
     times, _, _ = _time_grid(T, dt)
     k_unred = k0 - E * times
     _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
     v = v[:, band]
-    x = x0 + _trapezoid_integral(v, times)
+    x = _trapezoid_integral(v, times)
     meta = {"a": pot.a, "E": float(E)}
     if with_mass:
         meta["m_star"] = _mass_from_curvature(inv_mass[:, band])

@@ -16,7 +16,6 @@ from blochdyn import (
     random_symmetric,
     reduce_to_zone,
     single_cosine,
-    solve,
 )
 from blochdyn.central_equation import (
     _hamiltonians,
@@ -42,7 +41,7 @@ SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j,
 
 def test_free_matrix_diagonal():
     h = build(0.0, 0.0, FREE, 1)
-    np.testing.assert_allclose(h.matrix,
+    np.testing.assert_allclose(h,
                                np.diag([2.0 * math.pi ** 2, 0.0, 2.0 * math.pi ** 2]),
                                atol=1e-12)
 
@@ -52,7 +51,7 @@ def test_gauge_shift_enters_diagonal():
     h = build(k, A, WEAK, 3)
     ls = np.arange(-3, 4)
     expect = (k + TWO_PI * ls + A) ** 2 / 2.0
-    np.testing.assert_allclose(np.diag(h.matrix), expect, atol=1e-12)
+    np.testing.assert_allclose(np.diag(h), expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
@@ -62,7 +61,7 @@ def test_stacked_shifts_equal_build(pot):
     shifts = -0.3 * (np.arange(5) + 0.5) * 0.7
     stacked = _hamiltonians(np.full(shifts.size, k), shifts, pot, 4)
     for H, A in zip(stacked, shifts):
-        np.testing.assert_array_equal(H, build(k, float(A), pot, 4).matrix)
+        np.testing.assert_array_equal(H, build(k, float(A), pot, 4))
 
 
 def test_offdiagonal_coefficient_placement():
@@ -73,13 +72,13 @@ def test_offdiagonal_coefficient_placement():
         for j, lj in enumerate(ls):
             if i == j:
                 continue
-            assert h.matrix[i, j] == pytest.approx(pot.coefficient(li - lj), abs=1e-15)
+            assert h[i, j] == pytest.approx(pot.coefficient(li - lj), abs=1e-15)
 
 
 def test_mean_value_shifts_every_diagonal_entry():
     h0 = build(0.2, 0.0, FourierPotential(1.0, {0: 0.0}), 2)
     h1 = build(0.2, 0.0, FourierPotential(1.0, {0: 0.6}), 2)
-    np.testing.assert_allclose(h1.matrix, h0.matrix + 0.6 * np.eye(5), atol=1e-14)
+    np.testing.assert_allclose(h1, h0 + 0.6 * np.eye(5), atol=1e-14)
 
 
 def test_build_rejections():
@@ -98,8 +97,8 @@ def test_hermitian_and_orthonormal():
         pot = random_symmetric(1.0, rng)
         k = float(rng.uniform(-math.pi, math.pi))
         h = build(k, 0.0, pot, 6)
-        np.testing.assert_allclose(h.matrix, h.matrix.conj().T, atol=1e-13)
-        sol = solve(h)
+        np.testing.assert_allclose(h, h.conj().T, atol=1e-13)
+        sol = solve_at(k, 0.0, pot, 6)
         gram = sol.vectors.conj().T @ sol.vectors
         np.testing.assert_allclose(gram, np.eye(13), atol=1e-10)
         assert np.all(np.diff(sol.energies) >= -1e-12)
@@ -137,8 +136,8 @@ def test_gauge_shift_only_moves_the_wavevector(pot):
     for k in ZONE:
         for A in (-0.9, -0.31, 0.27, 1.3):
             if abs(k + A) <= math.pi:
-                np.testing.assert_allclose(build(k, A, pot, 10).matrix,
-                                           build(k + A, 0.0, pot, 10).matrix,
+                np.testing.assert_allclose(build(k, A, pot, 10),
+                                           build(k + A, 0.0, pot, 10),
                                            rtol=1e-14, atol=1e-14)
 
 

@@ -1,5 +1,6 @@
 """Command line: exit codes, strict parsing, and deterministic outputs."""
 
+import itertools
 import json
 import math
 import os
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochdyn import (BandFilling, ConfigError, FourierPotential, band_derivatives,
-                      band_sweep, cli, conduction, evolve_fundamental, gaussian_packet,
-                      single_cosine, split_step_free)
+from blochdyn import (BandFilling, ConfigError, FourierPotential, acceptance,
+                      band_derivatives, band_sweep, cli, conduction, evolve_fundamental,
+                      evolve_general_V, gaussian_packet, single_cosine, split_step_free)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
 from blochdyn.semiclassical import _time_grid
@@ -307,10 +308,16 @@ def test_potential_coefficient_validation(tmp_path):
     ("cyclotron", "cyclotron", "dynamics", "T_internal", 1e20),
     ("wavepacket_free", "wavepacket", "dynamics", "x0_internal", 1e6),
     ("wavepacket_free", "wavepacket", "dynamics", "sigma_internal", 1e-300),
+    # edits across blocks: <k> would run from 1 to -65, past the k window ±π/dx = ±32.2
+    *(pytest.param("wavepacket_free", "wavepacket", None, None,
+                   {"field": {"E_internal": 330}, "dynamics": {"T_internal": 0.2},
+                    "output": {"sample_stride": stride}},
+                   id=f"wavepacket_free-k_window-stride_{stride}") for stride in (5, 20)),
 ])
 def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())
-    scn_obj[block][key] = value
+    for name, edits in ({block: {key: value}} if block else value).items():
+        scn_obj[name].update(edits)
     scn = _write(tmp_path, scn_obj)
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
 
@@ -326,9 +333,10 @@ def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     lambda: evolve_fundamental([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0, 1.0, 0.1),
     lambda: split_step_free(gaussian_packet(400.0, 256, 0.0, 1.0, 10.0), 0.0, 1.0, 0.1,
                             sample_stride=0),
+    lambda: evolve_general_V(0.2, 0.5, lambda x: -0.5 * x * x, 3.0, 1e-3),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
         "band_sweep", "band_derivatives", "potential", "filling", "fundamental",
-        "split_step"])
+        "split_step", "general_V_without_dV"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -383,6 +391,18 @@ def test_validate_single_criterion(tmp_path, capsys):
     rep = json.loads((tmp_path / "validate.json").read_text())
     assert rep["results"][0]["cid"] == 9
     assert rep["results"][0]["passed"] is True
+
+
+def test_validate_json_does_not_depend_on_the_clock(tmp_path, monkeypatch):
+    # criteria 1 and 4 check their runtime; the clock runs 1 s, then 7 s, per reading
+    written = []
+    for tick in (1.0, 7.0):
+        clock = itertools.count(tick, tick)
+        monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
+        out = tmp_path / str(tick)
+        assert main(["validate", "--out", str(out), "--only", "1,4"]) == 0
+        written.append((out / "validate.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_validate_rejects_unknown_selection(tmp_path):

@@ -89,13 +89,6 @@ def test_periodic_potential_accepted_directly():
     np.testing.assert_allclose(energy, energy[0], atol=1e-7)
 
 
-def test_callable_without_derivative_uses_finite_difference():
-    ref = evolve_general_V(0.2, 0.5, lambda x: -0.5 * x * x, 3.0, 1e-3,
-                           dV=lambda x: -x)
-    fd = evolve_general_V(0.2, 0.5, lambda x: -0.5 * x * x, 3.0, 1e-3)
-    np.testing.assert_allclose(fd.x, ref.x, atol=1e-7)
-
-
 def test_energy_drift_guard():
     # a stiff well at a reckless step size destroys the invariant
     with pytest.raises(EnergyDriftError):
