@@ -64,6 +64,34 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert res.stdout.strip() == "False"
 
 
+# every shipped scenario but adiabatic_sweep, with the subcommand that runs it
+SHORT_RUNS = [("adiabatic", "adiabatic_si_probe"), ("bands", "bands_weak_cosine"),
+              ("compare-eom", "compare_eom"), ("conduction", "conduction_fillings"),
+              ("cyclotron", "cyclotron"), ("solenoid", "solenoid_reference"),
+              ("wavepacket", "wavepacket_free")]
+
+
+def test_short_scenarios_never_import_scipy(tmp_path):
+    # only the grid oracle needs scipy; the short subcommands must not pay its import
+    argvs = [[cmd, "--scenario", str(SCENARIOS / f"{stem}.json"), "--out", str(tmp_path / stem)]
+             for cmd, stem in SHORT_RUNS]
+    script = f"""
+import sys
+from blochdyn import cli
+print([cli.main(argv) for argv in {argvs!r}])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    codes, scipy_modules = res.stdout.splitlines()[-2:]
+    assert codes == repr([0] * len(SHORT_RUNS))
+    assert scipy_modules == "[]"
+
+
 def test_bands_rows_and_byte_determinism(tmp_path):
     scn = str(SCENARIOS / "bands_weak_cosine.json")
     for d in ("one", "two"):
@@ -308,6 +336,9 @@ def test_potential_coefficient_validation(tmp_path):
     ("cyclotron", "cyclotron", "dynamics", "T_internal", 1e20),
     ("wavepacket_free", "wavepacket", "dynamics", "x0_internal", 1e6),
     ("wavepacket_free", "wavepacket", "dynamics", "sigma_internal", 1e-300),
+    # k0 past the grid's k window ±π/dx = ±32.2 would alias to k0 ∓ 2π/dx
+    ("wavepacket_free", "wavepacket", "dynamics", "k0_internal", 40),
+    ("wavepacket_free", "wavepacket", "dynamics", "k0_internal", -40),
     # edits across blocks: <k> would run from 1 to -65, past the k window ±π/dx = ±32.2
     *(pytest.param("wavepacket_free", "wavepacket", None, None,
                    {"field": {"E_internal": 330}, "dynamics": {"T_internal": 0.2},
@@ -334,9 +365,10 @@ def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     lambda: split_step_free(gaussian_packet(400.0, 256, 0.0, 1.0, 10.0), 0.0, 1.0, 0.1,
                             sample_stride=0),
     lambda: evolve_general_V(0.2, 0.5, lambda x: -0.5 * x * x, 3.0, 1e-3),
+    lambda: gaussian_packet(400.0, 4096, -30.0, 40.0, 10.0),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
         "band_sweep", "band_derivatives", "potential", "filling", "fundamental",
-        "split_step", "general_V_without_dV"])
+        "split_step", "general_V_without_dV", "packet_k0_past_k_window"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

@@ -22,7 +22,6 @@ from blochdyn import (
     single_cosine,
     split_step_free,
 )
-from blochdyn import quantum
 from blochdyn.central_equation import solve_at
 from blochdyn.quantum import _diagnostic_sample
 from blochdyn.semiclassical import _time_grid
@@ -315,7 +314,7 @@ def test_grid_hamiltonian_is_the_gathered_circulant(monkeypatch):
         seen.append(H.copy())
         return eigh(H, **kwargs)
 
-    monkeypatch.setattr(quantum.scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
     N = 64
     grid_ground_state(SKEW, M=8, N=N, n_levels=4)
     dx = 8.0 / N
