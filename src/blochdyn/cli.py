@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,7 @@ import numpy as np
 from . import __version__
 from .acceptance import CRITERIA, run_all
 from .central_equation import band_sweep
-from .conduction import (BandFilling, _sum_and_label, fractional_displacement, solenoid_shift,
-                         velocity_sum)
+from .conduction import BandFilling, _sums_and_labels, fractional_displacement, solenoid_shift
 from .errors import ConfigError, PhysicsError
 from .potential import FourierPotential
 from .quantum import adiabatic_diagnostics, gaussian_packet, integrate_basis, split_step_free
@@ -225,8 +225,9 @@ def _schema(command: str, scn: dict) -> dict:
 
 def _write_csv(path: Path, header_comment: str, columns: list[str], rows) -> None:
     lines = [f"# {header_comment}", ",".join(columns)]
+    fmt = ",".join([_FLOAT] * len(columns))
     for row in rows:
-        lines.append(",".join(_FLOAT % v for v in row))
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -329,17 +330,13 @@ def _run_adiabatic(scn: dict, units: UnitSystem, out: Path) -> int:
 def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
     pot, dyn = _potential(scn), scn["dynamics"]
     band, n_k, n, shift = dyn["band"], dyn["n_k"], dyn["n_waves"], dyn["shift_internal"]
-    entries = []
-    for frac in dyn["fractions"]:
-        base = BandFilling(band=band, n_k=n_k, fraction=frac, a=pot.a)
-        shifted = BandFilling(band=band, n_k=n_k, fraction=frac, shift=shift, a=pot.a)
-        unshifted, label = _sum_and_label(base, pot, n)
-        entries.append({
-            "fraction": frac,
-            "velocity_sum_unshifted": unshifted,
-            "velocity_sum_shifted": velocity_sum(shifted, pot, n),
-            "classification": label,
-        })
+    fractions = dyn["fractions"]
+    grid = BandFilling(band=band, n_k=n_k, fraction=0.0, a=pot.a)
+    unshifted = _sums_and_labels(grid, pot, n, fractions)
+    shifted = _sums_and_labels(replace(grid, shift=shift), pot, n, fractions)
+    entries = [{"fraction": frac, "velocity_sum_unshifted": base,
+                "velocity_sum_shifted": moved, "classification": label}
+               for frac, (base, label), (moved, _) in zip(fractions, unshifted, shifted)]
     _write_json(out / "conduction.json", {"version": 1, "band": band, "n_k": n_k,
                                           "shift_internal": shift, "fillings": entries})
     return 0

@@ -7,12 +7,15 @@ band acquires a net velocity: the conductor/insulator distinction. The
 label is read from Σ m/m* of the occupied states at the filling's own shift,
 the rate at which a further shift moves the velocity sum (the Drude weight
 of Kohn's insulator criterion), in the same band pass as the velocity sum.
+The occupied states of every fraction of one band are prefixes of one |k|
+order, so one band pass per gauge shift, over the largest fraction's states,
+serves every fraction of a conduction run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,15 +66,27 @@ class BandFilling:
         return grid[order[: self.occupied_count]]
 
 
-def _sum_and_label(filling: BandFilling, pot: FourierPotential, n: int) -> tuple[float, str]:
-    """velocity_sum and classify of filling, from one band pass over its occupied states."""
+def _sums_and_labels(filling: BandFilling, pot: FourierPotential, n: int,
+                     fractions) -> list[tuple[float, str]]:
+    """velocity_sum and classify of filling at each of fractions, from one band pass.
+
+    filling fixes the band, n_k, shift and a; its own fraction is not used.
+    Each fraction's occupied states are a prefix of the largest one's, so
+    each sum is math.fsum over its own prefix of the one pass.
+    """
     if filling.a != pot.a:
         raise ConfigError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
-    ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
+    counts = [replace(filling, fraction=f).occupied_count for f in fractions]
+    largest = replace(filling, fraction=max(fractions, default=0.0))
+    ks = reduce_to_zone(largest.occupied_k + filling.shift, pot.a)
     _, velocity, inv_mass = band_derivatives(ks, pot, n, filling.band + 1)
-    response = abs(math.fsum(inv_mass[:, filling.band])) * (1e-4 * TWO_PI / pot.a)
-    return (math.fsum(velocity[:, filling.band]),
-            "conductor" if response > 1e-8 * filling.n_k else "insulator")
+    velocity, inv_mass = velocity[:, filling.band], inv_mass[:, filling.band]
+    probe = 1e-4 * TWO_PI / pot.a
+    out = []
+    for count in counts:
+        moved = abs(math.fsum(inv_mass[:count])) * probe > 1e-8 * filling.n_k
+        out.append((math.fsum(velocity[:count]), "conductor" if moved else "insulator"))
+    return out
 
 
 def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
@@ -82,7 +97,7 @@ def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
     momenta (the exact band derivative); accumulation uses exact summation
     so the result is independent of evaluation order.
     """
-    return _sum_and_label(filling, pot, n)[0]
+    return _sums_and_labels(filling, pot, n, [filling.fraction])[0][0]
 
 
 def classify(filling: BandFilling, pot: FourierPotential, n: int) -> str:
@@ -92,7 +107,7 @@ def classify(filling: BandFilling, pot: FourierPotential, n: int) -> str:
     inverse masses). A conductor's sum would move by more than 1e-8·n_k under
     a further shift of 1e-4 of a reciprocal lattice vector.
     """
-    return _sum_and_label(filling, pot, n)[1]
+    return _sums_and_labels(filling, pot, n, [filling.fraction])[0][1]
 
 
 def solenoid_shift(n_turns_per_m: float, current_A: float, area_m2: float,

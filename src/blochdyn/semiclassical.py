@@ -79,19 +79,26 @@ def _trapezoid_integral(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros_like(steps[:1]), steps])
 
 
-def _rk4(f: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, T: float, dt: float):
+def _rk4(f: Callable[[list], tuple], y0, T: float, dt: float):
+    """Classic RK4 on a state held as a list of Python floats; f returns a sequence.
+
+    Plain floats round as numpy float64 does, and the operation order is that
+    of the array form, so ys is bit-identical to it, without the per-step
+    array overhead.
+    """
     times, nsteps, h = _time_grid(T, dt)
-    ys = np.empty((nsteps + 1, y0.size))
-    ys[0] = y0
-    y = y0.astype(np.float64)
-    for j in range(nsteps):
+    half, sixth = 0.5 * h, h / 6.0
+    y = [float(v) for v in y0]
+    rows = [y]
+    for _ in range(nsteps):
         k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys[j + 1] = y
-    return times, ys
+        k2 = f([yi + half * ki for yi, ki in zip(y, k1)])
+        k3 = f([yi + half * ki for yi, ki in zip(y, k2)])
+        k4 = f([yi + h * ki for yi, ki in zip(y, k3)])
+        y = [yi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        rows.append(y)
+    return times, np.array(rows)
 
 
 def evolve_free_E(k0: float, E: float, T: float, dt: float, x0: float = 0.0) -> Trajectory:
@@ -126,9 +133,9 @@ def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
         Vx, dVx = V, dV
 
     def rhs(y):
-        return np.array([y[1], dVx(y[0])])
+        return y[1], float(dVx(y[0]))
 
-    times, ys = _rk4(rhs, np.array([x0, k0], dtype=np.float64), T, dt)
+    times, ys = _rk4(rhs, (x0, k0), T, dt)
     x, v = ys[:, 0], ys[:, 1]
     if energy_tol is not None:
         energy = 0.5 * v ** 2 - np.asarray(Vx(x), dtype=np.float64)
@@ -166,11 +173,11 @@ def _evolve_planar(tag: str, accel, v0, v_name: str, x0, E, B: float, T: float,
     v0 = _planar(v0, v_name)
     x0 = _planar(x0, "x0")
     Ev = _planar(E, "E")
-    wc = float(B)
+    wc, E_xy = float(B), tuple(Ev.tolist())
 
     def rhs(y):
         x, yy, vx, vy = y
-        return np.array([vx, vy, *accel(x, yy, vx, vy, wc, Ev)])
+        return (vx, vy, *accel(x, yy, vx, vy, wc, E_xy))
 
     times, ys = _rk4(rhs, np.concatenate([x0, v0]), T, dt)
     v = ys[:, 2:4]
@@ -258,6 +265,7 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     wc = float(B)
 
     def vg_of(kvec):
+        kvec = np.asarray(kvec)
         rho = float(np.hypot(kvec[0], kvec[1]))
         if rho < 1e-12:
             return np.zeros(2)
@@ -267,7 +275,7 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     def rhs(y):
         v = vg_of(y)
         # k' = -v×B with B = B ẑ: v×B = (v_y B, -v_x B)
-        return np.array([-wc * v[1], wc * v[0]])
+        return -wc * v[1], wc * v[0]
 
     times, ks = _rk4(rhs, k0, T, dt)
     vs = np.array([vg_of(k) for k in ks])

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from blochdyn import (BandFilling, ConfigError, FourierPotential, acceptance,
-                      band_derivatives, band_sweep, cli, conduction, evolve_fundamental,
-                      evolve_general_V, gaussian_packet, single_cosine, split_step_free)
+                      band_derivatives, band_sweep, classify, cli, conduction,
+                      evolve_fundamental, evolve_general_V, gaussian_packet, random_symmetric,
+                      single_cosine, split_step_free, velocity_sum)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
 from blochdyn.semiclassical import _time_grid
@@ -199,8 +200,30 @@ def test_conduction_uses_the_lattice_constant(tmp_path):
     assert tags == ["insulator", "conductor", "insulator"]
 
 
+def test_conduction_json_equals_the_per_filling_calls(tmp_path):
+    # the shared band pass against the public one-filling-at-a-time path
+    pot = random_symmetric(1.0, np.random.default_rng(5))
+    shift = 0.21 * 2.0 * math.pi
+    fractions = [0.75, 0.25, 1.0, 0.5]
+    scn = _write(tmp_path, {
+        "version": 1, "name": "random fillings", "units": {"a_ref_m": 1e-10},
+        "potential": {"a_internal": 1.0,
+                      "coefficients_internal": [[l, v.real, v.imag] for l, v in pot.items()]},
+        "dynamics": {"band": 1, "n_k": 128, "n_waves": 6, "shift_internal": shift,
+                     "fractions": fractions}})
+    assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
+    want = {"version": 1, "band": 1, "n_k": 128, "shift_internal": shift, "fillings": [
+        {"fraction": frac,
+         "velocity_sum_unshifted": velocity_sum(BandFilling(1, 128, frac), pot, 6),
+         "velocity_sum_shifted": velocity_sum(BandFilling(1, 128, frac, shift), pot, 6),
+         "classification": classify(BandFilling(1, 128, frac), pot, 6)}
+        for frac in fractions]}
+    assert json.loads((tmp_path / "conduction.json").read_text()) == want
+
+
 def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
-    # per fraction: the unshifted sum with its label, and the shifted sum, so 3 x 2
+    # one band pass per gauge shift serves all three fractions: two passes over
+    # the 256 states of the largest (full) filling, not one per fraction and shift
     calls = []
 
     def counted(*args):
@@ -210,7 +233,8 @@ def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
     monkeypatch.setattr(conduction, "band_derivatives", counted)
     scn = str(SCENARIOS / "conduction_fillings.json")
     assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 6
+    assert len(calls) == 2
+    assert sum(len(ks) for ks, *_ in calls) == 512
 
 
 def test_solenoid_json_values(tmp_path):

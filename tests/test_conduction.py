@@ -1,5 +1,6 @@
 """Filled-band cancellation, shift response, and the solenoid numbers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from blochdyn import (
     BandFilling,
+    FourierPotential,
     classify,
     effective_mass,
     fractional_displacement,
@@ -15,9 +17,13 @@ from blochdyn import (
     solenoid_shift,
     velocity_sum,
 )
+from blochdyn.conduction import _sums_and_labels
 
 TWO_PI = 2.0 * math.pi
 WEAK = single_cosine(1.0, 0.25)
+# complex coefficients: V(-x) != V(x)
+SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j,
+                              2: 0.1 - 0.15j, -2: 0.1 + 0.15j})
 
 
 # --------------------------------------------------------------------------
@@ -151,6 +157,29 @@ def test_labels_match_a_finite_difference_probe():
                 assert label == _probe_label(f, pot, 8), (pot, fraction, shift)
                 labels.add(label)
     assert labels == {"conductor", "insulator"}
+
+
+def test_one_pass_per_shift_equals_the_per_filling_calls():
+    # every fraction's states are a prefix of the largest one's, so the shared
+    # pass sums each prefix exactly as a pass of its own does; n_k = 65 makes
+    # round(fraction·n_k) round
+    rng = np.random.default_rng(29)
+    fractions = [0.5, 1.0, 0.0, 0.75, 0.25]
+    for pot in [WEAK, SKEW] + [random_symmetric(1.0, rng) for _ in range(3)]:
+        for band, n_k, shift in itertools.product((0, 1), (64, 65), (0.0, 0.37 * TWO_PI)):
+            grid = BandFilling(band, n_k, 0.0, shift)
+            want = [(velocity_sum(f, pot, 8), classify(f, pot, 8))
+                    for f in (BandFilling(band, n_k, frac, shift) for frac in fractions)]
+            assert _sums_and_labels(grid, pot, 8, fractions) == want, (pot, band, n_k, shift)
+
+
+def test_one_pass_per_shift_rejects_what_a_filling_rejects():
+    grid = BandFilling(0, 64, 0.0)
+    with pytest.raises(ValueError):
+        _sums_and_labels(grid, WEAK, 8, [0.5, 1.5])
+    with pytest.raises(ValueError):
+        _sums_and_labels(grid, single_cosine(2.0, 0.25), 8, [0.5])
+    assert _sums_and_labels(grid, WEAK, 8, []) == []
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from blochdyn import (
     evolve_periodic_E,
     single_cosine,
 )
+from blochdyn import semiclassical
 from blochdyn.semiclassical import _time_grid, _trapezoid_integral
 
 TWO_PI = 2.0 * math.pi
@@ -252,6 +253,41 @@ def test_time_grid_rounding():
         _time_grid(1.0, 2.0)
     with pytest.raises(ValueError):
         _time_grid(1.0, 0.0)
+
+
+def _array_rk4(f, y0, T, dt):
+    """RK4 with the state as a float64 array, the form the list-of-floats loop replaced."""
+    times, nsteps, h = _time_grid(T, dt)
+    y = np.asarray(y0, dtype=np.float64)
+    ys = np.empty((nsteps + 1, y.size))
+    ys[0] = y
+    for j in range(nsteps):
+        k1 = np.asarray(f(y))
+        k2 = np.asarray(f(y + 0.5 * h * k1))
+        k3 = np.asarray(f(y + 0.5 * h * k2))
+        k4 = np.asarray(f(y + h * k3))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys[j + 1] = y
+    return times, ys
+
+
+def test_rk4_on_floats_is_bit_identical_to_the_array_form(monkeypatch):
+    pot = single_cosine(1.0, 0.3)
+    runs = [
+        lambda: evolve_fundamental([0.7, -0.2], [0.3, 0.1], [0.05, -0.02], 1.3, 6.0, 0.01),
+        lambda: evolve_lorentz([0.7, -0.2], [0.3, 0.1], [0.05, -0.02], 1.3, 6.0, 0.01),
+        lambda: evolve_general_V(0.9, 0.1, pot, 5.0, 1e-2),
+        lambda: evolve_general_V(0.3, 1.2, lambda x: -0.5 * x * x - 0.1 * x ** 3, 5.0, 1e-2,
+                                 dV=lambda x: -x - 0.3 * x * x),
+        lambda: evolve_periodic_B([0.6, 0.2], 0, pot, 6, 0.8, 2.0, 0.05),
+    ]
+    fast = [run() for run in runs]
+    monkeypatch.setattr(semiclassical, "_rk4", _array_rk4)
+    for got, run in zip(fast, runs):
+        want = run()
+        for name in ("times", "k", "x", "v_g"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                          err_msg=f"{want.equation_tag} {name}")
 
 
 def test_trapezoid_integral_matches_scipy():
