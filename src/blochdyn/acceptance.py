@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .central_equation import band_derivatives, solve_at
 from .conduction import (
     BandFilling,
-    classify,
+    _sums_and_labels,
     fractional_displacement,
     solenoid_shift,
     velocity_sum,
@@ -252,18 +252,16 @@ def criterion_8_conduction(seed: int = 12345) -> AcceptanceResult:
             filling = BandFilling(band=0, n_k=n_k, fraction=1.0, shift=s)
             worst_filled = max(worst_filled, abs(velocity_sum(filling, pot, 10)))
 
-    # linear response of a half-filled band on the last potential
+    # one unshifted band pass on the last potential labels the full, half and
+    # empty fillings and gives the half-filled sum for the linear response
+    half0 = BandFilling(band=0, n_k=n_k, fraction=0.5)
+    trio = _sums_and_labels(half0, pot, 10, (1.0, 0.5, 0.0))
+    labels = tuple(label for _, label in trio)
     shift = 1e-4 * TWO_PI
-    half0 = BandFilling(band=0, n_k=n_k, fraction=0.5, shift=0.0)
-    half1 = BandFilling(band=0, n_k=n_k, fraction=0.5, shift=shift)
-    net = velocity_sum(half1, pot, 10) - velocity_sum(half0, pot, 10)
+    net = velocity_sum(replace(half0, shift=shift), pot, 10) - trio[1][0]
     _, _, inv_mass = band_derivatives(half0.occupied_k, pot, 10, 1)
     response = shift * math.fsum(inv_mass[:, 0])
     resp_rel = abs(net - response) / abs(response)
-
-    labels = (classify(BandFilling(band=0, n_k=n_k, fraction=1.0), pot, 10),
-              classify(BandFilling(band=0, n_k=n_k, fraction=0.5), pot, 10),
-              classify(BandFilling(band=0, n_k=n_k, fraction=0.0), pot, 10))
 
     checks = [
         (worst_filled < 1e-8 * n_k,

@@ -102,9 +102,12 @@ def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> np.ndarray
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    lead = vectors[idx, np.arange(vectors.shape[1])]
+    """Rotate each column so its largest-magnitude component is real positive.
+
+    vectors is one matrix of column eigenvectors or a stack of them.
+    """
+    idx = np.argmax(np.abs(vectors), axis=-2)
+    lead = np.take_along_axis(vectors, idx[..., None, :], axis=-2)
     if np.iscomplexobj(vectors):
         phase = lead / np.abs(lead)
         return vectors * phase.conj()

@@ -357,14 +357,19 @@ def _run_solenoid(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_validate(out: Path, seed: int, only: str | None) -> int:
+    if seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
     try:
         ids = None if only is None else [int(tok) for tok in only.split(",")
                                          if tok.strip()]
     except ValueError:
         raise ConfigError(f"--only must be comma-separated integers, got {only!r}") from None
+    unknown = sorted(set(ids or ()) - {cid for cid, _, _ in CRITERIA})
+    if unknown:
+        raise ConfigError(f"--only names unknown criteria {unknown} (valid: 1..{len(CRITERIA)})")
     results = run_all(seed=seed, only=ids)
     if not results:
-        raise ConfigError(f"--only selected no known criterion (valid: 1..{len(CRITERIA)})")
+        raise ConfigError(f"--only selected no criterion (valid: 1..{len(CRITERIA)})")
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid}: {r.name}")
         print(f"       {r.detail}")
@@ -408,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="run the acceptance suite")
     v.add_argument("--out", required=True, help="output directory")
     v.add_argument("--seed", type=int, default=12345,
-                   help="seed for the randomized-property criteria")
+                   help="nonnegative seed for the randomized-property criteria")
     v.add_argument("--only", default=None,
                    help="comma-separated criterion ids to run (default: all)")
     return parser

@@ -6,13 +6,16 @@ integrator advances X with the exact exponential of the midpoint Hamiltonian
 (exactly unitary per step). The midpoint gauge shifts are known in advance, so
 their Hamiltonians are diagonalized _K_BLOCK steps at a time in one stacked
 eigh call, and the propagation path applies no phase fix: Θ exp(-iΛ dt) Θ†
-does not depend on the eigenvector phases. The split-step propagator is
-Strang-ordered and second order in dt; the grid oracle diagonalizes the
-real-space Hamiltonian with a spectral kinetic matrix and labels states by the
-eigenvalue of the lattice translation operator. The grid oracle is the only
-user of scipy, so scipy.linalg is imported on its first call, not with this
-module: importing it would roughly double the start-up time and memory of
-every subcommand that never reaches the oracle.
+does not depend on the eigenvector phases. The diagnostic samples share that
+stacked path: their times are known before the first step, so one
+_eigenframes pass yields every sample's phase-fixed ground vector and
+diagnostics, and adiabatic_diagnostics is the same pass at a single time.
+The split-step propagator is Strang-ordered and second order in dt; the grid
+oracle diagonalizes the real-space Hamiltonian with a spectral kinetic matrix
+and labels states by the eigenvalue of the lattice translation operator. The
+grid oracle is the only user of scipy, so scipy.linalg is imported on its
+first call, not with this module: importing it would roughly double the
+start-up time and memory of every subcommand that never reaches the oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_equation import _GAP_MIN, _K_BLOCK, TWO_PI, _hamiltonians, solve_at
+from .central_equation import (_GAP_MIN, _K_BLOCK, TWO_PI, _hamiltonians, _phase_fix,
+                               _plane_wavevectors, solve_at)
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
 from .potential import FourierPotential
 from .semiclassical import _sample_rule, _time_grid
@@ -81,7 +85,9 @@ def frame_generator(k: float, pot: FourierPotential, n: int, A: float,
     plane-wave basis (entries Adot·(k + 2πl/a + A)), so no finite
     differencing of eigenvectors is needed and the commutator
     [Ω̄, Λ] = offdiag(Θ†ḢΘ) stays bounded even where excited bands are
-    quasi-degenerate and Ω̄ itself blows up.
+    quasi-degenerate and Ω̄ itself blows up. This is the one-instant form with
+    the full matrices; the adiabatic runs take their samples from the stacked
+    _eigenframes pass, which is tested against it.
     """
     center = solve_at(k, A, pot, n)
     w = center.energies
@@ -94,36 +100,49 @@ def frame_generator(k: float, pot: FourierPotential, n: int, A: float,
     return center, omega_bar, m
 
 
-def _diagnostic_sample(k, pot, n, E, t):
-    """One adiabatic sample at time t, where the gauge shift is A(t) = -E t.
+def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
+    """Instantaneous eigenframes at the times ts, where the gauge shift is A = -E t.
 
-    Returns the instantaneous ground vector and the diagnostics
-    (gap, hdot_norm, omega_star, bound_rhs, comm_norm).
+    The Hamiltonians are diagonalized _K_BLOCK times at a time by one stacked
+    eigh call. Returns (grounds, gap, hdot_norm, omega_bar_star, bound_rhs,
+    comm_norm): grounds[i] is the phase-fixed band-0 vector at ts[i], the rest
+    are arrays over ts. With Adot = -E and M = Θ†ḢΘ as in frame_generator,
+    Ω̄* is the largest |Ω̄_0j| = |M_0j|/(λ_j - λ_0) and comm_norm is
+    ‖offdiag(M)‖_F = ‖[Ω̄, Λ]‖_F. The gap guard runs before any bound is
+    divided by a gap.
     """
-    A = -E * t
-    center, omega_bar, m = frame_generator(k, pot, n, A, -E)
-    w = center.energies
-    gap = float(w[1] - w[0])
-    if gap <= _GAP_MIN:
-        raise DegeneratePointError(f"ground-state gap {gap:.3e} closed at A={A!r}")
-    kappa = center.plane_wavevectors
-    hdot_norm = abs(E) * float(np.sqrt(np.sum(kappa ** 2)))
-    ground = center.vectors[:, 0]
-    if E == 0.0:
-        return ground, (gap, hdot_norm, 0.0, 0.0, 0.0)
-    omega_star = float(np.max(np.abs(omega_bar[0, 1:])))
-    comm = m - np.diag(np.diag(m))     # [Ω̄, Λ]_{ij} = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
-    comm_norm = float(np.linalg.norm(comm))
-    return ground, (gap, hdot_norm, omega_star, hdot_norm / gap, comm_norm)
+    shifts = -E * np.asarray(ts, dtype=np.float64)
+    blocks = []
+    for lo in range(0, shifts.size, _K_BLOCK):
+        A = shifts[lo:lo + _K_BLOCK]
+        w, theta = np.linalg.eigh(
+            _hamiltonians(np.full(A.size, k, dtype=np.float64), A, pot, n))
+        gap = w[:, 1] - w[:, 0]
+        closed = np.flatnonzero(gap <= _GAP_MIN)
+        if closed.size:
+            i = closed[0]
+            raise DegeneratePointError(
+                f"ground-state gap {gap[i]:.3e} closed at A={float(A[i])!r}")
+        theta = _phase_fix(theta)
+        kappa = _plane_wavevectors(k, A, pot.a, n)
+        m = (theta.conj().transpose(0, 2, 1) * (-E * kappa)[:, None, :]) @ theta
+        m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+        omega_star = np.max(np.abs(m[:, 0, 1:] / (w[:, 1:] - w[:, :1])), axis=1)
+        hdot_norm = abs(E) * np.sqrt(np.sum(kappa ** 2, axis=-1))
+        diag = np.arange(m.shape[1])
+        m[:, diag, diag] = 0.0     # [Ω̄, Λ]_ij = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
+        comm_norm = np.array([np.linalg.norm(c) for c in m])
+        blocks.append((theta[:, :, 0], gap, hdot_norm, omega_star, hdot_norm / gap,
+                       comm_norm))
+    return tuple(np.concatenate(c) for c in zip(*blocks))
 
 
 def adiabatic_diagnostics(k: float, pot: FourierPotential, n: int, E: float,
                           t: float) -> AdiabaticReport:
     """Single-sample eigenframe diagnostics; no state is propagated (fidelity NaN)."""
-    _, (gap, hdot, om_star, bound, comm) = _diagnostic_sample(k, pot, n, E, t)
-    one = lambda v: np.array([v], dtype=np.float64)
-    return AdiabaticReport(one(t), one(gap), one(hdot), one(om_star),
-                           one(bound), one(float("nan")), one(comm))
+    _, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, [t])
+    return AdiabaticReport(np.array([t], dtype=np.float64), gap, hdot, om_star,
+                           bound, np.array([np.nan]), comm)
 
 
 def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
@@ -136,21 +155,17 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     cannot masquerade as nonadiabaticity.
     The midpoint Hamiltonians at A = -E(j + ½)dt are diagonalized _K_BLOCK
     steps at a time by one stacked eigh call, without a phase fix. Diagnostics
-    and fidelity are sampled every report_stride steps plus the final instant.
+    are sampled every report_stride steps plus the final instant; the sample
+    times are known up front, so their eigenframes come from one _eigenframes
+    pass, and only the fidelity is taken inside the step loop.
     Returns (BasisState at T, AdiabaticReport).
     """
     times, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, report_stride, "report_stride")
-    X = solve_at(k, 0.0, pot, n).vectors[:, 0].astype(np.complex128)
-    samples = []
-
-    def take_sample(j, Xnow):
-        t = float(times[j])
-        ground, (gap, hdot, om_star, bound, comm) = _diagnostic_sample(k, pot, n, E, t)
-        fid = float(np.abs(np.vdot(ground, Xnow)) ** 2)
-        samples.append((t, gap, hdot, om_star, bound, fid, comm))
-
-    take_sample(0, X)
+    ts = times[[j for j in range(nsteps + 1) if sampled(j)]]
+    grounds, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, ts)
+    X = grounds[0].astype(np.complex128)
+    fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
     for lo in range(0, nsteps, _K_BLOCK):
         js = np.arange(lo, min(lo + _K_BLOCK, nsteps))
         shifts = -E * (js + 0.5) * h
@@ -159,10 +174,9 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
         for j, w, v in zip(js, ws, vs):
             X = v @ (np.exp(-1j * w * h) * (v.conj().T @ X))
             if sampled(j + 1):
-                take_sample(j + 1, X)
+                fidelity.append(float(np.abs(np.vdot(grounds[len(fidelity)], X)) ** 2))
 
-    cols = [np.array(c, dtype=np.float64) for c in zip(*samples)]
-    report = AdiabaticReport(*cols)
+    report = AdiabaticReport(ts, gap, hdot, om_star, bound, np.array(fidelity), comm)
     return BasisState(k=k, coeffs=X, t=T, n=n, a=pot.a), report
 
 

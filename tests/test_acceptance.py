@@ -6,7 +6,9 @@ output doubles as the acceptance report.
 
 import pytest
 
+from blochdyn import acceptance, conduction
 from blochdyn.acceptance import CRITERIA
+from blochdyn.central_equation import band_derivatives
 
 SEED = 12345
 
@@ -19,3 +21,19 @@ def test_criterion(cid, name, check):
     print(f"       {result.detail}")
     assert result.cid == cid
     assert result.passed, f"criterion {cid} ({name}): {result.detail}"
+
+
+def test_criterion_8_makes_each_band_pass_once(monkeypatch):
+    # 20 filled-band sums, the shifted half-filled sum, its inverse masses, and
+    # one unshifted pass that serves the classification trio and the half-filled sum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return band_derivatives(*args)
+
+    monkeypatch.setattr(conduction, "band_derivatives", counted)
+    monkeypatch.setattr(acceptance, "band_derivatives", counted)
+    assert acceptance.criterion_8_conduction(SEED).passed
+    assert len(calls) == 23
+    assert sum(len(ks) for ks, *_ in calls) == 5632

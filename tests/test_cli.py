@@ -461,9 +461,19 @@ def test_validate_json_does_not_depend_on_the_clock(tmp_path, monkeypatch):
     assert written[0] == written[1]
 
 
-def test_validate_rejects_unknown_selection(tmp_path):
+def test_validate_rejects_unknown_selection(tmp_path, capsys):
     assert main(["validate", "--out", str(tmp_path), "--only", "99"]) == 2
     assert main(["validate", "--out", str(tmp_path), "--only", "abc"]) == 2
+    # a known id beside an unknown one runs nothing
+    assert main(["validate", "--out", str(tmp_path), "--only", "5,99"]) == 2
+    assert "[99]" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
+def test_validate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("blochdyn.cli.run_all", lambda seed, only: pytest.fail("ran"))
+    assert main(["validate", "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_validate_maps_failure_to_exit_4(tmp_path, monkeypatch):

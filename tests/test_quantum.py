@@ -23,7 +23,7 @@ from blochdyn import (
     split_step_free,
 )
 from blochdyn.central_equation import solve_at
-from blochdyn.quantum import _diagnostic_sample
+from blochdyn.quantum import _eigenframes
 from blochdyn.semiclassical import _time_grid
 
 TWO_PI = 2.0 * math.pi
@@ -35,6 +35,21 @@ SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j,
 
 # --------------------------------------------------------------------------
 # plane-wave basis propagation
+
+
+def _sample_reference(k, pot, n, E, t):
+    """Ground vector and (gap, hdot_norm, omega_bar_star, bound_rhs, comm_norm) at t.
+
+    One frame_generator call per sample: the diagnostics before stacking.
+    """
+    sol, omega_bar, m = frame_generator(k, pot, n, -E * t, -E)
+    gap = float(sol.energies[1] - sol.energies[0])
+    hdot = abs(E) * float(np.sqrt(np.sum(sol.plane_wavevectors ** 2)))
+    if E == 0.0:
+        return sol.vectors[:, 0], (gap, hdot, 0.0, 0.0, 0.0)
+    comm = m - np.diag(np.diag(m))     # [Ω̄, Λ]_ij = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
+    return sol.vectors[:, 0], (gap, hdot, float(np.max(np.abs(omega_bar[0, 1:]))),
+                               hdot / gap, float(np.linalg.norm(comm)))
 
 
 def test_stationary_state_accumulates_only_phase():
@@ -94,7 +109,7 @@ def _per_step_reference(k, pot, n, E, T, dt, stride):
     rows = []
 
     def sample(j):
-        ground, diagnostics = _diagnostic_sample(k, pot, n, E, float(times[j]))
+        ground, diagnostics = _sample_reference(k, pot, n, E, float(times[j]))
         fid = float(np.abs(np.vdot(ground, X)) ** 2)
         rows.append((float(times[j]), *diagnostics[:4], fid, diagnostics[4]))
 
@@ -161,6 +176,19 @@ def test_stride_not_dividing_the_steps_keeps_the_last_step():
 # eigenframe diagnostics
 
 
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+@pytest.mark.parametrize("E", [0.05, -0.3, 0.0, 1e-4])
+def test_eigenframes_equal_the_per_sample_reference(pot, E):
+    # 150 times: two full stacked blocks and a partial one
+    ts = 0.05 * np.arange(150)
+    grounds, *columns = _eigenframes(0.4, pot, 10, E, ts)
+    rows = [_sample_reference(0.4, pot, 10, E, float(t)) for t in ts]
+    np.testing.assert_array_equal(grounds, [ground for ground, _ in rows])
+    names = ["gap", "hdot_norm", "omega_bar_star", "bound_rhs", "comm_norm"]
+    for name, got, expect in zip(names, columns, zip(*(d for _, d in rows))):
+        np.testing.assert_array_equal(got, expect, err_msg=name)
+
+
 def test_frame_generator_structure():
     sol, omega_bar, hdot_rot = frame_generator(0.4, WEAK, 8, -0.2, -0.01)
     # skew-Hermitian generator, zero diagonal, Hermitian rotated drive
@@ -206,15 +234,19 @@ def test_diagnostics_survive_exact_zone_edge():
 
 
 def test_diagnostics_zero_field():
-    _, (gap, hdot, om_star, bound, comm) = _diagnostic_sample(0.5, WEAK, 10, 0.0, 3.0)
+    _, gap, hdot, om_star, bound, comm = _eigenframes(0.5, WEAK, 10, 0.0, [3.0])
     assert hdot == 0.0 and om_star == 0.0 and bound == 0.0 and comm == 0.0
     assert gap > 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_closed_gap_raises():
     free = single_cosine(1.0, 0.0)
     with pytest.raises(DegeneratePointError):
         adiabatic_diagnostics(math.pi, free, 10, 1e-4, 0.0)
+    # the first closed sample is named, before any bound is divided by its gap
+    with pytest.raises(DegeneratePointError, match=r"closed at A=0\.5$"):
+        _eigenframes(math.pi - 0.5, free, 10, -0.5, [0.0, 1.0, 2.0, 3.0])
 
 
 # --------------------------------------------------------------------------
