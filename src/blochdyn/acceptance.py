@@ -128,7 +128,7 @@ def criterion_3_crossed_field_divergence(seed: int = 0) -> AcceptanceResult:
 
 
 def criterion_4_band_oracle(seed: int = 0) -> AcceptanceResult:
-    """Plane-wave bands vs dense-grid diagonalization, plus the empty-lattice limit."""
+    """Plane-wave bands vs the Bloch-folded grid oracle, plus the empty-lattice limit."""
     t0 = time.perf_counter()
     pot = single_cosine(1.0, 0.05)
     gb = grid_ground_state(pot, M=16, N=2048)

@@ -220,7 +220,8 @@ def _schema(command: str, scn: dict) -> dict:
 
 
 # --------------------------------------------------------------------------
-# output helpers
+# output helpers: --out is created on the first write, so a run rejected
+# before any output leaves no directory behind
 
 
 def _write_csv(path: Path, header_comment: str, columns: list[str], rows) -> None:
@@ -228,10 +229,12 @@ def _write_csv(path: Path, header_comment: str, columns: list[str], rows) -> Non
     fmt = ",".join([_FLOAT] * len(columns))
     for row in rows:
         lines.append(fmt % tuple(row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -423,7 +426,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "validate":
             return _run_validate(out, args.seed, args.only)
         scn = load_scenario(args.scenario)

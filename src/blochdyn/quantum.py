@@ -1,5 +1,5 @@
 """Quantum oracles: plane-wave-basis propagation with adiabatic diagnostics,
-a split-step real-space propagator, and direct grid diagonalization.
+a split-step real-space propagator, and a Bloch-folded grid diagonalization.
 
 These provide independent checks of the semiclassical picture. The basis
 integrator advances X with the exact exponential of the midpoint Hamiltonian
@@ -10,12 +10,10 @@ does not depend on the eigenvector phases. The diagnostic samples share that
 stacked path: their times are known before the first step, so one
 _eigenframes pass yields every sample's phase-fixed ground vector and
 diagnostics, and adiabatic_diagnostics is the same pass at a single time.
-The split-step propagator is Strang-ordered and second order in dt; the grid
-oracle diagonalizes the real-space Hamiltonian with a spectral kinetic matrix
-and labels states by the eigenvalue of the lattice translation operator. The
-grid oracle is the only user of scipy, so scipy.linalg is imported on its
-first call, not with this module: importing it would roughly double the
-start-up time and memory of every subcommand that never reaches the oracle.
+The split-step propagator is Strang-ordered and second order in dt. The grid
+oracle builds the real-space Hamiltonian with a spectral kinetic circulant and
+folds it by Bloch's theorem into one small block per commensurate k, so each
+level's crystal-momentum label is exact by construction.
 """
 
 from __future__ import annotations
@@ -316,19 +314,19 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
 
 
 # --------------------------------------------------------------------------
-# real-space grid diagonalization with translation labeling
+# real-space grid diagonalization, Bloch-folded by the lattice translation
 
 
 @dataclass
 class GridBands:
-    """Lowest grid eigenstates labeled by commensurate crystal momentum."""
+    """Lowest grid levels of the Bloch-folded oracle, each with its exact
+    commensurate crystal momentum."""
 
     M: int
     N: int
     Ldom: float
     k: np.ndarray
     energies: np.ndarray
-    states: np.ndarray
 
     def ground_band_energy(self, k: float) -> float:
         match = np.abs(self.k - k) < 1e-9
@@ -342,12 +340,13 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
     """Diagonalize -½∂² + V on M periods with N points, periodic boundary.
 
     The kinetic operator is the exact spectral circulant, so plane waves up
-    to the grid Nyquist are represented without dispersion error. States are
-    Bloch-labeled by diagonalizing the lattice translation within each
-    degenerate cluster; labels are snapped to the commensurate set
-    2πm/(Ma), m in (-M/2, M/2]. scipy.linalg is imported on the first
-    call: its subset eigh is what makes the oracle affordable (0.88 s against
-    1.94 s for numpy's full eigh at N = 2048), and no other path needs scipy.
+    to the grid Nyquist are represented without dispersion error. H commutes
+    with translation by one period (s = N/M points), so Bloch's theorem on the
+    grid splits it exactly into M blocks of size s, one per commensurate
+    k_m = 2πm/(Ma), m in (-M/2, M/2]:
+    H_k[i, j] = Σ_r circ[(i - j - r·s) mod N]·e^{ikra} + δ_ij V(x_i).
+    Every level carries its block's k by construction. The lowest n_levels
+    over all blocks are returned, ordered by k and then by energy.
     """
     if N & (N - 1) or N <= 0:
         raise ConfigError(f"N must be a power of two, got {N}")
@@ -362,53 +361,17 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
     a = pot.a
     Ldom = M * a
     dx = Ldom / N
-    x = dx * np.arange(N)
     kappa = TWO_PI * np.fft.fftfreq(N, d=dx)
-    circ = np.fft.ifft(0.5 * kappa ** 2).real
-    import scipy.linalg
-    H = scipy.linalg.circulant(circ)   # H[i, j] = circ[(i - j) % N]
-    H[np.diag_indices(N)] += pot.evaluate(x)
-    # 1D levels are at most doubly degenerate; probe past the request so a
-    # cluster sliced by the subset boundary can be recognized and dropped
-    probe = min(N, n_levels + 4)
-    energies, states = scipy.linalg.eigh(H, subset_by_index=(0, probe - 1))
-
-    shift = N // M
-    k_list: list[float] = []
-    e_list: list[float] = []
-    cluster_start = 0
-    while cluster_start < probe:
-        stop = cluster_start + 1
-        while stop < probe and (energies[stop] - energies[stop - 1]
-                                < 1e-7 + 1e-9 * abs(energies[stop])):
-            stop += 1
-        if stop == probe and probe < N:
-            break              # trailing cluster may extend past the subset
-        block = states[:, cluster_start:stop]
-        shifted = np.roll(block, -shift, axis=0)
-        tmat = block.T @ shifted
-        vals = np.linalg.eigvals(tmat)
-        if np.max(np.abs(np.abs(vals) - 1.0)) > 1e-6:
-            raise RuntimeError(
-                "translation eigenvalues off the unit circle; cluster tolerance "
-                f"failed near E={energies[cluster_start]:.6g}"
-            )
-        e_cluster = float(np.mean(energies[cluster_start:stop]))
-        for val in vals:
-            m = int(round(np.angle(val) * M / TWO_PI))
-            if m == -(M // 2):
-                m = M // 2
-            k_list.append(TWO_PI * m / (M * a))
-            e_list.append(e_cluster)
-        cluster_start = stop
-
-    if len(e_list) < n_levels:
-        raise RuntimeError(
-            f"only {len(e_list)} levels labeled below the subset boundary; "
-            f"requested {n_levels}"
-        )
-    k_out = np.array(k_list[:n_levels])
-    e_out = np.array(e_list[:n_levels])
+    circ = np.fft.ifft(0.5 * kappa ** 2).real   # the full grid H[i, j] = circ[(i - j) % N]
+    s = N // M
+    i, r = np.arange(s), np.arange(M)
+    m = np.arange(1 - M // 2, M // 2 + 1)
+    gathered = circ[(i[:, None, None] - i[None, :, None] - s * r) % N]
+    H = np.einsum("ijr,rm->mij", gathered, np.exp(TWO_PI * 1j * np.outer(r, m) / M))
+    H[:, i, i] += pot.evaluate(dx * i)
+    energies = np.linalg.eigvalsh(H).ravel()   # block m's levels are contiguous
+    lowest = np.argsort(energies, kind="stable")[:n_levels]
+    k_out = np.repeat(TWO_PI * m / (M * a), s)[lowest]
+    e_out = energies[lowest]
     order = np.lexsort((e_out, k_out))
-    return GridBands(M=M, N=N, Ldom=Ldom, k=k_out[order], energies=e_out[order],
-                     states=states)
+    return GridBands(M=M, N=N, Ldom=Ldom, k=k_out[order], energies=e_out[order])

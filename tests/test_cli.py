@@ -73,9 +73,11 @@ SHORT_RUNS = [("adiabatic", "adiabatic_si_probe"), ("bands", "bands_weak_cosine"
 
 
 def test_short_scenarios_never_import_scipy(tmp_path):
-    # only the grid oracle needs scipy; the short subcommands must not pay its import
+    # the package runs on numpy alone: no subcommand, the grid oracle's
+    # criterion 4 included, may import scipy
     argvs = [[cmd, "--scenario", str(SCENARIOS / f"{stem}.json"), "--out", str(tmp_path / stem)]
              for cmd, stem in SHORT_RUNS]
+    argvs.append(["validate", "--only", "4", "--out", str(tmp_path / "validate")])
     script = f"""
 import sys
 from blochdyn import cli
@@ -89,7 +91,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                          env=env)
     assert res.returncode == 0, res.stderr
     codes, scipy_modules = res.stdout.splitlines()[-2:]
-    assert codes == repr([0] * len(SHORT_RUNS))
+    assert codes == repr([0] * len(argvs))
     assert scipy_modules == "[]"
 
 
@@ -474,6 +476,18 @@ def test_validate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("blochdyn.cli.run_all", lambda seed, only: pytest.fail("ran"))
     assert main(["validate", "--out", str(tmp_path), "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_rejected_runs_leave_no_out_directory(tmp_path):
+    scn_obj = _packet_scenario()
+    scn_obj["dynamics"]["bogus"] = 1
+    unknown_key = _write(tmp_path, scn_obj)
+    for i, argv in enumerate([["validate", "--seed", "-1"],
+                              ["bands", "--scenario", "/nonexistent.json"],
+                              ["wavepacket", "--scenario", unknown_key]]):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_validate_maps_failure_to_exit_4(tmp_path, monkeypatch):

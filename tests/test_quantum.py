@@ -338,24 +338,19 @@ def test_grid_matches_plane_wave_solver_weak_and_strong():
         assert worst < 1e-6
 
 
-def test_grid_hamiltonian_is_the_gathered_circulant(monkeypatch):
-    seen = []
-    eigh = scipy.linalg.eigh
-
-    def spy(H, **kwargs):
-        seen.append(H.copy())
-        return eigh(H, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+def test_grid_hamiltonian_is_the_gathered_circulant():
+    # the M Bloch blocks together hold every level of the full N x N grid H
     N = 64
-    grid_ground_state(SKEW, M=8, N=N, n_levels=4)
     dx = 8.0 / N
     kappa = TWO_PI * np.fft.fftfreq(N, d=dx)
     circ = np.fft.ifft(0.5 * kappa ** 2).real
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    expect = circ[idx]
-    expect[np.diag_indices(N)] += SKEW.evaluate(dx * np.arange(N))
-    np.testing.assert_array_equal(seen[0], expect)
+    for pot in (WEAK, SKEW):
+        gb = grid_ground_state(pot, M=8, N=N, n_levels=N)
+        H = circ[idx]
+        H[np.diag_indices(N)] += pot.evaluate(dx * np.arange(N))
+        np.testing.assert_allclose(np.sort(gb.energies), np.linalg.eigvalsh(H),
+                                   rtol=0, atol=1e-10)
 
 
 def test_grid_ground_state_validation():
