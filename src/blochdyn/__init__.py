@@ -7,8 +7,7 @@ conduction bookkeeping, all in natural units tied to the lattice constant.
 """
 
 from .central_equation import (BandSolution, band_derivatives, band_sweep, bloch_psi,
-                               build, effective_mass, group_velocity,
-                               hellmann_feynman_velocity, reduce_to_zone, solve_at)
+                               build, effective_mass, group_velocity, reduce_to_zone, solve_at)
 from .conduction import (BandFilling, classify, fractional_displacement,
                          solenoid_shift, velocity_sum)
 from .errors import (BoundaryProximityError, ConfigError, DegeneratePointError,

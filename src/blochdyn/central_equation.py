@@ -73,7 +73,7 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
     A_shift is one gauge shift for every matrix, or one per entry of ks.
     """
     k_max = float(np.abs(ks).max(initial=0.0))
-    if k_max > np.pi / pot.a * (1.0 + 1e-12):
+    if not k_max <= np.pi / pot.a * (1.0 + 1e-12):
         raise ConfigError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")
     if n < 1:
         raise ConfigError(f"truncation half-width must be >= 1, got {n}")
@@ -88,11 +88,15 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
     coeffs = np.zeros(2 * size - 1, dtype=dtype)
     for l, v in pot.items():
         coeffs[l + 2 * n] = v.real if l == 0 or dtype is np.float64 else v
+    with np.errstate(over="ignore"):
+        kinetic = _plane_wavevectors(ks, A_shift, pot.a, n) ** 2 / 2.0
+    if not np.isfinite(kinetic).all():
+        raise ConfigError(f"gauge shift |A| up to {float(np.max(np.abs(A_shift)))!r} gives "
+                          "a non-finite plane-wave energy (k + 2πl/a + A)²/2")
     ls = np.arange(-n, n + 1)
     H = np.repeat(coeffs[np.subtract.outer(ls, ls) + 2 * n][None], ks.size, axis=0)
     # every diagonal H[k, i, i] as one strided view
-    H.reshape(ks.size, size * size)[:, ::size + 1] += (
-        _plane_wavevectors(ks, A_shift, pot.a, n) ** 2 / 2.0)
+    H.reshape(ks.size, size * size)[:, ::size + 1] += kinetic
     return H
 
 
@@ -163,12 +167,6 @@ def group_velocity(k: float, band: int, pot: FourierPotential, n: int) -> float:
     delta = _DELTA_K_VELOCITY * TWO_PI / pot.a
     e_minus, _, e_plus = _stencil_energies(k, band, pot, n, delta)
     return float((e_plus - e_minus) / (2.0 * delta))
-
-
-def hellmann_feynman_velocity(sol: BandSolution, band: int) -> float:
-    """Exact band derivative Σ_l |a_l|² (k + 2πl/a + A_shift) at one solved point."""
-    w = np.abs(sol.vectors[:, band]) ** 2
-    return float(w @ sol.plane_wavevectors)
 
 
 def _mass_from_curvature(curvature):

@@ -109,7 +109,8 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
     ‖offdiag(M)‖_F = ‖[Ω̄, Λ]‖_F. The gap guard runs before any bound is
     divided by a gap.
     """
-    shifts = -E * np.asarray(ts, dtype=np.float64)
+    with np.errstate(over="ignore"):   # _hamiltonians refuses an infinite shift
+        shifts = -E * np.asarray(ts, dtype=np.float64)
     blocks = []
     for lo in range(0, shifts.size, _K_BLOCK):
         A = shifts[lo:lo + _K_BLOCK]
@@ -166,7 +167,8 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
     for lo in range(0, nsteps, _K_BLOCK):
         js = np.arange(lo, min(lo + _K_BLOCK, nsteps))
-        shifts = -E * (js + 0.5) * h
+        with np.errstate(over="ignore"):
+            shifts = -E * (js + 0.5) * h
         ws, vs = np.linalg.eigh(
             _hamiltonians(np.full(js.size, k, dtype=np.float64), shifts, pot, n))
         for j, w, v in zip(js, ws, vs):

@@ -1,4 +1,4 @@
-"""Wavepacket equations of motion integrated with fixed-step classic RK4.
+"""Wavepacket equations of motion: closed forms where they exist, else classic RK4.
 
 Internal units throughout (ħ = m = e = 1): a uniform electric field E enters
 accelerations as -E, a magnetic field B ẑ gives the cyclotron frequency
@@ -11,7 +11,7 @@ GENERAL_V    dv/dt = +V'(x) for an electrical potential V (force = eV')
 FUNDAMENTAL  dv/dt = -(ω_c/2) v×ẑ - (ω_c²/2) x - E, with x = x0 + ∫v
 LORENTZ      dv/dt = -v×B - E
 PERIODIC_E   k(t) = reduce(k0 - E t), v_g from the band dispersion
-PERIODIC_B   k̇ = -v_g×B on an isotropic extension of the 1D band
+PERIODIC_B   closed form: k(t) rotates at ω = B ε'(|k|)/|k| (isotropic band)
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .central_equation import (_mass_from_curvature, band_derivatives,
-                               hellmann_feynman_velocity, reduce_to_zone, solve_at)
+from .central_equation import _mass_from_curvature, band_derivatives, reduce_to_zone
 from .errors import ConfigError, EnergyDriftError
 from .potential import FourierPotential
 
@@ -70,6 +69,11 @@ def _sample_rule(nsteps: int, stride: int, name: str):
     if stride < 1:
         raise ConfigError(f"{name} must be >= 1, got {stride!r}")
     return lambda j: j % stride == 0 or j == nsteps
+
+
+def _check_band(band: int, n: int) -> None:
+    if not 0 <= band <= 2 * n:
+        raise ConfigError(f"band {band!r} out of range 0..{2 * n} for truncation n={n}")
 
 
 def _trapezoid_integral(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -242,6 +246,7 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     carries the effective mass along the path. Both come from one
     band_derivatives call over the whole path.
     """
+    _check_band(band, n)
     times, _, _ = _time_grid(T, dt)
     k_unred = k0 - E * times
     _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
@@ -255,29 +260,24 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
 
 def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
                       B: float, T: float, dt: float) -> Trajectory:
-    """Planar band dynamics in a magnetic field: k̇ = -v_g(k)×B.
+    """Planar band dynamics in a magnetic field: k̇ = -v_g(k)×B, in closed form.
 
-    The 1D band is extended isotropically, ε(k) = ε_band(reduce(|k|)), so
-    v_g = ε'(|k|) k̂ and the orbit near a band extremum closes with period
-    2π m*/(B) instead of the free 2π/B. x(t) integrates v_g from the origin.
+    The 1D band is extended isotropically, ε(k) = ε_band(reduce(|k|)), so v_g
+    = ε'(ρ) k/ρ is parallel to k, ρ = |k| is conserved, and k0 rotates rigidly
+    counter-clockwise at ω = B ε'(ρ)/ρ: near a band extremum the period is 2π m*/B,
+    not the free 2π/B. One band_derivatives call gives ε'(ρ); x(t) integrates
+    v_g from the origin. Below ρ = 1e-12, k stays put and v_g = 0.
     """
     k0 = _planar(k0, "k0")
-    wc = float(B)
-
-    def vg_of(kvec):
-        kvec = np.asarray(kvec)
-        rho = float(np.hypot(kvec[0], kvec[1]))
-        if rho < 1e-12:
-            return np.zeros(2)
-        sol = solve_at(reduce_to_zone(rho, pot.a), 0.0, pot, n)
-        return hellmann_feynman_velocity(sol, band) * kvec / rho
-
-    def rhs(y):
-        v = vg_of(y)
-        # k' = -v×B with B = B ẑ: v×B = (v_y B, -v_x B)
-        return -wc * v[1], wc * v[0]
-
-    times, ks = _rk4(rhs, k0, T, dt)
-    vs = np.array([vg_of(k) for k in ks])
-    x = _trapezoid_integral(vs, times)
-    return Trajectory("PERIODIC_B", times, ks, x, vs, meta={"a": pot.a, "B": wc})
+    _check_band(band, n)
+    times, _, _ = _time_grid(T, dt)
+    rho = float(np.hypot(k0[0], k0[1]))
+    slope = 0.0
+    if rho >= 1e-12:
+        _, v, _ = band_derivatives(reduce_to_zone(rho, pot.a), pot, n, band + 1)
+        slope = v[0, band] / rho
+    c, s = np.cos(B * slope * times), np.sin(B * slope * times)
+    k = np.column_stack([c * k0[0] - s * k0[1], s * k0[0] + c * k0[1]])
+    v = slope * k
+    x = _trapezoid_integral(v, times)
+    return Trajectory("PERIODIC_B", times, k, x, v, meta={"a": pot.a, "B": float(B)})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochdyn import (
+    ConfigError,
     DegeneratePointError,
     FourierPotential,
     InfiniteMassError,
@@ -23,7 +24,6 @@ from blochdyn.central_equation import (
     _match_band,
     band_derivatives,
     band_sweep,
-    hellmann_feynman_velocity,
     solve_at,
 )
 
@@ -89,6 +89,20 @@ def test_build_rejections():
     pot = FourierPotential(1.0, {3: 0.1, -3: 0.1})
     with pytest.raises(ValueError):
         build(0.0, 0.0, pot, 2)                 # truncation below the cutoff
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: build(math.nan, 0.0, WEAK, 3),
+    lambda: band_derivatives([0.2, math.nan], WEAK, 3, 1),
+    lambda: solve_at(0.1, math.inf, WEAK, 3),
+    lambda: solve_at(0.1, math.nan, WEAK, 3),
+    lambda: solve_at(0.1, 1e200, WEAK, 3),        # finite shift, (k + A)²/2 overflows
+    lambda: _hamiltonians(np.zeros(3), np.array([0.0, -math.inf, 1.0]), WEAK, 3),
+], ids=["k_nan", "stacked_k_nan", "shift_inf", "shift_nan", "shift_overflow",
+        "stacked_shift_inf"])
+def test_non_finite_k_or_shift_is_refused(solve):
+    with pytest.raises(ConfigError):
+        solve()
 
 
 def test_hermitian_and_orthonormal():
@@ -233,10 +247,10 @@ def test_group_velocity_zeros_at_symmetry_points():
 
 def test_group_velocity_matches_eigenvector_expectation():
     pot = single_cosine(1.0, 0.3)
-    for k in (0.3, 1.0, -2.0):
-        sol = solve_at(k, 0.0, pot, 10)
-        assert group_velocity(k, 0, pot, 10) == pytest.approx(
-            hellmann_feynman_velocity(sol, 0), abs=1e-8)
+    ks = (0.3, 1.0, -2.0)
+    _, exact, _ = band_derivatives(ks, pot, 10, 1)
+    for k, v in zip(ks, exact[:, 0]):
+        assert group_velocity(k, 0, pot, 10) == pytest.approx(v, abs=1e-8)
 
 
 def test_zone_edge_velocity_continuity():

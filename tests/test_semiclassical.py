@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochdyn import (
+    ConfigError,
     EnergyDriftError,
     compare_fundamental_lorentz,
     cyclotron_center_offset,
@@ -15,7 +16,9 @@ from blochdyn import (
     evolve_lorentz,
     evolve_periodic_B,
     evolve_periodic_E,
+    reduce_to_zone,
     single_cosine,
+    solve_at,
 )
 from blochdyn import semiclassical
 from blochdyn.semiclassical import _time_grid, _trapezoid_integral
@@ -240,6 +243,62 @@ def test_periodic_B_zero_field_keeps_k():
                                atol=1e-14)
 
 
+def _rk4_periodic_B(k0, band, pot, n, B, T, dt):
+    """The RK4 orbit the closed form replaced: k̇ = B·(-v_y, v_x), v_g rebuilt per stage.
+
+    v_g = ε'(ρ) k/ρ takes ε'(ρ) as Σ_l |a_l|² κ_l of a lone solve_at at reduce(ρ).
+    Returns (times, k, x, v_g).
+    """
+    def vg_of(kvec):
+        rho = math.hypot(kvec[0], kvec[1])
+        if rho < 1e-12:
+            return np.zeros(2)
+        sol = solve_at(reduce_to_zone(rho, pot.a), 0.0, pot, n)
+        speed = float(np.abs(sol.vectors[:, band]) ** 2 @ sol.plane_wavevectors)
+        return speed * np.asarray(kvec) / rho
+
+    def rhs(y):
+        v = vg_of(y)
+        return -B * v[1], B * v[0]
+
+    times, ks = semiclassical._rk4(rhs, k0, T, dt)
+    vs = np.array([vg_of(k) for k in ks])
+    return times, ks, _trapezoid_integral(vs, times), vs
+
+
+@pytest.mark.parametrize("k0, band, B", [([2.0, 1.0], 1, 0.8), ([2.5, -1.0], 0, -0.7)])
+def test_periodic_B_closed_form_is_the_rk4_limit(k0, band, B):
+    # RK4's error is O(dt⁴): halving dt shrinks the gap to the exact orbit ~16-fold
+    pot = single_cosine(1.0, 0.3)
+    gaps = []
+    for dt in (0.02, 0.01):
+        traj = evolve_periodic_B(k0, band, pot, 8, B, 4.0, dt)
+        times, k, x, v = _rk4_periodic_B(k0, band, pot, 8, B, 4.0, dt)
+        np.testing.assert_array_equal(traj.times, times)
+        gaps.append(max(np.max(np.abs(traj.k - k)), np.max(np.abs(traj.x - x)),
+                        np.max(np.abs(traj.v_g - v))))
+    assert gaps[0] < 1e-6
+    assert 12.0 <= gaps[0] / gaps[1] <= 20.0
+
+
+def test_periodic_B_conserves_the_orbit_radius():
+    pot = single_cosine(1.0, 0.3)
+    traj = evolve_periodic_B([2.5, -1.0], 0, pot, 8, -0.7, 200.0, 0.01)
+    np.testing.assert_allclose(np.hypot(traj.k[:, 0], traj.k[:, 1]), math.hypot(2.5, -1.0),
+                               rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("band", [-1, 9])
+@pytest.mark.parametrize("evolve", [
+    lambda band: evolve_periodic_B([0.3, 0.1], band, single_cosine(1.0, 0.3), 4, 0.5, 0.2, 0.1),
+    lambda band: evolve_periodic_E(0.3, band, single_cosine(1.0, 0.3), 4, 0.5, 0.2, 0.1),
+], ids=["periodic_B", "periodic_E"])
+def test_band_integrators_reject_a_band_out_of_range(evolve, band):
+    # n = 4 truncation has bands 0..8
+    with pytest.raises(ConfigError, match="out of range"):
+        evolve(band)
+
+
 # --------------------------------------------------------------------------
 # plumbing
 
@@ -279,7 +338,6 @@ def test_rk4_on_floats_is_bit_identical_to_the_array_form(monkeypatch):
         lambda: evolve_general_V(0.9, 0.1, pot, 5.0, 1e-2),
         lambda: evolve_general_V(0.3, 1.2, lambda x: -0.5 * x * x - 0.1 * x ** 3, 5.0, 1e-2,
                                  dV=lambda x: -x - 0.3 * x * x),
-        lambda: evolve_periodic_B([0.6, 0.2], 0, pot, 6, 0.8, 2.0, 0.05),
     ]
     fast = [run() for run in runs]
     monkeypatch.setattr(semiclassical, "_rk4", _array_rk4)
