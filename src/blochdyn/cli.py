@@ -339,7 +339,7 @@ def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
     shifted = _sums_and_labels(replace(grid, shift=shift), pot, n, fractions)
     entries = [{"fraction": frac, "velocity_sum_unshifted": base,
                 "velocity_sum_shifted": moved, "classification": label}
-               for frac, (base, label), (moved, _) in zip(fractions, unshifted, shifted)]
+               for frac, (base, label, _), (moved, _, _) in zip(fractions, unshifted, shifted)]
     _write_json(out / "conduction.json", {"version": 1, "band": band, "n_k": n_k,
                                           "shift_internal": shift, "fillings": entries})
     return 0

@@ -67,12 +67,13 @@ class BandFilling:
 
 
 def _sums_and_labels(filling: BandFilling, pot: FourierPotential, n: int,
-                     fractions) -> list[tuple[float, str]]:
-    """velocity_sum and classify of filling at each of fractions, from one band pass.
+                     fractions) -> list[tuple[float, str, float]]:
+    """velocity_sum, classify and the signed Σ m/m* of filling at each of fractions.
 
-    filling fixes the band, n_k, shift and a; its own fraction is not used.
-    Each fraction's occupied states are a prefix of the largest one's, so
-    each sum is math.fsum over its own prefix of the one pass.
+    All three come from one band pass. filling fixes the band, n_k, shift and
+    a; its own fraction is not used. Each fraction's occupied states are a
+    prefix of the largest one's, so each sum is math.fsum over its own prefix
+    of the one pass.
     """
     if filling.a != pot.a:
         raise ConfigError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
@@ -84,8 +85,10 @@ def _sums_and_labels(filling: BandFilling, pot: FourierPotential, n: int,
     probe = 1e-4 * TWO_PI / pot.a
     out = []
     for count in counts:
-        moved = abs(math.fsum(inv_mass[:count])) * probe > 1e-8 * filling.n_k
-        out.append((math.fsum(velocity[:count]), "conductor" if moved else "insulator"))
+        response = math.fsum(inv_mass[:count])
+        moved = abs(response) * probe > 1e-8 * filling.n_k
+        out.append((math.fsum(velocity[:count]), "conductor" if moved else "insulator",
+                    response))
     return out
 
 

@@ -6,10 +6,12 @@ integrator advances X with the exact exponential of the midpoint Hamiltonian
 (exactly unitary per step). The midpoint gauge shifts are known in advance, so
 their Hamiltonians are diagonalized _K_BLOCK steps at a time in one stacked
 eigh call, and the propagation path applies no phase fix: Θ exp(-iΛ dt) Θ†
-does not depend on the eigenvector phases. The diagnostic samples share that
-stacked path: their times are known before the first step, so one
-_eigenframes pass yields every sample's phase-fixed ground vector and
-diagnostics, and adiabatic_diagnostics is the same pass at a single time.
+does not depend on the eigenvector phases. Each block's operands
+U = Θ exp(-iΛ dt) and Θ† are formed once, so a step is two matrix-vector
+products. The diagnostic samples share that stacked path: their times are
+known before the first step, so one _eigenframes pass yields every sample's
+phase-fixed ground vector and diagnostics, and adiabatic_diagnostics is the
+same pass at a single time.
 The split-step propagator is Strang-ordered and second order in dt. The grid
 oracle builds the real-space Hamiltonian with a spectral kinetic circulant and
 folds it by Bloch's theorem into one small block per commensurate k, so each
@@ -107,7 +109,8 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
     are arrays over ts. With Adot = -E and M = Θ†ḢΘ as in frame_generator,
     Ω̄* is the largest |Ω̄_0j| = |M_0j|/(λ_j - λ_0) and comm_norm is
     ‖offdiag(M)‖_F = ‖[Ω̄, Λ]‖_F. The gap guard runs before any bound is
-    divided by a gap.
+    divided by a gap. A finite shift whose drive -E·κ overflows any of these
+    diagnostics is refused with ConfigError.
     """
     with np.errstate(over="ignore"):   # _hamiltonians refuses an infinite shift
         shifts = -E * np.asarray(ts, dtype=np.float64)
@@ -124,15 +127,22 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
                 f"ground-state gap {gap[i]:.3e} closed at A={float(A[i])!r}")
         theta = _phase_fix(theta)
         kappa = _plane_wavevectors(k, A, pot.a, n)
-        m = (theta.conj().transpose(0, 2, 1) * (-E * kappa)[:, None, :]) @ theta
-        m = 0.5 * (m + m.conj().transpose(0, 2, 1))
-        omega_star = np.max(np.abs(m[:, 0, 1:] / (w[:, 1:] - w[:, :1])), axis=1)
-        hdot_norm = abs(E) * np.sqrt(np.sum(kappa ** 2, axis=-1))
-        diag = np.arange(m.shape[1])
-        m[:, diag, diag] = 0.0     # [Ω̄, Λ]_ij = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
-        comm_norm = np.array([np.linalg.norm(c) for c in m])
-        blocks.append((theta[:, :, 0], gap, hdot_norm, omega_star, hdot_norm / gap,
-                       comm_norm))
+        # a finite E and shift can still overflow the drive -E·κ; refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (theta.conj().transpose(0, 2, 1) * (-E * kappa)[:, None, :]) @ theta
+            m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+            omega_star = np.max(np.abs(m[:, 0, 1:] / (w[:, 1:] - w[:, :1])), axis=1)
+            hdot_norm = abs(E) * np.sqrt(np.sum(kappa ** 2, axis=-1))
+            diag = np.arange(m.shape[1])
+            m[:, diag, diag] = 0.0     # [Ω̄, Λ]_ij = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
+            comm_norm = np.array([np.linalg.norm(c) for c in m])
+            columns = (hdot_norm, omega_star, hdot_norm / gap, comm_norm)
+        overflow = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+        if overflow.size:
+            i = overflow[0]
+            raise ConfigError(f"field E={E!r} at gauge shift A={float(A[i])!r} overflows "
+                              f"the drive: |E|·‖κ‖ = {float(hdot_norm[i])!r}")
+        blocks.append((theta[:, :, 0], gap, *columns))
     return tuple(np.concatenate(c) for c in zip(*blocks))
 
 
@@ -153,7 +163,9 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     Hamiltonian, so the update is unitary to roundoff and integrator drift
     cannot masquerade as nonadiabaticity.
     The midpoint Hamiltonians at A = -E(j + ½)dt are diagonalized _K_BLOCK
-    steps at a time by one stacked eigh call, without a phase fix. Diagnostics
+    steps at a time by one stacked eigh call, without a phase fix. For each
+    block, U = Θ·diag(e^{-iλh}) is formed once and Θ† is the conjugate-transpose
+    view of one complex copy of Θ, so step j is X -> U[j] (Θ†[j] X). Diagnostics
     are sampled every report_stride steps plus the final instant; the sample
     times are known up front, so their eigenframes come from one _eigenframes
     pass, and only the fidelity is taken inside the step loop.
@@ -165,14 +177,20 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     grounds, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, ts)
     X = grounds[0].astype(np.complex128)
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
+    # one block's U and conj(Θ), written in place: fresh arrays of this size cost
+    # more to allocate than the block's steps take
+    steps = np.empty((_K_BLOCK, 2 * n + 1, 2 * n + 1), dtype=np.complex128)
+    conj = np.empty_like(steps)
     for lo in range(0, nsteps, _K_BLOCK):
         js = np.arange(lo, min(lo + _K_BLOCK, nsteps))
         with np.errstate(over="ignore"):
             shifts = -E * (js + 0.5) * h
         ws, vs = np.linalg.eigh(
             _hamiltonians(np.full(js.size, k, dtype=np.float64), shifts, pot, n))
-        for j, w, v in zip(js, ws, vs):
-            X = v @ (np.exp(-1j * w * h) * (v.conj().T @ X))
+        u = np.multiply(vs, np.exp(-1j * ws * h)[:, None, :], out=steps[:js.size])
+        v_h = np.conjugate(vs, out=conj[:js.size]).transpose(0, 2, 1)
+        for j, u_j, v_h_j in zip(js.tolist(), u, v_h):
+            X = np.dot(u_j, np.dot(v_h_j, X))   # np.dot dispatches faster than @ here
             if sampled(j + 1):
                 fidelity.append(float(np.abs(np.vdot(grounds[len(fidelity)], X)) ** 2))
 

@@ -1,4 +1,7 @@
-"""Wavepacket equations of motion: closed forms where they exist, else classic RK4.
+"""Wavepacket equations of motion: closed forms where they exist, else RK4.
+
+The two planar equations are linear with constant coefficients, so their RK4
+step is one precomputed affine map; evolve_general_V runs RK4 stage by stage.
 
 Internal units throughout (ħ = m = e = 1): a uniform electric field E enters
 accelerations as -E, a magnetic field B ẑ gives the cyclotron frequency
@@ -9,7 +12,8 @@ Equation tags
 FREE_E       closed form k(t) = k0 - E t, x by elementary integration
 GENERAL_V    dv/dt = +V'(x) for an electrical potential V (force = eV')
 FUNDAMENTAL  dv/dt = -(ω_c/2) v×ẑ - (ω_c²/2) x - E, with x = x0 + ∫v
-LORENTZ      dv/dt = -v×B - E
+             (RK4 as one precomputed step matrix)
+LORENTZ      dv/dt = -v×B - E (RK4 as one precomputed step matrix)
 PERIODIC_E   k(t) = reduce(k0 - E t), v_g from the band dispersion
 PERIODIC_B   closed form: k(t) rotates at ω = B ε'(|k|)/|k| (isotropic band)
 """
@@ -28,6 +32,8 @@ from .potential import FourierPotential
 TWO_PI = 2.0 * np.pi
 # step count past which _time_grid refuses a (T, dt) pair as bad input
 _MAX_STEPS = 2 ** 31
+# planar RK4 steps taken per numpy product
+_STEP_CHUNK = 256
 
 
 @dataclass
@@ -173,17 +179,41 @@ def _planar(vec, name):
 
 def _evolve_planar(tag: str, accel, v0, v_name: str, x0, E, B: float, T: float,
                    dt: float) -> Trajectory:
-    """RK4 on (x, y, vx, vy) with accel(x, y, vx, vy, ω_c, E) giving (ax, ay)."""
+    """RK4 on y = (x, y, vx, vy) with accel(x, y, vx, vy, ω_c, E) giving (ax, ay).
+
+    accel must be affine in (x, y, vx, vy), so that ẏ = M y + f with constant
+    M and f. M is read from accel on the unit vectors with E = 0, f at the
+    origin with E. One RK4 step is then exactly the affine map y -> R y + r,
+    R = I + hM(I + hM/2(I + hM/3(I + hM/4))), r = h(I + hM/2(I + hM/3(I + hM/4)))f,
+    and _STEP_CHUNK steps at a time come from one product with the stacked
+    powers R^j and partial sums Σ_{i<j} R^i r, j <= _STEP_CHUNK.
+    """
     v0 = _planar(v0, v_name)
     x0 = _planar(x0, "x0")
     Ev = _planar(E, "E")
     wc, E_xy = float(B), tuple(Ev.tolist())
+    times, nsteps, h = _time_grid(T, dt)
 
-    def rhs(y):
-        x, yy, vx, vy = y
-        return (vx, vy, *accel(x, yy, vx, vy, wc, E_xy))
+    def rhs(y, field):
+        return (y[2], y[3], *accel(*y, wc, field))
 
-    times, ys = _rk4(rhs, np.concatenate([x0, v0]), T, dt)
+    eye = np.eye(4)
+    M = np.array([rhs(e, (0.0, 0.0)) for e in eye.tolist()]).T
+    f = np.array(rhs([0.0] * 4, E_xy))
+    hM = h * M
+    series = eye + hM / 2.0 @ (eye + hM / 3.0 @ (eye + hM / 4.0))
+    step, offset = eye + hM @ series, h * series @ f
+    # powers[j] = R^j and sums[j] = Σ_{i<j} R^i r, filled by doubling
+    powers, sums = eye[None], np.zeros((1, 4))
+    while powers.shape[0] <= _STEP_CHUNK:
+        top, top_sum = step @ powers[-1], step @ sums[-1] + offset
+        powers = np.concatenate([powers, top @ powers])
+        sums = np.concatenate([sums, sums @ top.T + top_sum])
+    ys = np.empty((nsteps + 1, 4))
+    ys[0] = np.concatenate([x0, v0])
+    for lo in range(0, nsteps, _STEP_CHUNK):
+        m = min(_STEP_CHUNK, nsteps - lo)
+        ys[lo + 1:lo + m + 1] = powers[1:m + 1] @ ys[lo] + sums[1:m + 1]
     v = ys[:, 2:4]
     return Trajectory(tag, times, v.copy(), ys[:, 0:2], v, meta={"B": wc, "E": Ev.copy()})
 
@@ -197,21 +227,21 @@ def evolve_fundamental(k0, x0, E, B: float, T: float, dt: float) -> Trajectory:
     """
     if B == 0.0:
         raise ConfigError("B must be nonzero; use evolve_free_E for the field-free case")
+    return _evolve_planar("FUNDAMENTAL", _fundamental_accel, k0, "k0", x0, E, B, T, dt)
 
-    def accel(x, y, vx, vy, wc, E):
-        return (-0.5 * wc * vy - 0.5 * wc * wc * x - E[0],
-                +0.5 * wc * vx - 0.5 * wc * wc * y - E[1])
 
-    return _evolve_planar("FUNDAMENTAL", accel, k0, "k0", x0, E, B, T, dt)
+def _fundamental_accel(x, y, vx, vy, wc, E):
+    return (-0.5 * wc * vy - 0.5 * wc * wc * x - E[0],
+            +0.5 * wc * vx - 0.5 * wc * wc * y - E[1])
 
 
 def evolve_lorentz(v0, x0, E, B: float, T: float, dt: float) -> Trajectory:
     """Classical Lorentz force: dv/dt = -v×B - E (planar, B along ẑ)."""
+    return _evolve_planar("LORENTZ", _lorentz_accel, v0, "v0", x0, E, B, T, dt)
 
-    def accel(x, y, vx, vy, wc, E):
-        return -wc * vy - E[0], +wc * vx - E[1]
 
-    return _evolve_planar("LORENTZ", accel, v0, "v0", x0, E, B, T, dt)
+def _lorentz_accel(x, y, vx, vy, wc, E):
+    return -wc * vy - E[0], +wc * vx - E[1]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ def test_criterion(cid, name, check):
 
 
 def test_criterion_8_makes_each_band_pass_once(monkeypatch):
-    # 20 filled-band sums, the shifted half-filled sum, its inverse masses, and
-    # one unshifted pass that serves the classification trio and the half-filled sum
+    # 20 filled-band sums, the shifted half-filled sum, and one unshifted pass
+    # that serves the classification trio, the half-filled sum and its Σ m/m*
     calls = []
 
     def counted(*args):
@@ -35,5 +35,5 @@ def test_criterion_8_makes_each_band_pass_once(monkeypatch):
     monkeypatch.setattr(conduction, "band_derivatives", counted)
     monkeypatch.setattr(acceptance, "band_derivatives", counted)
     assert acceptance.criterion_8_conduction(SEED).passed
-    assert len(calls) == 23
-    assert sum(len(ks) for ks, *_ in calls) == 5632
+    assert len(calls) == 22
+    assert sum(len(ks) for ks, *_ in calls) == 5504

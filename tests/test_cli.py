@@ -490,18 +490,24 @@ def test_rejected_runs_leave_no_out_directory(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("stem, field, dynamics", [
-    ("adiabatic_si_probe", {"E_internal": 1e308}, {}),
-    ("adiabatic_sweep", {"E_internal": 1e307}, {"T_internal": 100.0, "dt_internal": 1.0}),
-], ids=["probe", "sweep"])
-def test_adiabatic_with_an_overflowing_shift_exits_2(tmp_path, capsys, stem, field, dynamics):
-    # A = -E t overflows to -inf; the run used to write NaN and Infinity with exit 0
+@pytest.mark.parametrize("stem, field, dynamics, message", [
+    # A = -E t overflows to -inf
+    ("adiabatic_si_probe", {"E_internal": 1e308}, {}, "non-finite plane-wave energy"),
+    ("adiabatic_sweep", {"E_internal": 1e307}, {"T_internal": 100.0, "dt_internal": 1.0},
+     "non-finite plane-wave energy"),
+    # A = -E t is finite, but the drive -E·κ overflows
+    ("adiabatic_si_probe", {"E_internal": 1e308}, {"t_probe_internal": 1e-300},
+     "overflows the drive"),
+], ids=["probe", "sweep", "probe-drive"])
+def test_adiabatic_with_an_overflowing_shift_exits_2(tmp_path, capsys, stem, field, dynamics,
+                                                     message):
+    # each run used to write NaN or Infinity with exit 0
     scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())
     scn_obj["field"] = field
     scn_obj["dynamics"].update(dynamics)
     out = tmp_path / "out"
     assert main(["adiabatic", "--scenario", _write(tmp_path, scn_obj), "--out", str(out)]) == 2
-    assert "non-finite plane-wave energy" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,10 +9,12 @@ import pytest
 from blochdyn import (
     BandFilling,
     FourierPotential,
+    band_derivatives,
     classify,
     effective_mass,
     fractional_displacement,
     random_symmetric,
+    reduce_to_zone,
     single_cosine,
     solenoid_shift,
     velocity_sum,
@@ -159,6 +161,13 @@ def test_labels_match_a_finite_difference_probe():
     assert labels == {"conductor", "insulator"}
 
 
+def _inverse_mass_sum(filling, pot, n):
+    """Signed Σ m/m* of the occupied states, from a band pass of their own."""
+    ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
+    _, _, inv_mass = band_derivatives(ks, pot, n, filling.band + 1)
+    return math.fsum(inv_mass[:, filling.band])
+
+
 def test_one_pass_per_shift_equals_the_per_filling_calls():
     # every fraction's states are a prefix of the largest one's, so the shared
     # pass sums each prefix exactly as a pass of its own does; n_k = 65 makes
@@ -168,7 +177,7 @@ def test_one_pass_per_shift_equals_the_per_filling_calls():
     for pot in [WEAK, SKEW] + [random_symmetric(1.0, rng) for _ in range(3)]:
         for band, n_k, shift in itertools.product((0, 1), (64, 65), (0.0, 0.37 * TWO_PI)):
             grid = BandFilling(band, n_k, 0.0, shift)
-            want = [(velocity_sum(f, pot, 8), classify(f, pot, 8))
+            want = [(velocity_sum(f, pot, 8), classify(f, pot, 8), _inverse_mass_sum(f, pot, 8))
                     for f in (BandFilling(band, n_k, frac, shift) for frac in fractions)]
             assert _sums_and_labels(grid, pot, 8, fractions) == want, (pot, band, n_k, shift)
 

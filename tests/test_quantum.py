@@ -102,7 +102,18 @@ def test_rotated_frame_equivalence():
     assert np.linalg.norm(y - y_direct) < 1e-8
 
 
-def _per_step_reference(k, pot, n, E, T, dt, stride):
+def _block_step(w, v, h, X):
+    """X -> U (Θ† X), U = Θ exp(-iΛh): the operands integrate_basis forms per block."""
+    u, v_h = v * np.exp(-1j * w * h), np.conjugate(v, dtype=np.complex128).T
+    return np.dot(u, np.dot(v_h, X))
+
+
+def _parent_step(w, v, h, X):
+    """The step as written before its operands were formed once per block."""
+    return v @ (np.exp(-1j * w * h) * (v.conj().T @ X))
+
+
+def _per_step_reference(k, pot, n, E, T, dt, stride, step=_block_step):
     """One phase-fixed solve_at per midpoint: the propagator before stacking."""
     times, nsteps, h = _time_grid(T, dt)
     X = solve_at(k, 0.0, pot, n).vectors[:, 0].astype(np.complex128)
@@ -116,8 +127,7 @@ def _per_step_reference(k, pot, n, E, T, dt, stride):
     sample(0)
     for j in range(nsteps):
         mid = solve_at(k, -E * (j + 0.5) * h, pot, n)
-        w, v = mid.energies, mid.vectors
-        X = v @ (np.exp(-1j * w * h) * (v.conj().T @ X))
+        X = step(mid.energies, mid.vectors, h, X)
         if (j + 1) % stride == 0 or j + 1 == nsteps:
             sample(j + 1)
     return X, [np.array(c) for c in zip(*rows)]
@@ -132,11 +142,15 @@ def _compare_with_reference(args):
                               for name, col in zip(names, cols)}
 
 
-@pytest.mark.parametrize("args", [
-    (-0.75 * math.pi, WEAK, 10, 0.05, 3.0, 3.0 / 320, 40),
+REAL_RUNS = {
+    "real": (-0.75 * math.pi, WEAK, 10, 0.05, 3.0, 3.0 / 320, 40),
     # 150 steps: two full blocks and a partial one; stride 7 straddles each boundary
-    (0.4, WEAK, 10, 0.05, 1.5, 0.01, 7),
-], ids=["real", "partial-blocks"])
+    "partial-blocks": (0.4, WEAK, 10, 0.05, 1.5, 0.01, 7),
+}
+COMPLEX_RUN = (0.3, SKEW, 10, 0.02, 4.0, 0.01, 37)
+
+
+@pytest.mark.parametrize("args", REAL_RUNS.values(), ids=REAL_RUNS.keys())
 def test_stacked_propagation_is_bit_identical_on_a_real_lattice(args):
     delta, columns = _compare_with_reference(args)
     assert not np.any(delta)
@@ -144,8 +158,18 @@ def test_stacked_propagation_is_bit_identical_on_a_real_lattice(args):
         np.testing.assert_array_equal(got, expect, err_msg=name)
 
 
+@pytest.mark.parametrize("args", [*REAL_RUNS.values(), COMPLEX_RUN],
+                         ids=[*REAL_RUNS.keys(), "complex"])
+def test_block_operator_stays_within_roundoff_of_the_parent_step(args):
+    state, report = integrate_basis(*args[:6], report_stride=args[6])
+    X, columns = _per_step_reference(*args, step=_parent_step)
+    assert np.linalg.norm(state.coeffs - X) <= 1e-12
+    # columns follow AdiabaticReport: t, gap, hdot_norm, omega_bar_star, bound_rhs, fidelity, …
+    np.testing.assert_allclose(report.fidelity, columns[5], rtol=0.0, atol=1e-12)
+
+
 def test_stacked_propagation_on_a_complex_lattice():
-    delta, columns = _compare_with_reference((0.3, SKEW, 10, 0.02, 4.0, 0.01, 37))
+    delta, columns = _compare_with_reference(COMPLEX_RUN)
     assert np.linalg.norm(delta) <= 1e-12
     got, expect = columns.pop("fidelity")
     np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12)
@@ -237,6 +261,13 @@ def test_diagnostics_zero_field():
     _, gap, hdot, om_star, bound, comm = _eigenframes(0.5, WEAK, 10, 0.0, [3.0])
     assert hdot == 0.0 and om_star == 0.0 and bound == 0.0 and comm == 0.0
     assert gap > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_drive_is_refused():
+    # A = -E t = -1e8 is finite, but -E·κ and |E|·‖κ‖ are not
+    with pytest.raises(ConfigError, match="overflows the drive"):
+        adiabatic_diagnostics(math.pi, WEAK, 10, 1e308, 1e-300)
 
 
 @pytest.mark.filterwarnings("error")

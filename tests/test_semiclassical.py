@@ -333,8 +333,6 @@ def _array_rk4(f, y0, T, dt):
 def test_rk4_on_floats_is_bit_identical_to_the_array_form(monkeypatch):
     pot = single_cosine(1.0, 0.3)
     runs = [
-        lambda: evolve_fundamental([0.7, -0.2], [0.3, 0.1], [0.05, -0.02], 1.3, 6.0, 0.01),
-        lambda: evolve_lorentz([0.7, -0.2], [0.3, 0.1], [0.05, -0.02], 1.3, 6.0, 0.01),
         lambda: evolve_general_V(0.9, 0.1, pot, 5.0, 1e-2),
         lambda: evolve_general_V(0.3, 1.2, lambda x: -0.5 * x * x - 0.1 * x ** 3, 5.0, 1e-2,
                                  dV=lambda x: -x - 0.3 * x * x),
@@ -346,6 +344,56 @@ def test_rk4_on_floats_is_bit_identical_to_the_array_form(monkeypatch):
         for name in ("times", "k", "x", "v_g"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                           err_msg=f"{want.equation_tag} {name}")
+
+
+def _fundamental_generator(wc, E):
+    return [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+            [-wc * wc / 2, 0, 0, -wc / 2, -E[0]], [0, -wc * wc / 2, wc / 2, 0, -E[1]],
+            [0, 0, 0, 0, 0]]
+
+
+def _lorentz_generator(wc, E):
+    return [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+            [0, 0, 0, -wc, -E[0]], [0, 0, wc, 0, -E[1]], [0, 0, 0, 0, 0]]
+
+
+# (integrator, its acceleration, the generator G of d(x, y, vx, vy, 1)/dt = G·(...))
+PLANAR = [
+    (evolve_fundamental, semiclassical._fundamental_accel, _fundamental_generator),
+    (evolve_lorentz, semiclassical._lorentz_accel, _lorentz_generator),
+]
+# (v0, x0, E, B, T, dt): 600 steps with E != 0; B < 0 over 2000 steps (7
+# full chunks of 256 and a partial one); a larger E, off the orbit centre
+PLANAR_RUNS = [
+    ([0.7, -0.2], [0.3, 0.1], [0.05, -0.02], 1.3, 6.0, 0.01),
+    ([1.0, 0.0], [0.0, -1.0], [0.0, 0.0], -0.8, 40.0, 0.02),
+    ([0.2, 0.5], [-0.4, 0.3], [0.3, 0.1], 2.0, 8.0, 0.02),
+]
+
+
+def _planar_rk4(accel, v0, x0, E, B, T, dt):
+    """(x, v) of the planar equation by RK4 stage by stage, on semiclassical._rk4."""
+    def rhs(y):
+        return (y[2], y[3], *accel(*y, float(B), tuple(E)))
+
+    _, ys = semiclassical._rk4(rhs, [*x0, *v0], T, dt)
+    return ys[:, 0:2], ys[:, 2:4]
+
+
+@pytest.mark.parametrize("evolve, accel, generator", PLANAR, ids=["fundamental", "lorentz"])
+def test_planar_step_matrix_is_rk4(evolve, accel, generator):
+    from scipy.linalg import expm
+
+    for v0, x0, E, B, T, dt in PLANAR_RUNS:
+        traj = evolve(v0, x0, E, B, T, dt)
+        x, v = _planar_rk4(accel, v0, x0, E, B, T, dt)
+        for got, want in ((traj.x, x), (traj.v_g, v)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (v0, B, E)
+        # fourth order: halving dt shrinks the error at T sixteen-fold
+        exact = (expm(np.array(generator(B, E), dtype=float) * T) @ [*x0, *v0, 1.0])[:4]
+        errors = [np.linalg.norm(np.concatenate([t.x[-1], t.v_g[-1]]) - exact)
+                  for t in (traj, evolve(v0, x0, E, B, T, dt / 2))]
+        assert 15.0 <= errors[0] / errors[1] <= 17.0, (v0, B, E, errors)
 
 
 def test_trapezoid_integral_matches_scipy():
