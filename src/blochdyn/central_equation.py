@@ -100,6 +100,20 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
     return H
 
 
+def _eigensystems(ks, shifts, pot: FourierPotential, n: int):
+    """Eigensystems of H(k + A) over the broadcast pairs of ks and shifts.
+
+    Yields (slice, energies, vectors, κ) per _K_BLOCK pairs from one stacked
+    eigh call, with no phase fix. This is the one block loop over plane-wave
+    Hamiltonians; solve_at is its one-instant reference.
+    """
+    ks, shifts = np.broadcast_arrays(ks, shifts)
+    for lo in range(0, ks.size, _K_BLOCK):
+        cut = slice(lo, min(lo + _K_BLOCK, ks.size))
+        energies, vectors = np.linalg.eigh(_hamiltonians(ks[cut], shifts[cut], pot, n))
+        yield cut, energies, vectors, _plane_wavevectors(ks[cut], shifts[cut], pot.a, n)
+
+
 def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> np.ndarray:
     """The (2n+1)x(2n+1) Hermitian matrix at reduced k with gauge shift."""
     return _hamiltonians(np.array([k], dtype=np.float64), A_shift, pot, n)[0]
@@ -193,8 +207,8 @@ def effective_mass(k: float, band: int, pot: FourierPotential, n: int) -> float:
 def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
     """Energies, velocities and inverse masses m/m* of bands 0..n_bands-1 at reduced ks.
 
-    Each is a (len(ks), n_bands) array from one eigendecomposition per k, with
-    the k-points stacked _K_BLOCK at a time. With κ the plane-wave momentum,
+    Each is a (len(ks), n_bands) array from one eigendecomposition per k,
+    taken from the stacked _eigensystems pass. With κ the plane-wave momentum,
     the velocity is the Hellmann–Feynman ⟨b|κ|b⟩ and the inverse mass the k·p
     sum rule 1 + 2 Σ_{j≠b} |⟨j|κ|b⟩|²/(E_b − E_j): exact derivatives of the
     truncated bands. A band within _GAP_MIN of a band κ couples it to has no
@@ -206,10 +220,7 @@ def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
         raise ConfigError(f"n_bands={n_bands} out of range for truncation n={n}")
     out = np.empty((3, ks.size, n_bands))
     own = np.arange(n_bands)
-    for lo in range(0, ks.size, _K_BLOCK):
-        block = ks[lo:lo + _K_BLOCK]
-        energies, vecs = np.linalg.eigh(_hamiltonians(block, 0.0, pot, n))
-        kappa = _plane_wavevectors(block, 0.0, pot.a, n)
+    for cut, energies, vecs, kappa in _eigensystems(ks, 0.0, pot, n):
         # coupling[:, j, b] = ⟨j|κ|b⟩
         coupling = vecs.conj().transpose(0, 2, 1) @ (kappa[:, :, None] * vecs[:, :, :n_bands])
         weight = np.abs(coupling) ** 2
@@ -220,11 +231,11 @@ def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
         if coupled_close.size:
             i, j, b = coupled_close[0]
             raise DegeneratePointError(
-                f"band {b} at k={float(block[i])!r} lies {abs(gaps[i, j, b]):.3e} from "
+                f"band {b} at k={float(ks[cut][i])!r} lies {abs(gaps[i, j, b]):.3e} from "
                 f"coupled band {j} (below {_GAP_MIN}); curvature undefined")
         terms = np.divide(weight, gaps, out=np.zeros_like(gaps), where=~close)
-        out[:, lo:lo + _K_BLOCK] = (energies[:, :n_bands], coupling[:, own, own].real,
-                                    1.0 + 2.0 * terms.sum(axis=1))
+        out[:, cut] = (energies[:, :n_bands], coupling[:, own, own].real,
+                       1.0 + 2.0 * terms.sum(axis=1))
     return tuple(out)
 
 

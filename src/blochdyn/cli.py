@@ -306,27 +306,32 @@ def _run_compare_eom(scn: dict, units: UnitSystem, out: Path) -> int:
 
 def _run_adiabatic(scn: dict, units: UnitSystem, out: Path) -> int:
     pot, e_field, dyn = _potential(scn), scn["field"]["E_internal"], scn["dynamics"]
-    ev = units.energy_eV
     if dyn["mode"] == "probe":
-        t_probe = dyn["t_probe_internal"]
         rep = adiabatic_diagnostics(dyn["k0_internal"], pot, dyn["n_waves"], e_field,
-                                    t_probe)
+                                    dyn["t_probe_internal"])
+    else:
+        _, rep = integrate_basis(dyn["k0_internal"], pot, dyn["n_waves"], e_field,
+                                 dyn["T_internal"], dyn["dt_internal"],
+                                 report_stride=scn["output"].get("sample_stride", 1))
+    names = ("gap", "hdot_norm", "omega_bar_star", "bound_rhs", "comm_norm")
+    with np.errstate(over="ignore"):   # a finite internal value can overflow in eV
+        ev = {name: getattr(rep, name) * units.energy_eV for name in names}
+    for name in names:
+        if not np.isfinite(ev[name]).all():
+            raise ConfigError(f"{name} up to {float(np.max(getattr(rep, name)))!r} internal "
+                              f"overflows in eV (× {units.energy_eV!r})")
+    if dyn["mode"] == "probe":
         _write_json(out / "adiabatic.json", {
-            "version": 1, "t_internal": t_probe,
-            **{f"{name}_eV": getattr(rep, name)[0] * ev for name in
-               ("gap", "hdot_norm", "omega_bar_star", "bound_rhs", "comm_norm")},
+            "version": 1, "t_internal": dyn["t_probe_internal"],
+            **{f"{name}_eV": ev[name][0] for name in names},
             "chain_holds": rep.chain_holds(),
         })
         return 0
-    _, rep = integrate_basis(dyn["k0_internal"], pot, dyn["n_waves"], e_field,
-                             dyn["T_internal"], dyn["dt_internal"],
-                             report_stride=scn["output"].get("sample_stride", 1))
-    rows = zip(rep.t, rep.gap * ev, rep.hdot_norm * ev,
-               rep.omega_bar_star * ev, rep.bound_rhs * ev, rep.fidelity,
-               rep.comm_norm * ev)
     _write_csv(out / "adiabatic.csv", "eigenframe diagnostics along the sweep",
                ["t", "gap_eV", "hdot_norm_eV", "omega_bar_star_eV",
-                "bound_rhs_eV", "fidelity", "comm_norm_eV"], rows)
+                "bound_rhs_eV", "fidelity", "comm_norm_eV"],
+               zip(rep.t, ev["gap"], ev["hdot_norm"], ev["omega_bar_star"], ev["bound_rhs"],
+                   rep.fidelity, ev["comm_norm"]))
     return 0
 
 

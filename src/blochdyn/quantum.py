@@ -3,15 +3,10 @@ a split-step real-space propagator, and a Bloch-folded grid diagonalization.
 
 These provide independent checks of the semiclassical picture. The basis
 integrator advances X with the exact exponential of the midpoint Hamiltonian
-(exactly unitary per step). The midpoint gauge shifts are known in advance, so
-their Hamiltonians are diagonalized _K_BLOCK steps at a time in one stacked
-eigh call, and the propagation path applies no phase fix: Θ exp(-iΛ dt) Θ†
-does not depend on the eigenvector phases. Each block's operands
-U = Θ exp(-iΛ dt) and Θ† are formed once, so a step is two matrix-vector
-products. The diagnostic samples share that stacked path: their times are
-known before the first step, so one _eigenframes pass yields every sample's
-phase-fixed ground vector and diagnostics, and adiabatic_diagnostics is the
-same pass at a single time.
+(exactly unitary per step). Every gauge shift A = -E t it visits, at the step
+midpoints and at the diagnostic samples, is known before the first step, so
+each set comes from one stacked _eigensystems pass of central_equation;
+adiabatic_diagnostics is the sample pass at a single time.
 The split-step propagator is Strang-ordered and second order in dt. The grid
 oracle builds the real-space Hamiltonian with a spectral kinetic circulant and
 folds it by Bloch's theorem into one small block per commensurate k, so each
@@ -24,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_equation import (_GAP_MIN, _K_BLOCK, TWO_PI, _hamiltonians, _phase_fix,
-                               _plane_wavevectors, solve_at)
+from .central_equation import _GAP_MIN, _K_BLOCK, TWO_PI, _eigensystems, _phase_fix, solve_at
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
 from .potential import FourierPotential
 from .semiclassical import _sample_rule, _time_grid
@@ -103,30 +97,25 @@ def frame_generator(k: float, pot: FourierPotential, n: int, A: float,
 def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
     """Instantaneous eigenframes at the times ts, where the gauge shift is A = -E t.
 
-    The Hamiltonians are diagonalized _K_BLOCK times at a time by one stacked
-    eigh call. Returns (grounds, gap, hdot_norm, omega_bar_star, bound_rhs,
-    comm_norm): grounds[i] is the phase-fixed band-0 vector at ts[i], the rest
-    are arrays over ts. With Adot = -E and M = Θ†ḢΘ as in frame_generator,
+    One _eigensystems pass gives (grounds, gap, hdot_norm, omega_bar_star,
+    bound_rhs, comm_norm): grounds[i] is the phase-fixed band-0 vector at
+    ts[i], the rest are arrays over ts. With Adot = -E and M = Θ†ḢΘ as in frame_generator,
     Ω̄* is the largest |Ω̄_0j| = |M_0j|/(λ_j - λ_0) and comm_norm is
     ‖offdiag(M)‖_F = ‖[Ω̄, Λ]‖_F. The gap guard runs before any bound is
     divided by a gap. A finite shift whose drive -E·κ overflows any of these
     diagnostics is refused with ConfigError.
     """
-    with np.errstate(over="ignore"):   # _hamiltonians refuses an infinite shift
+    with np.errstate(over="ignore"):   # _eigensystems refuses an infinite shift
         shifts = -E * np.asarray(ts, dtype=np.float64)
     blocks = []
-    for lo in range(0, shifts.size, _K_BLOCK):
-        A = shifts[lo:lo + _K_BLOCK]
-        w, theta = np.linalg.eigh(
-            _hamiltonians(np.full(A.size, k, dtype=np.float64), A, pot, n))
+    for cut, w, theta, kappa in _eigensystems(k, shifts, pot, n):
         gap = w[:, 1] - w[:, 0]
         closed = np.flatnonzero(gap <= _GAP_MIN)
         if closed.size:
             i = closed[0]
             raise DegeneratePointError(
-                f"ground-state gap {gap[i]:.3e} closed at A={float(A[i])!r}")
+                f"ground-state gap {gap[i]:.3e} closed at A={float(shifts[cut][i])!r}")
         theta = _phase_fix(theta)
-        kappa = _plane_wavevectors(k, A, pot.a, n)
         # a finite E and shift can still overflow the drive -E·κ; refused below
         with np.errstate(over="ignore", invalid="ignore"):
             m = (theta.conj().transpose(0, 2, 1) * (-E * kappa)[:, None, :]) @ theta
@@ -140,8 +129,8 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
         overflow = np.flatnonzero(~np.isfinite(columns).all(axis=0))
         if overflow.size:
             i = overflow[0]
-            raise ConfigError(f"field E={E!r} at gauge shift A={float(A[i])!r} overflows "
-                              f"the drive: |E|·‖κ‖ = {float(hdot_norm[i])!r}")
+            raise ConfigError(f"field E={E!r} at gauge shift A={float(shifts[cut][i])!r} "
+                              f"overflows the drive: |E|·‖κ‖ = {float(hdot_norm[i])!r}")
         blocks.append((theta[:, :, 0], gap, *columns))
     return tuple(np.concatenate(c) for c in zip(*blocks))
 
@@ -161,14 +150,13 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     X starts as the band-0 state at k, and H(t) carries the gauge shift
     A(t) = -E t. Each step applies Θ exp(-iΛ dt) Θ† of the midpoint
     Hamiltonian, so the update is unitary to roundoff and integrator drift
-    cannot masquerade as nonadiabaticity.
-    The midpoint Hamiltonians at A = -E(j + ½)dt are diagonalized _K_BLOCK
-    steps at a time by one stacked eigh call, without a phase fix. For each
-    block, U = Θ·diag(e^{-iλh}) is formed once and Θ† is the conjugate-transpose
-    view of one complex copy of Θ, so step j is X -> U[j] (Θ†[j] X). Diagnostics
-    are sampled every report_stride steps plus the final instant; the sample
-    times are known up front, so their eigenframes come from one _eigenframes
-    pass, and only the fidelity is taken inside the step loop.
+    cannot masquerade as nonadiabaticity. The midpoint shifts A = -E(j + ½)dt
+    go through one _eigensystems pass with no phase fix, which the product
+    does not need. Per block, U = Θ·diag(e^{-iλh}) is formed once and Θ† is
+    the conjugate-transpose view of one complex copy of Θ, so step j is
+    X -> U[j] (Θ†[j] X). Diagnostics are sampled every report_stride steps
+    plus the final instant, from one _eigenframes pass; only the fidelity is
+    taken inside the step loop.
     Returns (BasisState at T, AdiabaticReport).
     """
     times, nsteps, h = _time_grid(T, dt)
@@ -181,15 +169,14 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     # more to allocate than the block's steps take
     steps = np.empty((_K_BLOCK, 2 * n + 1, 2 * n + 1), dtype=np.complex128)
     conj = np.empty_like(steps)
-    for lo in range(0, nsteps, _K_BLOCK):
-        js = np.arange(lo, min(lo + _K_BLOCK, nsteps))
-        with np.errstate(over="ignore"):
-            shifts = -E * (js + 0.5) * h
-        ws, vs = np.linalg.eigh(
-            _hamiltonians(np.full(js.size, k, dtype=np.float64), shifts, pot, n))
-        u = np.multiply(vs, np.exp(-1j * ws * h)[:, None, :], out=steps[:js.size])
-        v_h = np.conjugate(vs, out=conj[:js.size]).transpose(0, 2, 1)
-        for j, u_j, v_h_j in zip(js.tolist(), u, v_h):
+    shifts = np.arange(0.5, nsteps)     # -E(j + ½)h in place, with no full-length temporary
+    with np.errstate(over="ignore"):
+        shifts *= -E
+        shifts *= h
+    for cut, ws, vs, _ in _eigensystems(k, shifts, pot, n):
+        u = np.multiply(vs, np.exp(-1j * ws * h)[:, None, :], out=steps[:len(ws)])
+        v_h = np.conjugate(vs, out=conj[:len(ws)]).transpose(0, 2, 1)
+        for j, u_j, v_h_j in zip(range(cut.start, cut.stop), u, v_h):
             X = np.dot(u_j, np.dot(v_h_j, X))   # np.dot dispatches faster than @ here
             if sampled(j + 1):
                 fidelity.append(float(np.abs(np.vdot(grounds[len(fidelity)], X)) ** 2))

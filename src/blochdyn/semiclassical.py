@@ -177,13 +177,11 @@ def _planar(vec, name):
     return v
 
 
-def _evolve_planar(tag: str, accel, v0, v_name: str, x0, E, B: float, T: float,
+def _evolve_planar(tag: str, system, v0, v_name: str, x0, E, B: float, T: float,
                    dt: float) -> Trajectory:
-    """RK4 on y = (x, y, vx, vy) with accel(x, y, vx, vy, ω_c, E) giving (ax, ay).
+    """RK4 on y = (x, y, vx, vy) for ẏ = M y + f, with (M, f) = system(ω_c, E).
 
-    accel must be affine in (x, y, vx, vy), so that ẏ = M y + f with constant
-    M and f. M is read from accel on the unit vectors with E = 0, f at the
-    origin with E. One RK4 step is then exactly the affine map y -> R y + r,
+    M and f are constant, so one RK4 step is exactly the affine map y -> R y + r,
     R = I + hM(I + hM/2(I + hM/3(I + hM/4))), r = h(I + hM/2(I + hM/3(I + hM/4)))f,
     and _STEP_CHUNK steps at a time come from one product with the stacked
     powers R^j and partial sums Σ_{i<j} R^i r, j <= _STEP_CHUNK.
@@ -191,15 +189,10 @@ def _evolve_planar(tag: str, accel, v0, v_name: str, x0, E, B: float, T: float,
     v0 = _planar(v0, v_name)
     x0 = _planar(x0, "x0")
     Ev = _planar(E, "E")
-    wc, E_xy = float(B), tuple(Ev.tolist())
+    wc = float(B)
     times, nsteps, h = _time_grid(T, dt)
-
-    def rhs(y, field):
-        return (y[2], y[3], *accel(*y, wc, field))
-
+    M, f = system(wc, Ev)
     eye = np.eye(4)
-    M = np.array([rhs(e, (0.0, 0.0)) for e in eye.tolist()]).T
-    f = np.array(rhs([0.0] * 4, E_xy))
     hM = h * M
     series = eye + hM / 2.0 @ (eye + hM / 3.0 @ (eye + hM / 4.0))
     step, offset = eye + hM @ series, h * series @ f
@@ -227,21 +220,25 @@ def evolve_fundamental(k0, x0, E, B: float, T: float, dt: float) -> Trajectory:
     """
     if B == 0.0:
         raise ConfigError("B must be nonzero; use evolve_free_E for the field-free case")
-    return _evolve_planar("FUNDAMENTAL", _fundamental_accel, k0, "k0", x0, E, B, T, dt)
+    return _evolve_planar("FUNDAMENTAL", _fundamental_system, k0, "k0", x0, E, B, T, dt)
 
 
-def _fundamental_accel(x, y, vx, vy, wc, E):
-    return (-0.5 * wc * vy - 0.5 * wc * wc * x - E[0],
-            +0.5 * wc * vx - 0.5 * wc * wc * y - E[1])
+def _fundamental_system(wc, E):
+    return (np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                      [-0.5 * wc * wc, 0.0, 0.0, -0.5 * wc],
+                      [0.0, -0.5 * wc * wc, 0.5 * wc, 0.0]]),
+            np.array([0.0, 0.0, -E[0], -E[1]]))
 
 
 def evolve_lorentz(v0, x0, E, B: float, T: float, dt: float) -> Trajectory:
     """Classical Lorentz force: dv/dt = -v×B - E (planar, B along ẑ)."""
-    return _evolve_planar("LORENTZ", _lorentz_accel, v0, "v0", x0, E, B, T, dt)
+    return _evolve_planar("LORENTZ", _lorentz_system, v0, "v0", x0, E, B, T, dt)
 
 
-def _lorentz_accel(x, y, vx, vy, wc, E):
-    return -wc * vy - E[0], +wc * vx - E[1]
+def _lorentz_system(wc, E):
+    return (np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, -wc], [0.0, 0.0, wc, 0.0]]),
+            np.array([0.0, 0.0, -E[0], -E[1]]))
 
 
 @dataclass(frozen=True)

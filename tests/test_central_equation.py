@@ -19,9 +19,11 @@ from blochdyn import (
     single_cosine,
 )
 from blochdyn.central_equation import (
+    _eigensystems,
     _hamiltonians,
     _mass_from_curvature,
     _match_band,
+    _plane_wavevectors,
     band_derivatives,
     band_sweep,
     solve_at,
@@ -62,6 +64,26 @@ def test_stacked_shifts_equal_build(pot):
     stacked = _hamiltonians(np.full(shifts.size, k), shifts, pot, 4)
     for H, A in zip(stacked, shifts):
         np.testing.assert_array_equal(H, build(k, float(A), pot, 4))
+
+
+@pytest.mark.parametrize("size", [0, 1, 64, 65, 129])
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+def test_eigensystems_tile_the_pairs_once(pot, size):
+    # every (k, A) pair in exactly one block, each as eigh(build(k, A)) and its κ
+    ks = np.linspace(-math.pi, math.pi, size)
+    shifts = -0.3 * (np.arange(size) + 0.5) * 0.7
+    for k_arg, A_arg in ((ks, 0.4), (-0.75 * math.pi, shifts)):
+        pairs = np.broadcast_arrays(k_arg, A_arg)
+        seen = []
+        for cut, energies, vectors, kappa in _eigensystems(k_arg, A_arg, pot, 4):
+            seen += range(size)[cut]
+            for k, A, w, v, kap in zip(pairs[0][cut], pairs[1][cut], energies, vectors,
+                                       kappa, strict=True):
+                w_ref, v_ref = np.linalg.eigh(build(k, A, pot, 4))
+                np.testing.assert_array_equal(w, w_ref)
+                np.testing.assert_array_equal(v, v_ref)
+                np.testing.assert_array_equal(kap, _plane_wavevectors(k, A, pot.a, 4))
+        assert seen == list(range(size))
 
 
 def test_offdiagonal_coefficient_placement():

@@ -498,7 +498,10 @@ def test_rejected_runs_leave_no_out_directory(tmp_path):
     # A = -E t is finite, but the drive -E·κ overflows
     ("adiabatic_si_probe", {"E_internal": 1e308}, {"t_probe_internal": 1e-300},
      "overflows the drive"),
-], ids=["probe", "sweep", "probe-drive"])
+    # the drive is finite internally (‖Ḣ‖ ≈ 4.58e307), but not once converted to eV
+    ("adiabatic_si_probe", {"E_internal": 1e299}, {"t_probe_internal": 1e-291},
+     "hdot_norm up to 4.58"),
+], ids=["probe", "sweep", "probe-drive", "probe-eV"])
 def test_adiabatic_with_an_overflowing_shift_exits_2(tmp_path, capsys, stem, field, dynamics,
                                                      message):
     # each run used to write NaN or Infinity with exit 0

@@ -19,6 +19,7 @@ from blochdyn import (
     gaussian_packet,
     grid_ground_state,
     integrate_basis,
+    reduce_to_zone,
     single_cosine,
     split_step_free,
 )
@@ -310,6 +311,72 @@ def test_boundary_guard_raises():
     psi0 = gaussian_packet(40.0, 512, x0=0.0, k0=0.0, sigma=1.0)
     with pytest.raises(BoundaryProximityError):
         split_step_free(psi0, 0.5, 10.0, 0.01)
+
+
+def _zener_grid_bands(pot, cells, per_cell):
+    """Wavenumbers (alias, block) of the periodic grid and each block's band-0 vector.
+
+    The grid holds per_cell aliases k + 2πl of each commensurate k, so its
+    FFT, reshaped to (per_cell, cells), has the aliases of one k per column.
+    V's harmonics ±1 couple alias l to l ± 1, cyclically because the grid
+    wraps them.
+    """
+    kappa = TWO_PI * np.fft.fftfreq(cells * per_cell, d=1.0 / per_cell).reshape(per_cell, cells)
+    up = np.roll(np.eye(per_cell), 1, axis=0)          # up[l + 1, l] = 1
+    H = (np.einsum("lm,lj->mlj", 0.5 * kappa ** 2, np.eye(per_cell))
+         + pot.coefficient(1) * up + pot.coefficient(-1) * up.T)
+    return kappa, np.linalg.eigh(H)[1][:, :, 0]
+
+
+def test_zener_crossing_is_gauge_invariant():
+    """Scalar gauge (U = E·x on a grid) against vector gauge (A = -E t) over one crossing.
+
+    V = 2·0.1·cos 2πx, E = 0.05 and T = π/E carry k0 = -π/2 once through the
+    zone edge. The scalar side puts the grid's own band-0 Bloch state at k0
+    under a Gaussian envelope (σ = 25, centred at x0 = +100 on 512 cells of 4
+    points) and runs split_step_free; its band-0 population comes from one FFT
+    and one stacked eigh over the 512 blocks. The vector side runs
+    integrate_basis (512 steps) in each commensurate k channel whose initial
+    weight w_k is above 1e-3 of the largest (13 channels), and the two must
+    agree as Σ w_k F(k) / Σ w_k, where F(k) is a channel's final band-0
+    population. Measured: 0.18126720 against 0.18126506, +2.1e-6; with 4096
+    steps per channel the weighted mean moves by 1e-8.
+
+    The weighting is needed: F(k0) alone is 0.1813091 (4096 steps), 4.2e-5
+    off, and no σ removes that, because F oscillates in k on a scale below
+    any σ_k that fits the grid (F(k0 ± 0.05) = 0.1812277, F(k0 ± 0.1) =
+    0.1812857). The scalar result moved by at most 2e-7 for σ = 6.25, 1024
+    cells or dt = 0.01, and by 1.7e-6 for 8 points per cell. At x0 = 0 on
+    512 cells it read 0.1816002: the split packet's tail wrapped across the
+    boundary, where E·x jumps.
+    """
+    pot, E, k0, T = single_cosine(1.0, 0.1), 0.05, -math.pi / 2, math.pi / 0.05
+    sigma, x0, cells, per_cell = 25.0, 100.0, 512, 4
+    kappa, ground = _zener_grid_bands(pot, cells, per_cell)
+    x = -0.5 * cells + np.arange(cells * per_cell) / per_cell
+    block = np.flatnonzero(np.isclose(kappa, k0).any(axis=0))[0]
+    psi = ((np.exp(1j * np.outer(x, kappa[:, block])) @ ground[block])
+           * np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2)))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) / per_cell)
+
+    def band_0(p):
+        c = np.fft.fft(p).reshape(per_cell, cells)
+        populations = np.abs(np.einsum("ml,lm->m", ground.conj(), c)) ** 2
+        return populations, np.sum(np.abs(c) ** 2, axis=0)
+
+    res = split_step_free(GridState(float(cells), psi.size, psi, x), E, T, 0.04,
+                          potential=pot.evaluate, sample_stride=100, guard_sigmas=0.5)
+    assert res.sigma_x[-1] > 75.0              # the packet has split
+    population, total = band_0(res.final.psi)
+    scalar = population.sum() / total.sum()
+
+    weight = band_0(psi)[1]
+    channels = np.flatnonzero(weight > 1e-3 * weight.max())
+    assert channels.size == 13
+    F = [integrate_basis(reduce_to_zone(kappa[0, m]), pot, 5, E, T, T / 512,
+                         report_stride=512)[1].fidelity[-1] for m in channels]
+    vector = np.sum(weight[channels] * F) / np.sum(weight[channels])
+    assert abs(scalar - vector) <= 2e-5, (scalar, vector)
 
 
 def test_grid_state_validation():

@@ -46,6 +46,16 @@ def test_schemas_accept_every_shipped_scenario(stem):
                 == complex(re_v, im_v) * (1.0 / units.energy_eV))
 
 
+def test_shipped_lists_name_the_same_scenarios():
+    # scenarios/*.json, SHIPPED and the CI loop that runs each one twice
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: Shipped scenarios", 1)[1].split("- name:", 1)[0]
+    loop = step.split("for run in", 1)[1].split("; do", 1)[0]
+    ci = {stem: cmd for cmd, stem in re.findall(r"([\w-]+):(\w+)", loop)}
+    assert {path.stem for path in SCENARIOS.glob("*.json")} == set(SHIPPED) == set(ci)
+    assert ci == {stem: _user(entry).split()[0] for stem, entry in SHIPPED.items()}
+
+
 def _edit(scn, block, change):
     new = copy.deepcopy(scn)
     change(new if block is None else new[block])
