@@ -66,9 +66,8 @@ def _plane_wavevectors(k, A_shift, a: float, n: int) -> np.ndarray:
     return np.asarray(k)[..., None] + TWO_PI * ls / a + np.asarray(A_shift)[..., None]
 
 
-def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
-                  n: int) -> np.ndarray:
-    """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k.
+def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential, n: int):
+    """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k, and their κ.
 
     A_shift is one gauge shift for every matrix, or one per entry of ks.
     """
@@ -88,8 +87,9 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
     coeffs = np.zeros(2 * size - 1, dtype=dtype)
     for l, v in pot.items():
         coeffs[l + 2 * n] = v.real if l == 0 or dtype is np.float64 else v
+    kappa = _plane_wavevectors(ks, A_shift, pot.a, n)
     with np.errstate(over="ignore"):
-        kinetic = _plane_wavevectors(ks, A_shift, pot.a, n) ** 2 / 2.0
+        kinetic = kappa ** 2 / 2.0
     if not np.isfinite(kinetic).all():
         raise ConfigError(f"gauge shift |A| up to {float(np.max(np.abs(A_shift)))!r} gives "
                           "a non-finite plane-wave energy (k + 2πl/a + A)²/2")
@@ -97,26 +97,26 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential,
     H = np.repeat(coeffs[np.subtract.outer(ls, ls) + 2 * n][None], ks.size, axis=0)
     # every diagonal H[k, i, i] as one strided view
     H.reshape(ks.size, size * size)[:, ::size + 1] += kinetic
-    return H
+    return H, kappa
 
 
 def _eigensystems(ks, shifts, pot: FourierPotential, n: int):
     """Eigensystems of H(k + A) over the broadcast pairs of ks and shifts.
 
     Yields (slice, energies, vectors, κ) per _K_BLOCK pairs from one stacked
-    eigh call, with no phase fix. This is the one block loop over plane-wave
-    Hamiltonians; solve_at is its one-instant reference.
+    eigh call, with no phase fix. This is the package's one plane-wave
+    eigensolve: solve_at and every stacked pass take their eigensystems from it.
     """
     ks, shifts = np.broadcast_arrays(ks, shifts)
     for lo in range(0, ks.size, _K_BLOCK):
         cut = slice(lo, min(lo + _K_BLOCK, ks.size))
-        energies, vectors = np.linalg.eigh(_hamiltonians(ks[cut], shifts[cut], pot, n))
-        yield cut, energies, vectors, _plane_wavevectors(ks[cut], shifts[cut], pot.a, n)
+        H, kappa = _hamiltonians(ks[cut], shifts[cut], pot, n)
+        yield (cut, *np.linalg.eigh(H), kappa)
 
 
 def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> np.ndarray:
     """The (2n+1)x(2n+1) Hermitian matrix at reduced k with gauge shift."""
-    return _hamiltonians(np.array([k], dtype=np.float64), A_shift, pot, n)[0]
+    return _hamiltonians(np.array([k], dtype=np.float64), A_shift, pot, n)[0][0]
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
@@ -133,15 +133,20 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 
 
 def solve_at(k: float, A_shift: float, pot: FourierPotential, n: int) -> BandSolution:
-    energies, vectors = np.linalg.eigh(build(k, A_shift, pot, n))
+    """The eigensystem at one (k, A_shift): a one-pair _eigensystems pass, phase-fixed."""
+    (_, energies, vectors, _), = _eigensystems([float(k)], A_shift, pot, n)
     return BandSolution(k=float(k), A_shift=float(A_shift), a=pot.a, n=n,
-                        energies=energies, vectors=_phase_fix(vectors))
+                        energies=energies[0], vectors=_phase_fix(vectors[0]))
+
+
+def _check_band(band: int, n: int) -> None:
+    if not 0 <= band <= 2 * n:
+        raise ConfigError(f"band {band!r} out of range 0..{2 * n} for truncation n={n}")
 
 
 def bloch_psi(sol: BandSolution, band: int, x):
     """ψ(x) = Σ_l a_l exp(i(k + 2πl/a + A_shift)x) for the given band."""
-    if not 0 <= band < sol.energies.size:
-        raise IndexError(f"band {band} out of range for truncation n={sol.n}")
+    _check_band(band, sol.n)
     x = np.asarray(x, dtype=np.float64)
     kap = sol.plane_wavevectors
     val = np.exp(1j * np.multiply.outer(x, kap)) @ sol.vectors[:, band].astype(np.complex128)
@@ -163,17 +168,13 @@ def _stencil_energies(k, band, pot, n, delta):
     """Band energy at gauge shifts ±delta, overlap-tracked from the center.
 
     Shifting A instead of k probes the identical matrix (only k + A enters)
-    while keeping one fixed plane-wave basis, so no zone rewrap or index
-    roll is needed across the stencil.
+    while keeping one fixed plane-wave basis, so no zone rewrap or index roll
+    is needed across the stencil. The three shifts are one _eigensystems pass.
     """
-    center = solve_at(k, 0.0, pot, n)
-    if not 0 <= band < center.energies.size:
-        raise IndexError(f"band {band} out of range for truncation n={n}")
-    out = []
-    for s in (-delta, delta):
-        side = solve_at(k, s, pot, n)
-        out.append(side.energies[_match_band(center.vectors, side.vectors, band)])
-    return out[0], center.energies[band], out[1]
+    _check_band(band, n)
+    (_, energies, vectors, _), = _eigensystems(k, (0.0, -delta, delta), pot, n)
+    e_minus, e_plus = (energies[i, _match_band(vectors[0], vectors[i], band)] for i in (1, 2))
+    return e_minus, energies[0, band], e_plus
 
 
 def group_velocity(k: float, band: int, pot: FourierPotential, n: int) -> float:

@@ -125,6 +125,16 @@ def _reject_constant(token: str):
     raise ConfigError(f"non-finite number {token!r} not allowed in scenarios")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object; a key given twice, at any depth, is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r} in scenario")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path: str | Path) -> dict:
     """Parse a scenario file; any syntax error is reported with line/column."""
     try:
@@ -132,7 +142,7 @@ def load_scenario(path: str | Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .central_equation import TWO_PI, band_derivatives, reduce_to_zone
+from .central_equation import TWO_PI, _check_band, band_derivatives, reduce_to_zone
 from .errors import ConfigError
 from .potential import FourierPotential
 from .units import E_CHARGE_SI, HBAR_SI, MU0_SI
@@ -77,6 +77,7 @@ def _sums_and_labels(filling: BandFilling, pot: FourierPotential, n: int,
     """
     if filling.a != pot.a:
         raise ConfigError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
+    _check_band(filling.band, n)
     counts = [replace(filling, fraction=f).occupied_count for f in fractions]
     largest = replace(filling, fraction=max(fractions, default=0.0))
     ks = reduce_to_zone(largest.occupied_k + filling.shift, pot.a)

@@ -1,10 +1,10 @@
 """Exception taxonomy.
 
 ConfigError is for bad input: malformed scenario files and every argument
-check in the library (a step larger than the run, a negative band index,
-an unknown dimension tag). It subclasses ValueError. PhysicsError
-subclasses mark conditions where the requested computation is ill-defined
-at the evaluation point.
+check in the library (a step larger than the run, a band index outside 0..2n
+for truncation n, an unknown dimension tag). It subclasses ValueError.
+PhysicsError subclasses mark conditions where the requested computation is
+ill-defined at the evaluation point.
 
 The CLI maps ConfigError, and an OSError while reading or writing files, to
 exit code 2, and PhysicsError to exit code 3. Any other exception, a bare

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_equation import _GAP_MIN, _K_BLOCK, TWO_PI, _eigensystems, _phase_fix, solve_at
+from .central_equation import _GAP_MIN, TWO_PI, _eigensystems, _phase_fix, solve_at
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
 from .potential import FourierPotential
 from .semiclassical import _sample_rule, _time_grid
@@ -165,15 +165,14 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     grounds, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, ts)
     X = grounds[0].astype(np.complex128)
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
-    # one block's U and conj(Θ), written in place: fresh arrays of this size cost
-    # more to allocate than the block's steps take
-    steps = np.empty((_K_BLOCK, 2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    conj = np.empty_like(steps)
+    steps = None    # one block's U and conj(Θ), reused: a fresh pair costs more than its steps
     shifts = np.arange(0.5, nsteps)     # -E(j + ½)h in place, with no full-length temporary
     with np.errstate(over="ignore"):
         shifts *= -E
         shifts *= h
     for cut, ws, vs, _ in _eigensystems(k, shifts, pot, n):
+        if steps is None:   # the first block is the largest
+            steps, conj = np.empty((2, *vs.shape), dtype=np.complex128)
         u = np.multiply(vs, np.exp(-1j * ws * h)[:, None, :], out=steps[:len(ws)])
         v_h = np.conjugate(vs, out=conj[:len(ws)]).transpose(0, 2, 1)
         for j, u_j, v_h_j in zip(range(cut.start, cut.stop), u, v_h):

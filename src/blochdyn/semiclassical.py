@@ -25,11 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .central_equation import _mass_from_curvature, band_derivatives, reduce_to_zone
+from .central_equation import _check_band, _mass_from_curvature, band_derivatives, reduce_to_zone
 from .errors import ConfigError, EnergyDriftError
 from .potential import FourierPotential
 
-TWO_PI = 2.0 * np.pi
 # step count past which _time_grid refuses a (T, dt) pair as bad input
 _MAX_STEPS = 2 ** 31
 # planar RK4 steps taken per numpy product
@@ -75,11 +74,6 @@ def _sample_rule(nsteps: int, stride: int, name: str):
     if stride < 1:
         raise ConfigError(f"{name} must be >= 1, got {stride!r}")
     return lambda j: j % stride == 0 or j == nsteps
-
-
-def _check_band(band: int, n: int) -> None:
-    if not 0 <= band <= 2 * n:
-        raise ConfigError(f"band {band!r} out of range 0..{2 * n} for truncation n={n}")
 
 
 def _trapezoid_integral(y: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Plane-wave band solver: matrix structure, oracles, derivatives, labels."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blochdyn import (
+    BandFilling,
     ConfigError,
     DegeneratePointError,
     FourierPotential,
@@ -17,18 +19,24 @@ from blochdyn import (
     random_symmetric,
     reduce_to_zone,
     single_cosine,
+    velocity_sum,
 )
 from blochdyn.central_equation import (
+    _DELTA_K_MASS,
+    _DELTA_K_VELOCITY,
     _eigensystems,
     _hamiltonians,
     _mass_from_curvature,
     _match_band,
+    _phase_fix,
     _plane_wavevectors,
+    _stencil_energies,
     band_derivatives,
     band_sweep,
     solve_at,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "blochdyn"
 TWO_PI = 2.0 * math.pi
 FREE = FourierPotential(1.0, {0: 0.0})
 WEAK = single_cosine(1.0, 0.05)
@@ -61,7 +69,7 @@ def test_stacked_shifts_equal_build(pot):
     # one gauge shift per stacked matrix, each bit-identical to build(k, A)
     k = -0.75 * math.pi
     shifts = -0.3 * (np.arange(5) + 0.5) * 0.7
-    stacked = _hamiltonians(np.full(shifts.size, k), shifts, pot, 4)
+    stacked, _ = _hamiltonians(np.full(shifts.size, k), shifts, pot, 4)
     for H, A in zip(stacked, shifts):
         np.testing.assert_array_equal(H, build(k, float(A), pot, 4))
 
@@ -330,6 +338,83 @@ def test_band_derivatives_energies_equal_solve_at():
     for pot in (WEAK, SKEW):
         energies, _, _ = band_derivatives([0.7], pot, 10, 4)
         assert np.array_equal(energies[0], solve_at(0.7, 0.0, pot, 10).energies[:4])
+
+
+def _parent_stencil(k, band, pot, n, delta):
+    """The stencil as three single solves: eigh(build(k, A)) at A = 0, -delta, +delta."""
+    def solve(A):
+        energies, vectors = np.linalg.eigh(build(k, A, pot, n))
+        return energies, _phase_fix(vectors)
+
+    center_energies, center_vectors = solve(0.0)
+    out = []
+    for s in (-delta, delta):
+        energies, vectors = solve(s)
+        out.append(energies[_match_band(center_vectors, vectors, band)])
+    return out[0], center_energies[band], out[1]
+
+
+@pytest.mark.parametrize("pot", [single_cosine(1.0, 0.3), SKEW], ids=["real", "complex"])
+def test_stacked_stencil_equals_three_single_solves(pot):
+    # bit for bit: the stacked pass feeds group_velocity and effective_mass the same energies
+    velocity_step, mass_step = _DELTA_K_VELOCITY * TWO_PI, _DELTA_K_MASS * TWO_PI
+    for k in (0.0, 0.3, -1.7, 2.9, math.pi):
+        for band in range(4):
+            v_minus, v_center, v_plus = _parent_stencil(k, band, pot, 10, velocity_step)
+            assert np.array_equal(_stencil_energies(k, band, pot, 10, velocity_step),
+                                  (v_minus, v_center, v_plus))
+            m_minus, m_center, m_plus = _parent_stencil(k, band, pot, 10, mass_step)
+            assert np.array_equal(_stencil_energies(k, band, pot, 10, mass_step),
+                                  (m_minus, m_center, m_plus))
+            assert np.array_equal(group_velocity(k, band, pot, 10),
+                                  float((v_plus - v_minus) / (2.0 * velocity_step)))
+            curvature = (m_plus - 2.0 * m_center + m_minus) / mass_step ** 2
+            assert np.array_equal(effective_mass(k, band, pot, 10), 1.0 / float(curvature))
+
+
+@pytest.fixture
+def eigh_stacks(monkeypatch):
+    """The stack size of every numpy.linalg.eigh call, in call order."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+def test_one_stacked_eigensolve_per_pass(eigh_stacks):
+    solve_at(0.7, 0.0, SKEW, 10)
+    assert eigh_stacks == [1]
+    for derivative in (group_velocity, effective_mass):
+        eigh_stacks.clear()
+        derivative(0.7, 1, SKEW, 10)
+        assert eigh_stacks == [3]
+    eigh_stacks.clear()
+    band_derivatives(np.linspace(-math.pi, math.pi, 130), WEAK, 10, 3)
+    assert len(eigh_stacks) == 3 and sum(eigh_stacks) == 130
+    # _eigensystems is the package's only plane-wave eigensolve
+    sites = [line for path in SRC.glob("*.py") for line in path.read_text().splitlines()
+             if "linalg.eigh(" in line]
+    assert len(sites) == 1
+
+
+@pytest.mark.parametrize("call, band", [
+    (lambda band: bloch_psi(solve_at(0.3, 0.0, WEAK, 10), band, 0.0), -1),
+    (lambda band: bloch_psi(solve_at(0.3, 0.0, WEAK, 10), band, 0.0), 21),
+    (lambda band: group_velocity(0.3, band, WEAK, 10), -1),
+    (lambda band: group_velocity(0.3, band, WEAK, 10), 21),
+    (lambda band: effective_mass(0.3, band, WEAK, 10), 21),
+    (lambda band: velocity_sum(BandFilling(band=band, n_k=64, fraction=0.5), WEAK, 10), 21),
+], ids=["bloch_psi-neg", "bloch_psi", "group_velocity-neg", "group_velocity",
+        "effective_mass", "velocity_sum"])
+def test_a_band_out_of_range_is_config_error(call, band):
+    # truncation n = 10 has bands 0..20
+    with pytest.raises(ConfigError, match=rf"band {band} out of range 0\.\.20"):
+        call(band)
 
 
 def test_band_derivatives_closed_coupled_gap_raises():

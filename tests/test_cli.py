@@ -303,6 +303,25 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "stray_block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem, command, old, new, key", [
+    # the solenoid used to run the later current, 5.0 A, and exit 0
+    ("solenoid_reference", "solenoid", '"current_A": 0.001',
+     '"current_A": 0.001, "current_A": 5.0', "current_A"),
+    ("solenoid_reference", "solenoid", '"version": 1', '"version": 1, "version": 1', "version"),
+    ("conduction_fillings", "conduction", '"a_ref_m": 1e-10',
+     '"a_ref_m": 1e-10, "extra": {"x": 1, "x": 2}', "x"),
+], ids=["block", "top", "depth_2"])
+def test_duplicate_keys_rejected(tmp_path, capsys, stem, command, old, new, key):
+    text = (SCENARIOS / f"{stem}.json").read_text()
+    assert text.count(old) == 1
+    p = tmp_path / "dup.json"
+    p.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(p), "--out", str(out)]) == 2
+    assert f"duplicate key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_field_must_pick_one_unit_form(tmp_path):
     scn = _write(tmp_path, _packet_scenario(E_internal=0.05, E_V_per_m=1e7))
     assert main(["wavepacket", "--scenario", scn, "--out", str(tmp_path)]) == 2
@@ -377,6 +396,16 @@ def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
         scn_obj[name].update(edits)
     scn = _write(tmp_path, scn_obj)
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
+    # the message used to name n_bands=26, the band count the pass would need
+    scn_obj = json.loads((SCENARIOS / "conduction_fillings.json").read_text())
+    scn_obj["dynamics"]["band"] = 25
+    out = tmp_path / "out"
+    assert main(["conduction", "--scenario", _write(tmp_path, scn_obj), "--out", str(out)]) == 2
+    assert "band 25 out of range 0..20 for truncation n=10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("call", [
