@@ -250,6 +250,8 @@ def band_sweep(pot: FourierPotential, n: int, k_points: int, n_bands: int,
     """
     if k_points < 1:
         raise ConfigError(f"k_points must be >= 1, got {k_points!r}")
+    if n_bands < 1:
+        raise ConfigError(f"n_bands must be >= 1, got {n_bands!r}")
     edge = np.pi / pot.a
     ks = np.linspace(-edge, edge, k_points)
     energies, velocity, inv_mass = band_derivatives(ks, pot, n, n_bands)

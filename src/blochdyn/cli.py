@@ -4,6 +4,9 @@ scenario files and writes plot-ready CSV/JSON into an output directory.
 Exit codes: 0 success, 2 bad input (ConfigError, or OSError on a file), 3
 physics error during a run, 4 validation failure. Outputs are deterministic: floats use %.17g in CSV and
 repr round-tripping in JSON, so identical scenarios give identical bytes.
+
+Each subcommand imports its compute module, and numpy, when it runs: --help,
+--version and a scenario the schema rejects return before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -11,20 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .acceptance import CRITERIA, run_all
-from .central_equation import band_sweep
-from .conduction import BandFilling, _sums_and_labels, fractional_displacement, solenoid_shift
 from .errors import ConfigError, PhysicsError
-from .potential import FourierPotential
-from .quantum import adiabatic_diagnostics, gaussian_packet, integrate_basis, split_step_free
-from .semiclassical import compare_fundamental_lorentz, evolve_fundamental, evolve_lorentz
 from .units import UnitSystem
+
+if TYPE_CHECKING:
+    from .potential import FourierPotential
 
 _FLOAT = "%.17g"
 
@@ -249,15 +247,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommands: each takes the parsed scenario, the unit system and --out
+# subcommands: each takes the parsed scenario, the unit system and --out, and
+# imports what it computes with on entry
 
 
 def _potential(scn: dict) -> FourierPotential:
+    from .potential import FourierPotential
+
     return FourierPotential(scn["potential"]["a_internal"],
                             scn["potential"]["coefficients_internal"])
 
 
 def _run_bands(scn: dict, units: UnitSystem, out: Path) -> int:
+    from .central_equation import band_sweep
+
     sweep = scn["sweep"]
     rows = band_sweep(_potential(scn), sweep["n_waves"], sweep["k_points"],
                       sweep["n_bands"], units.energy_eV, units.factor("velocity"))
@@ -267,6 +270,8 @@ def _run_bands(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_wavepacket(scn: dict, units: UnitSystem, out: Path) -> int:
+    from .quantum import gaussian_packet, split_step_free
+
     dyn = scn["dynamics"]
     psi0 = gaussian_packet(dyn["domain_internal"], dyn["grid_points"],
                            x0=dyn["x0_internal"], k0=dyn["k0_internal"],
@@ -288,6 +293,10 @@ def _planar(scn: dict, evolve):
 
 
 def _run_cyclotron(scn: dict, units: UnitSystem, out: Path) -> int:
+    import numpy as np
+
+    from .semiclassical import evolve_fundamental, evolve_lorentz
+
     evolve = {"fundamental": evolve_fundamental,
               "lorentz": evolve_lorentz}[scn["dynamics"]["equation"]]
     traj = _planar(scn, evolve)
@@ -299,6 +308,10 @@ def _run_cyclotron(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_compare_eom(scn: dict, units: UnitSystem, out: Path) -> int:
+    import numpy as np
+
+    from .semiclassical import compare_fundamental_lorentz
+
     rep = _planar(scn, compare_fundamental_lorentz)
     f, lz = rep.fundamental, rep.lorentz
     dx = np.linalg.norm(f.x - lz.x, axis=1)
@@ -315,6 +328,10 @@ def _run_compare_eom(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_adiabatic(scn: dict, units: UnitSystem, out: Path) -> int:
+    import numpy as np
+
+    from .quantum import adiabatic_diagnostics, integrate_basis
+
     pot, e_field, dyn = _potential(scn), scn["field"]["E_internal"], scn["dynamics"]
     if dyn["mode"] == "probe":
         rep = adiabatic_diagnostics(dyn["k0_internal"], pot, dyn["n_waves"], e_field,
@@ -346,6 +363,10 @@ def _run_adiabatic(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
+    from dataclasses import replace
+
+    from .conduction import BandFilling, _sums_and_labels
+
     pot, dyn = _potential(scn), scn["dynamics"]
     band, n_k, n, shift = dyn["band"], dyn["n_k"], dyn["n_waves"], dyn["shift_internal"]
     fractions = dyn["fractions"]
@@ -361,6 +382,8 @@ def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_solenoid(scn: dict, units: UnitSystem, out: Path) -> int:
+    from .conduction import fractional_displacement, solenoid_shift
+
     block = scn["solenoid"]
     k0, reference = block["k0_per_m"], block.get("reference_shift_per_m")
     shift = solenoid_shift(block["turns_per_m"], block["current_A"],
@@ -375,6 +398,8 @@ def _run_solenoid(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_validate(out: Path, seed: int, only: str | None) -> int:
+    from .acceptance import CRITERIA, run_all
+
     if seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
     try:

@@ -377,6 +377,7 @@ def test_potential_coefficient_validation(tmp_path):
     ("conduction_fillings", "conduction", "dynamics", "band", -1),
     ("bands_weak_cosine", "bands", "sweep", "k_points", -1),
     ("bands_weak_cosine", "bands", "sweep", "k_points", 0),
+    ("bands_weak_cosine", "bands", "sweep", "n_bands", 0),
     ("cyclotron", "cyclotron", "dynamics", "dt_internal", 1e-320),
     ("cyclotron", "cyclotron", "dynamics", "T_internal", 1e20),
     ("wavepacket_free", "wavepacket", "dynamics", "x0_internal", 1e6),
@@ -413,6 +414,7 @@ def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
     lambda: _time_grid(1.0, 1e-320),
     lambda: _time_grid(1e20, 1.0),
     lambda: band_sweep(single_cosine(1.0, 0.05), 4, 0, 1, 1.0, 1.0),
+    lambda: band_sweep(single_cosine(1.0, 0.05), 4, 5, 0, 1.0, 1.0),
     lambda: band_derivatives([0.0], single_cosine(1.0, 0.05), 4, 10),
     lambda: FourierPotential(1.0, {1: 0.1}),
     lambda: BandFilling(band=0, n_k=8, fraction=0.5),
@@ -422,8 +424,8 @@ def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
     lambda: evolve_general_V(0.2, 0.5, lambda x: -0.5 * x * x, 3.0, 1e-3),
     lambda: gaussian_packet(400.0, 4096, -30.0, 40.0, 10.0),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
-        "band_sweep", "band_derivatives", "potential", "filling", "fundamental",
-        "split_step", "general_V_without_dV", "packet_k0_past_k_window"])
+        "band_sweep", "band_sweep_no_bands", "band_derivatives", "potential", "filling",
+        "fundamental", "split_step", "general_V_without_dV", "packet_k0_past_k_window"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -502,7 +504,7 @@ def test_validate_rejects_unknown_selection(tmp_path, capsys):
 
 
 def test_validate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("blochdyn.cli.run_all", lambda seed, only: pytest.fail("ran"))
+    monkeypatch.setattr("blochdyn.acceptance.run_all", lambda seed, only: pytest.fail("ran"))
     assert main(["validate", "--out", str(tmp_path), "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
 
@@ -545,7 +547,7 @@ def test_adiabatic_with_an_overflowing_shift_exits_2(tmp_path, capsys, stem, fie
 
 def test_validate_maps_failure_to_exit_4(tmp_path, monkeypatch):
     fake = AcceptanceResult(cid=1, name="stub", passed=False, detail="nope")
-    monkeypatch.setattr("blochdyn.cli.run_all", lambda seed, only: [fake])
+    monkeypatch.setattr("blochdyn.acceptance.run_all", lambda seed, only: [fake])
     assert main(["validate", "--out", str(tmp_path)]) == 4
     rep = json.loads((tmp_path / "validate.json").read_text())
     assert rep["results"][0]["passed"] is False
