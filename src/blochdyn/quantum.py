@@ -161,7 +161,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     """
     times, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, report_stride, "report_stride")
-    ts = times[[j for j in range(nsteps + 1) if sampled(j)]]
+    ts = times[sampled(np.arange(nsteps + 1))]
     grounds, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, ts)
     X = grounds[0].astype(np.complex128)
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
@@ -251,38 +251,20 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
                     guard_sigmas: float = 5.0) -> SplitStepResult:
     """Strang propagation of iψ̇ = -½ψ'' + U(x)ψ with U = E·x (+ optional extra).
 
-    The scalar-gauge linear potential is unbounded, so the packet must stay
-    in the interior: if the centroid comes within guard_sigmas packet widths
-    of either boundary the run aborts with BoundaryProximityError. The field
-    moves ⟨k⟩ from ⟨k⟩₀ to ⟨k⟩₀ - E·T, and the grid holds only |k| < π/dx: if
-    either end plus guard_sigmas momentum widths σ_k₀ reaches π/dx, the kick
-    would alias, and the run is refused with ConfigError before the first
-    step. ⟨k⟩₀ and σ_k₀ are read from the initial power spectrum; the kick of
-    an extra potential is not bounded by this check. Centroid series ⟨x⟩(t),
-    ⟨k⟩(t) and σ_x(t) are sampled every sample_stride steps.
+    moments(ψ) gives (norm, ⟨x⟩, ⟨k⟩, σ_x, σ_k), the k moments from the power
+    spectrum. Those of ψ₀ are the t = 0 sample and bound the kick: the field
+    moves ⟨k⟩ from ⟨k⟩₀ to ⟨k⟩₀ - E·T, and if either end plus guard_sigmas·σ_k₀
+    reaches the grid's k window π/dx the run is refused with ConfigError before
+    the first step (an extra potential's kick is not bounded). Later samples
+    come every sample_stride steps and after the last. E·x is unbounded, so at
+    each sample a centroid within guard_sigmas·σ_x of either boundary aborts
+    with BoundaryProximityError.
     """
     t_grid, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, sample_stride, "sample_stride")
-    x = psi0.x
-    dx = psi0.dx
-    kgrid = TWO_PI * np.fft.fftfreq(psi0.N, d=dx)
-    power = np.abs(np.fft.fft(psi0.psi)) ** 2
-    k_mean = float(np.sum(power * kgrid) / np.sum(power))
-    k_sigma = float(np.sqrt(np.sum(power * (kgrid - k_mean) ** 2) / np.sum(power)))
-    k_reach = max(abs(k_mean), abs(k_mean - E * T)) + guard_sigmas * k_sigma
-    if not k_reach < np.pi / dx:
-        raise ConfigError(
-            f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {guard_sigmas}σ_k "
-            f"it reaches {k_reach:.6g}, past the grid's k window π/dx = {np.pi / dx:.6g}")
-    U = E * x
-    if potential is not None:
-        U = U + np.asarray(potential(x), dtype=np.float64)
-    half_kick = np.exp(-0.5j * h * U)
-    kinetic = np.exp(-0.5j * h * kgrid ** 2)
-    psi = psi0.psi.astype(np.complex128)
-
+    x, dx = psi0.x, psi0.dx
     x_lo, x_hi = x[0], x[-1] + dx
-    times, xm, km, sg, nm = [], [], [], [], []
+    kgrid = TWO_PI * np.fft.fftfreq(psi0.N, d=dx)
 
     def moments(p):
         w = np.abs(p) ** 2
@@ -291,32 +273,36 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
         mx2 = float(np.sum(w * x * x) * dx / tot)
         power = np.abs(np.fft.fft(p)) ** 2
         mk = float(np.sum(power * kgrid) / np.sum(power))
-        return tot, mx, np.sqrt(max(mx2 - mx * mx, 0.0)), mk
+        sk = float(np.sqrt(np.sum(power * (kgrid - mk) ** 2) / np.sum(power)))
+        return tot, mx, mk, np.sqrt(max(mx2 - mx * mx, 0.0)), sk
 
-    def record(j, p):
-        tot, mx, sig, mk = moments(p)
+    psi = psi0.psi.astype(np.complex128)
+    _, _, k_mean, _, k_sigma = sample = moments(psi)
+    k_reach = max(abs(k_mean), abs(k_mean - E * T)) + guard_sigmas * k_sigma
+    if not k_reach < np.pi / dx:
+        raise ConfigError(
+            f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {guard_sigmas}σ_k "
+            f"it reaches {k_reach:.6g}, past the grid's k window π/dx = {np.pi / dx:.6g}")
+    U = E * x if potential is None else E * x + np.asarray(potential(x), dtype=np.float64)
+    half_kick = np.exp(-0.5j * h * U)
+    kinetic = np.exp(-0.5j * h * kgrid ** 2)
+    rows = []
+    for j in range(nsteps + 1):
+        if j:
+            psi = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * psi))
+            if not sampled(j):
+                continue
+            sample = moments(psi)
+        tot, mx, mk, sig, _ = sample
         if min(mx - x_lo, x_hi - mx) < guard_sigmas * sig:
             raise BoundaryProximityError(
                 f"centroid {mx:.3f} within {guard_sigmas}σ (σ={sig:.3f}) of the "
-                f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t_grid[j]:.6g}"
-            )
-        times.append(float(t_grid[j]))
-        xm.append(mx)
-        km.append(mk)
-        sg.append(sig)
-        nm.append(tot)
+                f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t_grid[j]:.6g}")
+        rows.append((float(t_grid[j]), mx, mk, sig, tot))
 
-    record(0, psi)
-    for j in range(nsteps):
-        psi = half_kick * psi
-        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
-        psi = half_kick * psi
-        if sampled(j + 1):
-            record(j + 1, psi)
-
-    final = GridState(Ldom=psi0.Ldom, N=psi0.N, psi=psi / np.sqrt(nm[-1]), x=x)
-    return SplitStepResult(np.array(times), np.array(xm), np.array(km),
-                           np.array(sg), np.array(nm), final)
+    times, x_mean, k_mean, sigma_x, norms = map(np.array, zip(*rows))
+    final = GridState(Ldom=psi0.Ldom, N=psi0.N, psi=psi / np.sqrt(norms[-1]), x=x)
+    return SplitStepResult(times, x_mean, k_mean, sigma_x, norms, final)
 
 
 # --------------------------------------------------------------------------

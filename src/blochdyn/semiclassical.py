@@ -70,10 +70,10 @@ def _time_grid(T: float, dt: float):
 
 
 def _sample_rule(nsteps: int, stride: int, name: str):
-    """Whether a sampling integrator records after step j: every stride-th and the last."""
+    """Whether step j, an index or an index array, is sampled: every stride-th and the last."""
     if stride < 1:
         raise ConfigError(f"{name} must be >= 1, got {stride!r}")
-    return lambda j: j % stride == 0 or j == nsteps
+    return lambda j: (j % stride == 0) | (j == nsteps)
 
 
 def _trapezoid_integral(y: np.ndarray, t: np.ndarray) -> np.ndarray:

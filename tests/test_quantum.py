@@ -83,6 +83,24 @@ def test_fast_sweep_breaks_adiabaticity_frozen():
     assert report.fidelity[-1] == pytest.approx(0.0021957506625300523, rel=1e-6)
 
 
+@pytest.mark.parametrize("v1, e_field", [(0.05, 0.02), (0.1, 0.05), (0.1, 0.2)])
+def test_zone_edge_crossing_follows_landau_zener(v1, e_field):
+    """Band-0 population after one zone-edge crossing is 1 - exp(-V1²/E).
+
+    The diabatic levels k²/2 and (k + 2π)²/2 of single_cosine(1, V1) cross at
+    k = -π with relative slope 2πE and coupling V1, so Landau-Zener leaves
+    exp(-V1²/E) in the free-electron branch, which is band 1 after the edge.
+    integrate_basis with n = 5, T = π/E (k0 -> k0 - π) and 512 steps, averaged
+    over 21 k0 in -π/2 ± 0.2 to wash out the finite-time oscillation of the
+    population in k0. Measured errors: 8.8e-7, 2.8e-6 and 2.6e-6.
+    """
+    pot, horizon = single_cosine(1.0, v1), math.pi / e_field
+    k0s = np.linspace(-math.pi / 2 - 0.2, -math.pi / 2 + 0.2, 21)
+    band_0 = [integrate_basis(k0, pot, 5, e_field, horizon, horizon / 512,
+                              report_stride=512)[1].fidelity[-1] for k0 in k0s]
+    assert abs(np.mean(band_0) - (1.0 - math.exp(-v1 ** 2 / e_field))) <= 1e-5
+
+
 def test_rotated_frame_equivalence():
     # propagating Y' = (-iΛ - Ω̄)Y must reproduce Θ†X of the direct evolution
     pot = WEAK
@@ -313,6 +331,95 @@ def test_boundary_guard_raises():
         split_step_free(psi0, 0.5, 10.0, 0.01)
 
 
+def _parent_split_step(psi0, E, T, dt, potential=None, sample_stride=1, guard_sigmas=5.0):
+    """split_step_free as written before its one moments pass: a record closure,
+    five sample lists and a separate power spectrum of ψ₀ for the k-window check."""
+    t_grid, nsteps, h = _time_grid(T, dt)
+    x, dx = psi0.x, psi0.dx
+    kgrid = TWO_PI * np.fft.fftfreq(psi0.N, d=dx)
+    power = np.abs(np.fft.fft(psi0.psi)) ** 2
+    k_mean = float(np.sum(power * kgrid) / np.sum(power))
+    k_sigma = float(np.sqrt(np.sum(power * (kgrid - k_mean) ** 2) / np.sum(power)))
+    k_reach = max(abs(k_mean), abs(k_mean - E * T)) + guard_sigmas * k_sigma
+    if not k_reach < np.pi / dx:
+        raise ConfigError(
+            f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {guard_sigmas}σ_k "
+            f"it reaches {k_reach:.6g}, past the grid's k window π/dx = {np.pi / dx:.6g}")
+    U = E * x
+    if potential is not None:
+        U = U + np.asarray(potential(x), dtype=np.float64)
+    half_kick = np.exp(-0.5j * h * U)
+    kinetic = np.exp(-0.5j * h * kgrid ** 2)
+    psi = psi0.psi.astype(np.complex128)
+    x_lo, x_hi = x[0], x[-1] + dx
+    times, xm, km, sg, nm = [], [], [], [], []
+
+    def record(j, p):
+        w = np.abs(p) ** 2
+        tot = float(np.sum(w) * dx)
+        mx = float(np.sum(w * x) * dx / tot)
+        mx2 = float(np.sum(w * x * x) * dx / tot)
+        sig = np.sqrt(max(mx2 - mx * mx, 0.0))
+        power = np.abs(np.fft.fft(p)) ** 2
+        if min(mx - x_lo, x_hi - mx) < guard_sigmas * sig:
+            raise BoundaryProximityError(
+                f"centroid {mx:.3f} within {guard_sigmas}σ (σ={sig:.3f}) of the "
+                f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t_grid[j]:.6g}")
+        times.append(float(t_grid[j]))
+        xm.append(mx)
+        km.append(float(np.sum(power * kgrid) / np.sum(power)))
+        sg.append(sig)
+        nm.append(tot)
+
+    record(0, psi)
+    for j in range(nsteps):
+        psi = half_kick * psi
+        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        psi = half_kick * psi
+        if (j + 1) % sample_stride == 0 or j + 1 == nsteps:
+            record(j + 1, psi)
+    return (np.array(times), np.array(xm), np.array(km), np.array(sg), np.array(nm),
+            psi / np.sqrt(nm[-1]))
+
+
+SPLIT_STEP_RUNS = {
+    # criterion 1's packet and field, 200 of its 2000 steps
+    "criterion-1": (gaussian_packet(400.0, 4096, x0=-30.0, k0=1.0, sigma=10.0),
+                    0.05, 2.0, 0.01, None, 10),
+    # 628 steps: stride 20 does not divide them, so the last sample is off-stride
+    "trap": (gaussian_packet(40.0, 1024, x0=2.0, k0=0.0, sigma=1.0),
+             0.0, math.pi, 0.005, lambda x: 0.5 * x * x, 20),
+}
+
+
+@pytest.mark.parametrize("args", SPLIT_STEP_RUNS.values(), ids=SPLIT_STEP_RUNS.keys())
+def test_split_step_is_bit_identical_to_the_parent_loop(args):
+    res = split_step_free(*args[:5], sample_stride=args[5])
+    expect = _parent_split_step(*args[:5], sample_stride=args[5])
+    got = (res.times, res.x_mean, res.k_mean, res.sigma_x, res.norms, res.final.psi)
+    for name, g, e in zip(["times", "x_mean", "k_mean", "sigma_x", "norms", "final"],
+                          got, expect):
+        np.testing.assert_array_equal(g, e, err_msg=name)
+
+
+@pytest.mark.parametrize("error, args", [
+    # the field pushes the centroid into the guard band mid-run (caught at t = 5.11)
+    (BoundaryProximityError, (gaussian_packet(40.0, 512, x0=0.0, k0=0.0, sigma=1.0),
+                              0.5, 10.0, 0.01)),
+    # 3σ from the boundary before the first step
+    (BoundaryProximityError, (gaussian_packet(40.0, 512, x0=-17.0, k0=0.0, sigma=1.0),
+                              0.0, 1.0, 0.01)),
+    # <k> = 1.8 stays put, but <k> + 5σ_k = 2.07 passes π/dx = 2.01
+    (ConfigError, (gaussian_packet(400.0, 256, x0=0.0, k0=1.8, sigma=10.0), 0.0, 1.0, 0.1)),
+], ids=["guard-mid-run", "guard-at-start", "k-window"])
+def test_refusals_match_the_parent_loop(error, args):
+    with pytest.raises(error) as expect:
+        _parent_split_step(*args, sample_stride=7)
+    with pytest.raises(error) as got:
+        split_step_free(*args, sample_stride=7)
+    assert str(got.value) == str(expect.value)
+
+
 def _zener_grid_bands(pot, cells, per_cell):
     """Wavenumbers (alias, block) of the periodic grid and each block's band-0 vector.
 
@@ -377,6 +484,9 @@ def test_zener_crossing_is_gauge_invariant():
                          report_stride=512)[1].fidelity[-1] for m in channels]
     vector = np.sum(weight[channels] * F) / np.sum(weight[channels])
     assert abs(scalar - vector) <= 2e-5, (scalar, vector)
+    # Landau-Zener, 1 - exp(-V1²/E) = 0.18126925: measured -2.0e-6 (scalar), -4.2e-6 (vector)
+    landau_zener = 1.0 - math.exp(-0.1 ** 2 / E)
+    assert abs(scalar - landau_zener) <= 1e-5 and abs(vector - landau_zener) <= 1e-5
 
 
 def test_grid_state_validation():

@@ -160,6 +160,13 @@ def test_lorentz_mirror_symmetry_under_field_reversal():
     np.testing.assert_allclose(mir.x[:, 1], -fwd.x[:, 1], atol=1e-12)
 
 
+def test_lorentz_one_component_vectors_are_zero_padded():
+    one = evolve_lorentz([0.7], 0.3, [0.05], 1.3, 2.0, 0.01)
+    pair = evolve_lorentz([0.7, 0.0], [0.3, 0.0], [0.05, 0.0], 1.3, 2.0, 0.01)
+    for name in ("times", "k", "x", "v_g"):
+        np.testing.assert_array_equal(getattr(one, name), getattr(pair, name), err_msg=name)
+
+
 def test_cyclotron_center_offset():
     np.testing.assert_allclose(cyclotron_center_offset([1.0, 0.0], 1.0),
                                [0.0, -1.0], atol=1e-14)
