@@ -1,9 +1,9 @@
 """End-to-end validation scenarios with frozen tolerances.
 
-Each criterion function runs one physics scenario and returns an
-AcceptanceResult.  run_all executes every criterion in order and is the
-backend of the ``validate`` CLI subcommand.  Tolerances are frozen here;
-do not loosen them to make a failing run pass.
+Each criterion function runs one physics scenario and returns its checks,
+(ok, message) pairs. CRITERIA holds each one's id, output name and runtime
+limit; run_all selects, times and runs them as the ``validate`` subcommand's
+backend. Tolerances are frozen here; do not loosen them to make a failing run pass.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .conduction import (
     solenoid_shift,
     velocity_sum,
 )
+from .errors import ConfigError
 from .potential import FourierPotential, random_symmetric, single_cosine
 from .quantum import (
     adiabatic_diagnostics,
@@ -50,21 +51,13 @@ class AcceptanceResult:
     detail: str
 
 
-def _result(cid: int, name: str, checks: Sequence[tuple[bool, str]]) -> AcceptanceResult:
-    passed = all(ok for ok, _ in checks)
-    detail = "; ".join(msg for _, msg in checks)
-    return AcceptanceResult(cid=cid, name=name, passed=passed, detail=detail)
-
-
-def criterion_1_free_packet(seed: int = 0) -> AcceptanceResult:
+def criterion_1_free_packet(seed: int = 0) -> list[tuple[bool, str]]:
     """Uniform-force wave packet: exact <k> drift and centroid acceleration."""
-    t0 = time.perf_counter()
     e_field = 0.05
     k0 = 1.0
     horizon = 20.0
     psi0 = gaussian_packet(400.0, 4096, x0=-30.0, k0=k0, sigma=10.0)
     res = split_step_free(psi0, e_field, horizon, 0.01, sample_stride=10)
-    elapsed = time.perf_counter() - t0
 
     k_expect = k0 - e_field * res.times
     k_err = float(np.max(np.abs(res.k_mean - k_expect)))
@@ -73,15 +66,13 @@ def criterion_1_free_packet(seed: int = 0) -> AcceptanceResult:
     accel = 2.0 * coeffs[0]
     a_err = abs(accel - (-e_field)) / e_field
 
-    checks = [
+    return [
         (k_err < 1e-4, f"max |<k> - (k0 - E t)| = {k_err:.3e} (limit 1e-4)"),
         (a_err < 1e-3, f"centroid accel rel err = {a_err:.3e} (limit 1e-3)"),
-        (elapsed < 30.0, "runtime (limit 30s)"),
     ]
-    return _result(1, "free packet under uniform force", checks)
 
 
-def criterion_2_cyclotron_circle(seed: int = 0) -> AcceptanceResult:
+def criterion_2_cyclotron_circle(seed: int = 0) -> list[tuple[bool, str]]:
     """Centered cyclotron orbit: constant radius, exact period, both planar EOMs agree."""
     b_field = 1.0
     period = TWO_PI / b_field
@@ -95,7 +86,7 @@ def criterion_2_cyclotron_circle(seed: int = 0) -> AcceptanceResult:
     slope = np.polyfit(rep.fundamental.times, ang, 1)[0]
     p_err = abs(TWO_PI / abs(slope) - period) / period
 
-    checks = [
+    return [
         (r_err < 1e-6, f"radius wobble {r_err:.3e} (limit 1e-6)"),
         (p_err < 1e-6, f"period rel err {p_err:.3e} (limit 1e-6)"),
         (rep.max_position_divergence < 1e-6,
@@ -103,33 +94,29 @@ def criterion_2_cyclotron_circle(seed: int = 0) -> AcceptanceResult:
         (rep.max_velocity_divergence < 1e-6,
          f"velocity divergence {rep.max_velocity_divergence:.3e} (limit 1e-6)"),
     ]
-    return _result(2, "centered cyclotron orbit", checks)
 
 
-def criterion_3_crossed_field_divergence(seed: int = 0) -> AcceptanceResult:
+def criterion_3_crossed_field_divergence(seed: int = 0) -> list[tuple[bool, str]]:
     """Crossed E and B separate the two planar EOMs: one stays bounded, one drifts."""
     rep = compare_fundamental_lorentz([1.0, 0.0], [0.0, -1.0], [1.0, 0.0],
                                       1.0, 10.0, 1e-3)
-    dv = np.linalg.norm(rep.fundamental.v_g - rep.lorentz.v_g, axis=1)
-    t_cross = float(rep.fundamental.times[np.argmax(dv > 0.1)])
+    t_cross = float(rep.fundamental.times[np.argmax(rep.velocity_divergence > 0.1)])
     fund_extent = float(np.max(np.linalg.norm(rep.fundamental.x, axis=1)))
 
-    checks = [
+    return [
         (rep.max_position_divergence > 10.0,
          f"position divergence {rep.max_position_divergence:.3f} (must exceed 10)"),
         (rep.max_velocity_divergence > 1.0,
          f"velocity divergence {rep.max_velocity_divergence:.3f} (must exceed 1)"),
-        (float(np.max(dv)) > 0.1 and t_cross < 10.0,
+        (rep.max_velocity_divergence > 0.1 and t_cross < 10.0,
          f"velocity gap passes 0.1 at t = {t_cross:.3f}"),
         (fund_extent < 5.0,
          f"restoring-force orbit stays bounded (max |x| = {fund_extent:.3f})"),
     ]
-    return _result(3, "crossed-field divergence of planar EOMs", checks)
 
 
-def criterion_4_band_oracle(seed: int = 0) -> AcceptanceResult:
+def criterion_4_band_oracle(seed: int = 0) -> list[tuple[bool, str]]:
     """Plane-wave bands vs the Bloch-folded grid oracle, plus the empty-lattice limit."""
-    t0 = time.perf_counter()
     pot = single_cosine(1.0, 0.05)
     gb = grid_ground_state(pot, M=16, N=2048)
 
@@ -142,17 +129,14 @@ def criterion_4_band_oracle(seed: int = 0) -> AcceptanceResult:
     energies, _, _ = band_derivatives(ks, FourierPotential(1.0, {0: 0.0}), 10, 5)
     exact = np.sort((ks[:, None] + TWO_PI * np.arange(-5, 6)) ** 2 / 2.0, axis=1)
     folded_err = float(np.max(np.abs(energies - exact[:, :5])))
-    elapsed = time.perf_counter() - t0
 
-    checks = [
+    return [
         (worst < 1e-4, f"grid vs plane-wave max |dE| = {worst:.3e} (limit 1e-4)"),
         (folded_err < 1e-10, f"empty-lattice folding err = {folded_err:.3e} (limit 1e-10)"),
-        (elapsed < 60.0, "runtime (limit 60s)"),
     ]
-    return _result(4, "band structure against grid oracle", checks)
 
 
-def criterion_5_weak_lattice_gap(seed: int = 0) -> AcceptanceResult:
+def criterion_5_weak_lattice_gap(seed: int = 0) -> list[tuple[bool, str]]:
     """Zone-edge gap of a weak cosine lattice approaches twice the coefficient."""
     checks = []
     for amp in (0.01, 0.03, 0.05):
@@ -161,10 +145,10 @@ def criterion_5_weak_lattice_gap(seed: int = 0) -> AcceptanceResult:
         rel = abs(gap - 2.0 * amp) / (2.0 * amp)
         checks.append((rel < 0.05,
                        f"V1={amp}: gap={gap:.6f} vs 2V1={2*amp} (rel {rel:.2e}, limit 5%)"))
-    return _result(5, "weak-lattice zone-edge gap", checks)
+    return checks
 
 
-def criterion_6_adiabatic_following(seed: int = 0) -> AcceptanceResult:
+def criterion_6_adiabatic_following(seed: int = 0) -> list[tuple[bool, str]]:
     """Slow sweep through the zone edge stays on the ground band; SI-field diagnostics."""
     pot = single_cosine(1.0, 0.05)
 
@@ -194,7 +178,7 @@ def criterion_6_adiabatic_following(seed: int = 0) -> AcceptanceResult:
     coupling_ev = diag.omega_bar_star[0] * ev
     chain_ok = diag.chain_holds()
 
-    checks = [
+    return [
         (fid >= 0.9999, f"slow-sweep ground fidelity {fid:.10f} (limit 0.9999)"),
         (fid_fast < 0.01, f"fast-sweep fidelity {fid_fast:.6f} (must be < 0.01)"),
         (1e-9 < coupling_ev < 1e-7,
@@ -202,22 +186,19 @@ def criterion_6_adiabatic_following(seed: int = 0) -> AcceptanceResult:
         (chain_ok, f"gap*coupling <= comm norm <= drive norm chain holds "
                    f"(gap {diag.gap[0]*ev:.4f} eV, bound {diag.bound_rhs[0]*ev:.3e} eV)"),
     ]
-    return _result(6, "adiabatic following through the zone edge", checks)
 
 
-def criterion_7_effective_mass_dynamics(seed: int = 0) -> AcceptanceResult:
+def criterion_7_effective_mass_dynamics(seed: int = 0) -> list[tuple[bool, str]]:
     """dv/dt = -E/m* along a Bloch oscillation, masked away from inflection points."""
     pot = single_cosine(1.0, 0.05)
     e_field = 0.01
     t_bloch = TWO_PI / e_field
     dt = t_bloch / 4096.0
-    traj = evolve_periodic_E(0.0, 0, pot, 10, e_field, 2.2 * t_bloch, dt,
-                             with_mass=True)
+    traj = evolve_periodic_E(0.0, 0, pot, 10, e_field, 2.2 * t_bloch, dt)
 
     v = traj.v_g
-    m_star = traj.meta["m_star"]
     dvdt = np.gradient(v, traj.times)
-    curv = 1.0 / m_star
+    curv = traj.meta["inv_mass"]
     mask = np.abs(curv) > 0.25
     pred = -e_field * curv
     rel = np.abs(dvdt[mask] - pred[mask]) / np.abs(pred[mask])
@@ -231,16 +212,15 @@ def criterion_7_effective_mass_dynamics(seed: int = 0) -> AcceptanceResult:
     period = float(np.mean(np.diff(t_cross)))
     p_err = abs(period - t_bloch) / t_bloch
 
-    checks = [
+    return [
         (max_rel < 0.01,
          f"masked dv/dt vs -E/m* rel err {max_rel:.3e} (limit 1%, "
          f"{int(mask.sum())}/{len(mask)} samples kept)"),
         (p_err < 0.01, f"oscillation period rel err {p_err:.3e} (limit 1%)"),
     ]
-    return _result(7, "effective-mass acceleration along Bloch oscillation", checks)
 
 
-def criterion_8_conduction(seed: int = 12345) -> AcceptanceResult:
+def criterion_8_conduction(seed: int = 12345) -> list[tuple[bool, str]]:
     """Filled bands carry nothing; a half-filled band responds linearly to a shift."""
     rng = np.random.default_rng(seed)
     n_k = 256
@@ -262,7 +242,7 @@ def criterion_8_conduction(seed: int = 12345) -> AcceptanceResult:
     response = shift * trio[1][2]
     resp_rel = abs(net - response) / abs(response)
 
-    checks = [
+    return [
         (worst_filled < 1e-8 * n_k,
          f"filled-band |sum v| = {worst_filled:.3e} over 10 potentials "
          f"(limit {1e-8 * n_k:.2e})"),
@@ -271,10 +251,9 @@ def criterion_8_conduction(seed: int = 12345) -> AcceptanceResult:
         (labels == ("insulator", "conductor", "insulator"),
          f"classification trio {labels}"),
     ]
-    return _result(8, "filled vs half-filled band conduction", checks)
 
 
-def criterion_9_solenoid(seed: int = 0) -> AcceptanceResult:
+def criterion_9_solenoid(seed: int = 0) -> list[tuple[bool, str]]:
     """Solenoid vector-potential kick: formula value and its size against a 1 A/m scale."""
     shift = solenoid_shift(n_turns_per_m=1000.0, current_A=1e-3,
                            area_m2=1e-4, radius_m=0.1)
@@ -282,7 +261,7 @@ def criterion_9_solenoid(seed: int = 0) -> AcceptanceResult:
     frac_formula = fractional_displacement(k0, shift)
     frac_quoted = fractional_displacement(k0, 1e4)
 
-    checks = [
+    return [
         (abs(shift - 3.04e5) / 3.04e5 < 0.01,
          f"shift = {shift:.6e} m^-1 (expected 3.04e5 within 1%)"),
         (abs(shift - 303853.48992731253) < 1e-6,
@@ -292,10 +271,9 @@ def criterion_9_solenoid(seed: int = 0) -> AcceptanceResult:
         (abs(frac_quoted - 6.366e-7) / 6.366e-7 < 0.01,
          f"fraction for a 1e4 m^-1 kick: {frac_quoted:.4e}"),
     ]
-    return _result(9, "solenoid wavevector kick", checks)
 
 
-def criterion_10_integrators(seed: int = 0) -> AcceptanceResult:
+def criterion_10_integrators(seed: int = 0) -> list[tuple[bool, str]]:
     """Order checks: RK4 halving ratio near 16, split-step near 4, norms preserved."""
     # RK4 on a harmonic well via the potential-force path
     period = TWO_PI
@@ -344,36 +322,49 @@ def criterion_10_integrators(seed: int = 0) -> AcceptanceResult:
                                  1e-3, 10.0, 1e-3, report_stride=5000)
     basis_drift = abs(state.norm - 1.0)
 
-    checks = [
+    return [
         (r_rk4 >= 8.0, f"RK4 well halving ratio {r_rk4:.2f} (expect ~16, min 8)"),
         (r_circ >= 8.0, f"RK4 circle halving ratio {r_circ:.2f} (min 8)"),
         (r_ss >= 3.5, f"split-step halving ratio {r_ss:.2f} (expect ~4, min 3.5)"),
         (ss_drift < 1e-10, f"split-step norm drift {ss_drift:.3e} over 1e4 steps"),
         (basis_drift < 1e-10, f"basis-propagator norm drift {basis_drift:.3e}"),
     ]
-    return _result(10, "integrator order and unitarity", checks)
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[int], AcceptanceResult]], ...] = (
-    (1, "free-packet", criterion_1_free_packet),
-    (2, "cyclotron", criterion_2_cyclotron_circle),
-    (3, "crossed-field", criterion_3_crossed_field_divergence),
-    (4, "band-oracle", criterion_4_band_oracle),
-    (5, "weak-gap", criterion_5_weak_lattice_gap),
-    (6, "adiabatic", criterion_6_adiabatic_following),
-    (7, "mass-dynamics", criterion_7_effective_mass_dynamics),
-    (8, "conduction", criterion_8_conduction),
-    (9, "solenoid", criterion_9_solenoid),
-    (10, "integrators", criterion_10_integrators),
+# (id, output name, criterion, runtime limit in s or None); bench/tracer.py patches tuples
+CRITERIA: tuple[tuple[int, str, Callable[[int], list], float | None], ...] = (
+    (1, "free packet under uniform force", criterion_1_free_packet, 30.0),
+    (2, "centered cyclotron orbit", criterion_2_cyclotron_circle, None),
+    (3, "crossed-field divergence of planar EOMs", criterion_3_crossed_field_divergence, None),
+    (4, "band structure against grid oracle", criterion_4_band_oracle, 60.0),
+    (5, "weak-lattice zone-edge gap", criterion_5_weak_lattice_gap, None),
+    (6, "adiabatic following through the zone edge", criterion_6_adiabatic_following, None),
+    (7, "effective-mass acceleration along Bloch oscillation",
+     criterion_7_effective_mass_dynamics, None),
+    (8, "filled vs half-filled band conduction", criterion_8_conduction, None),
+    (9, "solenoid wavevector kick", criterion_9_solenoid, None),
+    (10, "integrator order and unitarity", criterion_10_integrators, None),
 )
 
 
-def run_all(seed: int = 12345,
-            only: Sequence[int] | None = None) -> list[AcceptanceResult]:
-    wanted = set(only) if only is not None else None
+def run_all(seed: int = 12345, only: Sequence[int] | None = None) -> list[AcceptanceResult]:
+    """Results of the criteria whose ids are in ``only`` (default all), in id order.
+
+    An unknown id or an empty selection raises ConfigError before any runs. A
+    criterion with a runtime limit gets the timed check "runtime (limit Ns)" last.
+    """
+    unknown = sorted(set(only or ()) - {cid for cid, *_ in CRITERIA})
+    if unknown:
+        raise ConfigError(f"--only names unknown criteria {unknown} (valid: 1..{len(CRITERIA)})")
+    if only is not None and not only:
+        raise ConfigError(f"--only selected no criterion (valid: 1..{len(CRITERIA)})")
     results = []
-    for cid, _, fn in CRITERIA:
-        if wanted is not None and cid not in wanted:
-            continue
-        results.append(fn(seed))
+    for cid, name, criterion, limit in CRITERIA:
+        if only is None or cid in only:
+            t0 = time.perf_counter()
+            checks = criterion(seed)
+            if limit is not None:
+                checks.append((time.perf_counter() - t0 < limit, f"runtime (limit {limit:g}s)"))
+            results.append(AcceptanceResult(cid, name, all(ok for ok, _ in checks),
+                                            "; ".join(msg for _, msg in checks)))
     return results

@@ -242,8 +242,12 @@ def _write_csv(path: Path, header_comment: str, columns: list[str], rows) -> Non
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"{path.name} would hold a non-finite number: {payload}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(text + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -308,16 +312,12 @@ def _run_cyclotron(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_compare_eom(scn: dict, units: UnitSystem, out: Path) -> int:
-    import numpy as np
-
     from .semiclassical import compare_fundamental_lorentz
 
     rep = _planar(scn, compare_fundamental_lorentz)
     f, lz = rep.fundamental, rep.lorentz
-    dx = np.linalg.norm(f.x - lz.x, axis=1)
-    dv = np.linalg.norm(f.v_g - lz.v_g, axis=1)
-    rows = zip(f.times, f.x[:, 0], f.x[:, 1], lz.x[:, 0], lz.x[:, 1],
-               f.v_g[:, 0], f.v_g[:, 1], lz.v_g[:, 0], lz.v_g[:, 1], dx, dv)
+    rows = zip(f.times, f.x[:, 0], f.x[:, 1], lz.x[:, 0], lz.x[:, 1], f.v_g[:, 0], f.v_g[:, 1],
+               lz.v_g[:, 0], lz.v_g[:, 1], rep.position_divergence, rep.velocity_divergence)
     _write_csv(out / "compare.csv", "equations: FUNDAMENTAL vs LORENTZ",
                ["t", "x_fund", "y_fund", "x_lor", "y_lor", "vx_fund", "vy_fund",
                 "vx_lor", "vy_lor", "dx_norm", "dv_norm"], rows)
@@ -398,7 +398,7 @@ def _run_solenoid(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_validate(out: Path, seed: int, only: str | None) -> int:
-    from .acceptance import CRITERIA, run_all
+    from .acceptance import run_all
 
     if seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
@@ -407,12 +407,7 @@ def _run_validate(out: Path, seed: int, only: str | None) -> int:
                                          if tok.strip()]
     except ValueError:
         raise ConfigError(f"--only must be comma-separated integers, got {only!r}") from None
-    unknown = sorted(set(ids or ()) - {cid for cid, _, _ in CRITERIA})
-    if unknown:
-        raise ConfigError(f"--only names unknown criteria {unknown} (valid: 1..{len(CRITERIA)})")
     results = run_all(seed=seed, only=ids)
-    if not results:
-        raise ConfigError(f"--only selected no criterion (valid: 1..{len(CRITERIA)})")
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid}: {r.name}")
         print(f"       {r.detail}")

@@ -28,6 +28,8 @@ class FourierPotential:
     def __init__(self, a: float, coeffs: dict[int, complex]):
         if not a > 0.0:
             raise ConfigError(f"lattice constant must be positive, got {a!r}")
+        if not 0.0 < 2.0 * np.pi / float(a) < np.inf:
+            raise ConfigError(f"lattice constant {a!r} puts 2π/a outside float range")
         clean: dict[int, complex] = {}
         for l, v in coeffs.items():
             if l != int(l):

@@ -223,8 +223,12 @@ def gaussian_packet(Ldom: float, N: int, x0: float, k0: float, sigma: float) -> 
     if not Ldom > 0.0 or N < 1:
         raise ConfigError(f"need Ldom > 0 and N >= 1, got Ldom={Ldom!r}, N={N!r}")
     dx = Ldom / N
+    if not 0.0 < np.pi / dx < np.inf:
+        raise ConfigError(f"grid step {dx!r} puts the k window π/dx outside float range")
     if not abs(k0) < np.pi / dx:
         raise ConfigError(f"k0={k0!r} lies outside the grid's k window π/dx = {np.pi / dx:.6g}")
+    if not 4.0 * sigma * sigma < np.inf:
+        raise ConfigError(f"sigma={sigma!r} puts the packet's 4σ² outside float range")
     x = -0.5 * Ldom + dx * np.arange(N)
     # a sigma too small for the grid gives 0, inf or NaN here; the norm check rejects it
     with np.errstate(all="ignore"):

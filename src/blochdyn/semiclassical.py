@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .central_equation import _check_band, _mass_from_curvature, band_derivatives, reduce_to_zone
+from .central_equation import _check_band, band_derivatives, reduce_to_zone
 from .errors import ConfigError, EnergyDriftError
 from .potential import FourierPotential
 
@@ -178,7 +178,8 @@ def _evolve_planar(tag: str, system, v0, v_name: str, x0, E, B: float, T: float,
     M and f are constant, so one RK4 step is exactly the affine map y -> R y + r,
     R = I + hM(I + hM/2(I + hM/3(I + hM/4))), r = h(I + hM/2(I + hM/3(I + hM/4)))f,
     and _STEP_CHUNK steps at a time come from one product with the stacked
-    powers R^j and partial sums Σ_{i<j} R^i r, j <= _STEP_CHUNK.
+    powers R^j and partial sums Σ_{i<j} R^i r, j <= _STEP_CHUNK. A step map or
+    trajectory that overflows float range is refused with ConfigError.
     """
     v0 = _planar(v0, v_name)
     x0 = _planar(x0, "x0")
@@ -188,19 +189,23 @@ def _evolve_planar(tag: str, system, v0, v_name: str, x0, E, B: float, T: float,
     M, f = system(wc, Ev)
     eye = np.eye(4)
     hM = h * M
-    series = eye + hM / 2.0 @ (eye + hM / 3.0 @ (eye + hM / 4.0))
-    step, offset = eye + hM @ series, h * series @ f
-    # powers[j] = R^j and sums[j] = Σ_{i<j} R^i r, filled by doubling
-    powers, sums = eye[None], np.zeros((1, 4))
-    while powers.shape[0] <= _STEP_CHUNK:
-        top, top_sum = step @ powers[-1], step @ sums[-1] + offset
-        powers = np.concatenate([powers, top @ powers])
-        sums = np.concatenate([sums, sums @ top.T + top_sum])
     ys = np.empty((nsteps + 1, 4))
     ys[0] = np.concatenate([x0, v0])
-    for lo in range(0, nsteps, _STEP_CHUNK):
-        m = min(_STEP_CHUNK, nsteps - lo)
-        ys[lo + 1:lo + m + 1] = powers[1:m + 1] @ ys[lo] + sums[1:m + 1]
+    with np.errstate(all="ignore"):
+        series = eye + hM / 2.0 @ (eye + hM / 3.0 @ (eye + hM / 4.0))
+        step, offset = eye + hM @ series, h * series @ f
+        # powers[j] = R^j and sums[j] = Σ_{i<j} R^i r, filled by doubling
+        powers, sums = eye[None], np.zeros((1, 4))
+        while powers.shape[0] <= _STEP_CHUNK:
+            top, top_sum = step @ powers[-1], step @ sums[-1] + offset
+            powers = np.concatenate([powers, top @ powers])
+            sums = np.concatenate([sums, sums @ top.T + top_sum])
+        for lo in range(0, nsteps, _STEP_CHUNK):
+            m = min(_STEP_CHUNK, nsteps - lo)
+            ys[lo + 1:lo + m + 1] = powers[1:m + 1] @ ys[lo] + sums[1:m + 1]
+    if not np.isfinite(ys).all():
+        raise ConfigError(f"{tag} trajectory leaves float range (B={wc!r}, E={E!r}, "
+                          f"T={T!r}, dt={dt!r})")
     v = ys[:, 2:4]
     return Trajectory(tag, times, v.copy(), ys[:, 0:2], v, meta={"B": wc, "E": Ev.copy()})
 
@@ -237,10 +242,15 @@ def _lorentz_system(wc, E):
 
 @dataclass(frozen=True)
 class DivergenceReport:
+    """Both planar trajectories, the per-sample norms |Δx| and |Δv| between
+    them (position_divergence, velocity_divergence) and their maxima."""
+
     max_position_divergence: float
     max_velocity_divergence: float
     fundamental: Trajectory
     lorentz: Trajectory
+    position_divergence: np.ndarray
+    velocity_divergence: np.ndarray
 
 
 def compare_fundamental_lorentz(k0, x0, E, B: float, T: float, dt: float) -> DivergenceReport:
@@ -248,24 +258,28 @@ def compare_fundamental_lorentz(k0, x0, E, B: float, T: float, dt: float) -> Div
 
     The Lorentz initial velocity is taken equal to k0. With E = 0 and x0 at
     the orbit center both systems trace the same circle; with E != 0 they
-    separate without bound.
+    separate without bound. A norm that overflows float range is refused with
+    ConfigError.
     """
     fund = evolve_fundamental(k0, x0, E, B, T, dt)
     lor = evolve_lorentz(k0, x0, E, B, T, dt)
-    dx = float(np.max(np.linalg.norm(fund.x - lor.x, axis=1)))
-    dv = float(np.max(np.linalg.norm(fund.v_g - lor.v_g, axis=1)))
-    return DivergenceReport(dx, dv, fund, lor)
+    with np.errstate(all="ignore"):
+        dx = np.linalg.norm(fund.x - lor.x, axis=1)
+        dv = np.linalg.norm(fund.v_g - lor.v_g, axis=1)
+    if not (np.isfinite(dx).all() and np.isfinite(dv).all()):
+        raise ConfigError(f"the divergence of the planar equations leaves float range "
+                          f"(B={B!r}, E={E!r}, T={T!r})")
+    return DivergenceReport(float(np.max(dx)), float(np.max(dv)), fund, lor, dx, dv)
 
 
 def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
-                      E: float, T: float, dt: float,
-                      with_mass: bool = False) -> Trajectory:
+                      E: float, T: float, dt: float) -> Trajectory:
     """Band transport under a uniform field: k(t) = reduce(k0 - E t).
 
     v_g is sampled from the band dispersion along the path and x(t) is its
-    trapezoid integral from the origin. With with_mass=True, meta["m_star"]
-    carries the effective mass along the path. Both come from one
-    band_derivatives call over the whole path.
+    trapezoid integral from the origin; meta["inv_mass"] carries the inverse
+    effective mass m/m* along the path. All come from one band_derivatives
+    call over the whole path.
     """
     _check_band(band, n)
     times, _, _ = _time_grid(T, dt)
@@ -273,9 +287,7 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
     v = v[:, band]
     x = _trapezoid_integral(v, times)
-    meta = {"a": pot.a, "E": float(E)}
-    if with_mass:
-        meta["m_star"] = _mass_from_curvature(inv_mass[:, band])
+    meta = {"a": pot.a, "E": float(E), "inv_mass": inv_mass[:, band]}
     return Trajectory("PERIODIC_E", times, k_unred, x, v, meta=meta)
 
 

@@ -55,15 +55,22 @@ class UnitSystem:
             raise ConfigError(f"a_ref_m must be positive and finite, got {a_ref_m!r}")
         self.a_ref_m = a_ref_m
         a = a_ref_m
-        self._factors = {
-            "length": a,
-            "time": M_E_SI * a * a / HBAR_SI,
-            "energy": HBAR_SI * HBAR_SI / (M_E_SI * a * a),
-            "electric_field": HBAR_SI * HBAR_SI / (M_E_SI * E_CHARGE_SI * a ** 3),
-            "magnetic_field": HBAR_SI / (E_CHARGE_SI * a * a),
-            "wavevector": 1.0 / a,
-            "velocity": HBAR_SI / (M_E_SI * a),
-        }
+        try:   # a ** 3 can overflow, and a * a underflow to 0
+            self._factors = {
+                "length": a,
+                "time": M_E_SI * a * a / HBAR_SI,
+                "energy": HBAR_SI * HBAR_SI / (M_E_SI * a * a),
+                "electric_field": HBAR_SI * HBAR_SI / (M_E_SI * E_CHARGE_SI * a ** 3),
+                "magnetic_field": HBAR_SI / (E_CHARGE_SI * a * a),
+                "wavevector": 1.0 / a,
+                "velocity": HBAR_SI / (M_E_SI * a),
+            }
+            representable = all(0.0 < f < math.inf for f in (*self._factors.values(),
+                                                               self.energy_eV))
+        except (OverflowError, ZeroDivisionError):
+            representable = False
+        if not representable:
+            raise ConfigError(f"a_ref_m={a_ref_m!r} puts an SI unit factor outside float range")
 
     def factor(self, tag: str) -> float:
         """SI value of one internal unit of the given dimension."""

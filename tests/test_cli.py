@@ -499,6 +499,20 @@ def test_validate_json_does_not_depend_on_the_clock(tmp_path, monkeypatch):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("tick, passed", [(45.0, [False, True]), (75.0, [False, False])])
+def test_validate_fails_a_criterion_over_its_runtime_limit(tmp_path, monkeypatch, tick, passed):
+    # each reading advances the clock by tick, so each criterion takes tick seconds;
+    # criterion 1 is limited to 30 s and criterion 4 to 60 s
+    clock = itertools.count(tick, tick)
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
+    assert main(["validate", "--out", str(tmp_path), "--only", "1,4"]) == 4
+    results = json.loads((tmp_path / "validate.json").read_text())["results"]
+    assert [r["cid"] for r in results] == [1, 4]
+    assert [r["passed"] for r in results] == passed
+    assert results[0]["detail"].endswith("; runtime (limit 30s)")
+    assert results[1]["detail"].endswith("; runtime (limit 60s)")
+
+
 def test_validate_rejects_unknown_selection(tmp_path, capsys):
     assert main(["validate", "--out", str(tmp_path), "--only", "99"]) == 2
     assert main(["validate", "--out", str(tmp_path), "--only", "abc"]) == 2
@@ -517,14 +531,29 @@ def test_validate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
     assert "--seed" in capsys.readouterr().err
 
 
+def _shipped_with(tmp_path, stem, block, **change):
+    scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())
+    scn_obj[block].update(change)
+    return _write(tmp_path, scn_obj, f"{stem}-{'-'.join(change)}.json")
+
+
 def test_rejected_runs_leave_no_out_directory(tmp_path):
     scn_obj = _packet_scenario()
     scn_obj["dynamics"]["bogus"] = 1
     unknown_key = _write(tmp_path, scn_obj)
+    # the last four would write NaN or Infinity, so they are refused before --out is made
     for i, argv in enumerate([["validate", "--seed", "-1"],
                               ["bands", "--scenario", "/nonexistent.json"],
                               ["wavepacket", "--scenario", unknown_key],
-                              ["solenoid", "--scenario", _write(tmp_path, [1], "list.json")]]):
+                              ["solenoid", "--scenario", _write(tmp_path, [1], "list.json")],
+                              ["cyclotron", "--scenario",
+                               _shipped_with(tmp_path, "cyclotron", "field", B_internal=1e300)],
+                              ["compare-eom", "--scenario", _shipped_with(
+                                  tmp_path, "compare_eom", "field", E_internal=[1e300, 0.0])],
+                              ["solenoid", "--scenario", _shipped_with(
+                                  tmp_path, "solenoid_reference", "solenoid", current_A=1e300)],
+                              ["solenoid", "--scenario", _shipped_with(
+                                  tmp_path, "solenoid_reference", "solenoid", radius_m=1e-310)]]):
         out = tmp_path / f"out{i}"
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()

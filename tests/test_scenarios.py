@@ -67,7 +67,7 @@ def _mutants(scn):
     for block in [None] + [name for name, val in scn.items() if isinstance(val, dict)]:
         where = "" if block is None else f"{block}."
         for key in list(scn if block is None else scn[block]):
-            for value in (0, -1, None, "x", [], True):
+            for value in (0, -1, 1e300, 1e-310, None, "x", [], True):
                 yield (f"{where}{key} = {value!r}",
                        _edit(scn, block, lambda b: b.__setitem__(key, value)))
             yield f"del {where}{key}", _edit(scn, block, lambda b: b.pop(key))

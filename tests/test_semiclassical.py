@@ -214,10 +214,10 @@ def test_periodic_E_bloch_oscillation():
 
 def test_periodic_E_mass_channel():
     pot = single_cosine(1.0, 0.05)
-    traj = evolve_periodic_E(0.3, 0, pot, 10, 0.05, 10.0, 0.1, with_mass=True)
-    m = traj.meta["m_star"]
-    assert m.shape == traj.times.shape
-    assert np.all(np.isfinite(m))
+    traj = evolve_periodic_E(0.3, 0, pot, 10, 0.05, 10.0, 0.1)
+    inv_mass = traj.meta["inv_mass"]
+    assert inv_mass.shape == traj.times.shape
+    assert np.all(np.isfinite(inv_mass))
 
 
 def test_periodic_B_free_limit_rotation():
