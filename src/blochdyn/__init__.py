@@ -23,7 +23,7 @@ _EXPORTS = {
     "errors": ("BoundaryProximityError", "ConfigError", "DegeneratePointError",
                "EnergyDriftError", "InfiniteMassError", "PhysicsError"),
     "potential": ("FourierPotential", "random_symmetric", "single_cosine"),
-    "quantum": ("AdiabaticReport", "BasisState", "GridBands", "GridState", "SplitStepResult",
+    "quantum": ("AdiabaticReport", "GridBands", "GridState", "SplitStepResult",
                 "adiabatic_diagnostics", "frame_generator", "gaussian_packet",
                 "grid_ground_state", "integrate_basis", "split_step_free"),
     "semiclassical": ("DivergenceReport", "Trajectory", "compare_fundamental_lorentz",

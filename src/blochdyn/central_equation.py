@@ -91,8 +91,9 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential, n: int):
     with np.errstate(over="ignore"):
         kinetic = kappa ** 2 / 2.0
     if not np.isfinite(kinetic).all():
-        raise ConfigError(f"gauge shift |A| up to {float(np.max(np.abs(A_shift)))!r} gives "
-                          "a non-finite plane-wave energy (k + 2πl/a + A)²/2")
+        raise ConfigError(f"a={pot.a!r} with gauge shift |A| up to "
+                          f"{float(np.max(np.abs(A_shift)))!r} gives a non-finite "
+                          "plane-wave energy (k + 2πl/a + A)²/2")
     ls = np.arange(-n, n + 1)
     H = np.repeat(coeffs[np.subtract.outer(ls, ls) + 2 * n][None], ks.size, axis=0)
     # every diagonal H[k, i, i] as one strided view

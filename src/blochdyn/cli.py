@@ -134,17 +134,24 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Parse a scenario file; any syntax error is reported with line/column."""
+    """Parse a UTF-8 scenario file; any syntax error is reported with line/column.
+
+    A file that is not UTF-8, an integer too long to convert or nesting too
+    deep to decode is refused with ConfigError too.
+    """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        data = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ConfigError:     # a non-finite constant or a duplicate key, already worded
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: cannot decode the scenario: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: scenario must be a JSON object")
     if data.get("version") != 1:
@@ -370,7 +377,7 @@ def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
     pot, dyn = _potential(scn), scn["dynamics"]
     band, n_k, n, shift = dyn["band"], dyn["n_k"], dyn["n_waves"], dyn["shift_internal"]
     fractions = dyn["fractions"]
-    grid = BandFilling(band=band, n_k=n_k, fraction=0.0, a=pot.a)
+    grid = BandFilling(band=band, n_k=n_k, fraction=0.0)
     unshifted = _sums_and_labels(grid, pot, n, fractions)
     shifted = _sums_and_labels(replace(grid, shift=shift), pot, n, fractions)
     entries = [{"fraction": frac, "velocity_sum_unshifted": base,

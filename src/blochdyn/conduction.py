@@ -29,9 +29,10 @@ from .units import E_CHARGE_SI, HBAR_SI, MU0_SI
 class BandFilling:
     """Occupation of one band on a uniform k grid over [-π/a, π/a).
 
-    The grid is midpoint-offset: k_i = -π/a + (i + ½)Δk. That keeps the
-    endpoint excluded and makes every state pair up exactly with its mirror
-    at -k, so symmetric fillings are exactly symmetric for even counts.
+    The lattice constant a is the potential's, so the grid methods take it
+    as an argument. The grid is midpoint-offset: k_i = -π/a + (i + ½)Δk. That
+    keeps the endpoint excluded and makes every state pair up exactly with its
+    mirror at -k, so symmetric fillings are exactly symmetric for even counts.
     Occupied states are the round(fraction·n_k) labels of smallest |k|.
     """
 
@@ -39,7 +40,6 @@ class BandFilling:
     n_k: int
     fraction: float
     shift: float = 0.0
-    a: float = 1.0
 
     def __post_init__(self):
         if self.band < 0:
@@ -49,18 +49,16 @@ class BandFilling:
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigError(f"fraction must lie in [0, 1], got {self.fraction!r}")
 
-    @property
-    def k_grid(self) -> np.ndarray:
-        dk = TWO_PI / (self.a * self.n_k)
-        return -np.pi / self.a + (np.arange(self.n_k) + 0.5) * dk
+    def k_grid(self, a: float) -> np.ndarray:
+        dk = TWO_PI / (a * self.n_k)
+        return -np.pi / a + (np.arange(self.n_k) + 0.5) * dk
 
     @property
     def occupied_count(self) -> int:
         return int(round(self.fraction * self.n_k))
 
-    @property
-    def occupied_k(self) -> np.ndarray:
-        grid = self.k_grid
+    def occupied_k(self, a: float) -> np.ndarray:
+        grid = self.k_grid(a)
         # ascending |k|, mirror pairs adjacent, negative partner first
         order = np.lexsort((grid, np.abs(grid)))
         return grid[order[: self.occupied_count]]
@@ -70,17 +68,15 @@ def _sums_and_labels(filling: BandFilling, pot: FourierPotential, n: int,
                      fractions) -> list[tuple[float, str, float]]:
     """velocity_sum, classify and the signed Σ m/m* of filling at each of fractions.
 
-    All three come from one band pass. filling fixes the band, n_k, shift and
-    a; its own fraction is not used. Each fraction's occupied states are a
-    prefix of the largest one's, so each sum is math.fsum over its own prefix
-    of the one pass.
+    All three come from one band pass. filling fixes the band, n_k and shift,
+    and pot the lattice constant of the k grid; filling's own fraction is not
+    used. Each fraction's occupied states are a prefix of the largest one's,
+    so each sum is math.fsum over its own prefix of the one pass.
     """
-    if filling.a != pot.a:
-        raise ConfigError(f"filling grid has a={filling.a!r}, the potential a={pot.a!r}")
     _check_band(filling.band, n)
     counts = [replace(filling, fraction=f).occupied_count for f in fractions]
     largest = replace(filling, fraction=max(fractions, default=0.0))
-    ks = reduce_to_zone(largest.occupied_k + filling.shift, pot.a)
+    ks = reduce_to_zone(largest.occupied_k(pot.a) + filling.shift, pot.a)
     _, velocity, inv_mass = band_derivatives(ks, pot, n, filling.band + 1)
     velocity, inv_mass = velocity[:, filling.band], inv_mass[:, filling.band]
     probe = 1e-4 * TWO_PI / pot.a

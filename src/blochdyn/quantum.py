@@ -30,21 +30,6 @@ from .semiclassical import _sample_rule, _time_grid
 
 
 @dataclass
-class BasisState:
-    """Coefficient vector X over plane-wave index l at base crystal momentum k."""
-
-    k: float
-    coeffs: np.ndarray
-    t: float
-    n: int
-    a: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass
 class AdiabaticReport:
     """Sampled diagnostics of the instantaneous eigenframe.
 
@@ -157,7 +142,8 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     X -> U[j] (Θ†[j] X). Diagnostics are sampled every report_stride steps
     plus the final instant, from one _eigenframes pass; only the fidelity is
     taken inside the step loop.
-    Returns (BasisState at T, AdiabaticReport).
+    Returns (X, AdiabaticReport): X is the coefficient vector over the
+    plane-wave index l at T.
     """
     times, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, report_stride, "report_stride")
@@ -181,7 +167,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
                 fidelity.append(float(np.abs(np.vdot(grounds[len(fidelity)], X)) ** 2))
 
     report = AdiabaticReport(ts, gap, hdot, om_star, bound, np.array(fidelity), comm)
-    return BasisState(k=k, coeffs=X, t=T, n=n, a=pot.a), report
+    return X, report
 
 
 # --------------------------------------------------------------------------
@@ -190,22 +176,22 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
 
 @dataclass
 class GridState:
-    """Normalized complex amplitudes on a uniform periodic grid of length Ldom."""
+    """Normalized complex amplitudes psi at the points x of a uniform periodic
+    grid of length Ldom; the step is dx = Ldom / psi.size."""
 
     Ldom: float
-    N: int
     psi: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        if self.psi.shape != (self.N,):
-            raise ConfigError("psi must have shape (N,)")
+        if self.psi.ndim != 1 or self.psi.shape != self.x.shape:
+            raise ConfigError(f"psi has shape {self.psi.shape}, the grid x {self.x.shape}")
         if not abs(self.norm - 1.0) <= 1e-8:
             raise ConfigError(f"state not normalized: ∫|ψ|²dx = {self.norm!r}")
 
     @property
     def dx(self) -> float:
-        return self.Ldom / self.N
+        return self.Ldom / self.psi.size
 
     @property
     def norm(self) -> float:
@@ -237,7 +223,7 @@ def gaussian_packet(Ldom: float, N: int, x0: float, k0: float, sigma: float) -> 
     if not 0.0 < norm < np.inf:
         raise ConfigError(f"packet grid norm is {norm!r}: no weight on the grid at this x0, sigma")
     psi /= np.sqrt(norm)
-    return GridState(Ldom=float(Ldom), N=int(N), psi=psi, x=x)
+    return GridState(Ldom=float(Ldom), psi=psi, x=x)
 
 
 @dataclass
@@ -259,16 +245,23 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     spectrum. Those of ψ₀ are the t = 0 sample and bound the kick: the field
     moves ⟨k⟩ from ⟨k⟩₀ to ⟨k⟩₀ - E·T, and if either end plus guard_sigmas·σ_k₀
     reaches the grid's k window π/dx the run is refused with ConfigError before
-    the first step (an extra potential's kick is not bounded). Later samples
-    come every sample_stride steps and after the last. E·x is unbounded, so at
-    each sample a centroid within guard_sigmas·σ_x of either boundary aborts
-    with BoundaryProximityError.
+    the first step (an extra potential's kick is not bounded). So is a grid
+    step whose moment bound (N/dx)·(2π/dx)² overflows, before any moment is
+    taken. Later samples come every sample_stride steps and after the last.
+    E·x is unbounded, so at each sample a centroid within guard_sigmas·σ_x of
+    either boundary aborts with BoundaryProximityError.
     """
     t_grid, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, sample_stride, "sample_stride")
     x, dx = psi0.x, psi0.dx
+    # |k - ⟨k⟩| < 2π/dx and, ψ being normalised, Σ|FFT ψ|² = N/dx: (N/dx)·(2π/dx)²
+    # bounds every k², power and power-weighted k sum that moments and the steps form
+    k_span = TWO_PI / float(dx)
+    if not x.size / float(dx) * k_span * k_span < np.inf:
+        raise ConfigError(f"grid step {dx!r} on {x.size} points puts the k moments' "
+                          "bound (N/dx)·(2π/dx)² outside float range")
     x_lo, x_hi = x[0], x[-1] + dx
-    kgrid = TWO_PI * np.fft.fftfreq(psi0.N, d=dx)
+    kgrid = TWO_PI * np.fft.fftfreq(x.size, d=dx)
 
     def moments(p):
         w = np.abs(p) ** 2
@@ -305,7 +298,7 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
         rows.append((float(t_grid[j]), mx, mk, sig, tot))
 
     times, x_mean, k_mean, sigma_x, norms = map(np.array, zip(*rows))
-    final = GridState(Ldom=psi0.Ldom, N=psi0.N, psi=psi / np.sqrt(norms[-1]), x=x)
+    final = GridState(Ldom=psi0.Ldom, psi=psi / np.sqrt(norms[-1]), x=x)
     return SplitStepResult(times, x_mean, k_mean, sigma_x, norms, final)
 
 
@@ -315,12 +308,9 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
 
 @dataclass
 class GridBands:
-    """Lowest grid levels of the Bloch-folded oracle, each with its exact
-    commensurate crystal momentum."""
+    """Lowest grid levels of the Bloch-folded oracle (energies), each with its
+    exact commensurate crystal momentum k."""
 
-    M: int
-    N: int
-    Ldom: float
     k: np.ndarray
     energies: np.ndarray
 
@@ -355,8 +345,7 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
     if not 1 <= n_levels <= N:
         raise ConfigError(f"n_levels must lie in [1, {N}], got {n_levels}")
     a = pot.a
-    Ldom = M * a
-    dx = Ldom / N
+    dx = M * a / N
     kappa = TWO_PI * np.fft.fftfreq(N, d=dx)
     circ = np.fft.ifft(0.5 * kappa ** 2).real   # the full grid H[i, j] = circ[(i - j) % N]
     s = N // M
@@ -370,4 +359,4 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
     k_out = np.repeat(TWO_PI * m / (M * a), s)[lowest]
     e_out = energies[lowest]
     order = np.lexsort((e_out, k_out))
-    return GridBands(M=M, N=N, Ldom=Ldom, k=k_out[order], energies=e_out[order])
+    return GridBands(k=k_out[order], energies=e_out[order])

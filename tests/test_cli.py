@@ -319,7 +319,8 @@ def test_duplicate_keys_rejected(tmp_path, capsys, stem, command, old, new, key)
     p.write_text(text.replace(old, new))
     out = tmp_path / "out"
     assert main([command, "--scenario", str(p), "--out", str(out)]) == 2
-    assert f"duplicate key {key!r}" in capsys.readouterr().err
+    # worded as a duplicate key, not wrapped as a scenario that cannot be decoded
+    assert capsys.readouterr().err.startswith(f"config error: duplicate key {key!r}")
     assert not out.exists()
 
 
@@ -581,6 +582,47 @@ def test_adiabatic_with_an_overflowing_shift_exits_2(tmp_path, capsys, stem, fie
     assert main(["adiabatic", "--scenario", _write(tmp_path, scn_obj), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"version": 1, "name": "caf\xe9"}',                  # Latin-1, not UTF-8
+    b'{"version": 1, "name": ' + b"1" * 5000 + b"}",        # past the int conversion limit
+    b"[" * 100_000,                                         # deeper than the recursion limit
+], ids=["not-utf-8", "long-integer", "deep-nesting"])
+def test_undecodable_scenario_exits_2(tmp_path, capsys, content):
+    # each used to end in a traceback with exit 1
+    p = tmp_path / "scn.json"
+    p.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["solenoid", "--scenario", str(p), "--out", str(out)]) == 2
+    assert "cannot decode the scenario" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dynamics", [
+    {"domain_internal": 1e-160},
+    # (2π/dx)² is finite here, but the power-weighted Σ P(k)·(k - ⟨k⟩)² of a packet
+    # a few grid steps wide is not
+    {"domain_internal": 1e-120, "x0_internal": 0.0, "k0_internal": 0.0,
+     "sigma_internal": 1e-122},
+], ids=["1e-160", "1e-120-narrow"])
+def test_a_grid_step_whose_k_moments_overflow_exits_2(tmp_path, capsys, dynamics):
+    # π/dx is finite in both, and σ_k of ψ₀ used to overflow: a RuntimeWarning traceback
+    path = _shipped_with(tmp_path, "wavepacket_free", "dynamics", **dynamics)
+    out = tmp_path / "out"
+    assert main(["wavepacket", "--scenario", path, "--out", str(out)]) == 2
+    assert "(N/dx)·(2π/dx)² outside float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stem, command", [("bands_weak_cosine", "bands"),
+                                           ("conduction_fillings", "conduction")])
+def test_an_overflowing_lattice_constant_is_named(tmp_path, capsys, stem, command):
+    # 2π/a is finite at a = 1e-300, (2π/a)² is not; the message used to blame a zero shift
+    path = _shipped_with(tmp_path, stem, "potential", a_internal=1e-300)
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "a=1e-300" in err and "non-finite plane-wave energy" in err
 
 
 def test_validate_maps_failure_to_exit_4(tmp_path, monkeypatch):

@@ -34,7 +34,7 @@ SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j,
 
 def test_grid_is_midpoint_offset_and_symmetric():
     f = BandFilling(band=0, n_k=64, fraction=1.0)
-    grid = f.k_grid
+    grid = f.k_grid(1.0)
     dk = TWO_PI / 64
     assert grid[0] == pytest.approx(-math.pi + 0.5 * dk)
     assert grid[-1] == pytest.approx(math.pi - 0.5 * dk)
@@ -48,7 +48,7 @@ def test_occupied_states_fill_from_smallest_momentum():
     f = BandFilling(band=0, n_k=64, fraction=4 / 64)
     dk = TWO_PI / 64
     np.testing.assert_allclose(
-        f.occupied_k,
+        f.occupied_k(1.0),
         [-0.5 * dk, 0.5 * dk, -1.5 * dk, 1.5 * dk], atol=1e-15)
 
 
@@ -94,7 +94,7 @@ def test_shift_response_matches_inverse_mass_sum():
     f = BandFilling(band=0, n_k=64, fraction=0.5, shift=s)
     response = velocity_sum(f, WEAK, 8)
     inv_mass = math.fsum(1.0 / effective_mass(k, 0, WEAK, 8)
-                         for k in f.occupied_k)
+                         for k in f.occupied_k(1.0))
     assert response == pytest.approx(s * inv_mass, rel=1e-4)
 
 
@@ -125,11 +125,13 @@ def test_classification_trio():
     assert classify(BandFilling(0, 256, 1.0), WEAK, 8) == "insulator"
 
 
-def test_velocity_sum_needs_the_potential_lattice_constant():
+def test_the_k_grid_takes_the_potential_lattice_constant():
+    # at a = 2 every k label is half the a = 1 label, and the labels follow the wider lattice
     wide = single_cosine(2.0, 0.25)
-    assert classify(BandFilling(0, 256, 0.5, a=2.0), wide, 8) == "conductor"
-    with pytest.raises(ValueError):
-        velocity_sum(BandFilling(0, 256, 0.5), wide, 8)
+    half = BandFilling(0, 256, 0.5)
+    np.testing.assert_array_equal(half.k_grid(2.0), half.k_grid(1.0) / 2.0)
+    assert classify(half, wide, 8) == "conductor"
+    assert classify(BandFilling(0, 256, 1.0), wide, 8) == "insulator"
 
 
 def test_shifted_half_filling_is_a_conductor():
@@ -141,7 +143,7 @@ def test_shifted_half_filling_is_a_conductor():
 def _probe_label(filling, pot, n):
     """Finite-difference reference: does a further shift of 1e-4·2π/a move the sum?"""
     probed = BandFilling(filling.band, filling.n_k, filling.fraction,
-                         filling.shift + 1e-4 * TWO_PI / pot.a, filling.a)
+                         filling.shift + 1e-4 * TWO_PI / pot.a)
     moved = abs(velocity_sum(probed, pot, n) - velocity_sum(filling, pot, n))
     return "conductor" if moved > 1e-8 * filling.n_k else "insulator"
 
@@ -163,7 +165,7 @@ def test_labels_match_a_finite_difference_probe():
 
 def _inverse_mass_sum(filling, pot, n):
     """Signed Σ m/m* of the occupied states, from a band pass of their own."""
-    ks = reduce_to_zone(filling.occupied_k + filling.shift, pot.a)
+    ks = reduce_to_zone(filling.occupied_k(pot.a) + filling.shift, pot.a)
     _, _, inv_mass = band_derivatives(ks, pot, n, filling.band + 1)
     return math.fsum(inv_mass[:, filling.band])
 
@@ -187,7 +189,7 @@ def test_one_pass_per_shift_rejects_what_a_filling_rejects():
     with pytest.raises(ValueError):
         _sums_and_labels(grid, WEAK, 8, [0.5, 1.5])
     with pytest.raises(ValueError):
-        _sums_and_labels(grid, single_cosine(2.0, 0.25), 8, [0.5])
+        _sums_and_labels(BandFilling(17, 64, 0.0), WEAK, 8, [0.5])   # n = 8 has bands 0..16
     assert _sums_and_labels(grid, WEAK, 8, []) == []
 
 

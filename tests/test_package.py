@@ -23,7 +23,7 @@ EXPORTS = {
     "errors": ["BoundaryProximityError", "ConfigError", "DegeneratePointError",
                "EnergyDriftError", "InfiniteMassError", "PhysicsError"],
     "potential": ["FourierPotential", "random_symmetric", "single_cosine"],
-    "quantum": ["AdiabaticReport", "BasisState", "GridBands", "GridState", "SplitStepResult",
+    "quantum": ["AdiabaticReport", "GridBands", "GridState", "SplitStepResult",
                 "adiabatic_diagnostics", "frame_generator", "gaussian_packet",
                 "grid_ground_state", "integrate_basis", "split_step_free"],
     "semiclassical": ["DivergenceReport", "Trajectory", "compare_fundamental_lorentz",
@@ -66,7 +66,7 @@ def test_a_bands_run_loads_only_what_it_computes_with(tmp_path):
 
 def test_every_export_is_its_submodule_object():
     names = [name for group in EXPORTS.values() for name in group]
-    assert len(names) == 50
+    assert len(names) == 49
     assert sorted(blochdyn.__all__) == sorted([*names, "__version__"])
     assert set(blochdyn.__all__) <= set(dir(blochdyn))
     for module, group in EXPORTS.items():

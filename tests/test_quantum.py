@@ -57,10 +57,9 @@ def test_stationary_state_accumulates_only_phase():
     pot = single_cosine(1.0, 0.3)
     k, n, horizon = 0.5, 10, 2.0
     sol = solve_at(k, 0.0, pot, n)
-    state, report = integrate_basis(k, pot, n, 0.0, horizon, 0.01,
-                                    report_stride=100)
+    X, report = integrate_basis(k, pot, n, 0.0, horizon, 0.01, report_stride=100)
     expect = np.exp(-1j * sol.energies[0] * horizon) * sol.vectors[:, 0]
-    np.testing.assert_allclose(state.coeffs, expect, atol=1e-10)
+    np.testing.assert_allclose(X, expect, atol=1e-10)
     np.testing.assert_allclose(report.fidelity, 1.0, atol=1e-12)
 
 
@@ -69,17 +68,17 @@ def test_slow_sweep_follows_ground_band():
     # (crossing leak ~exp(-V1²/E) = exp(-8.3) for this choice)
     e_field = 3e-4
     horizon = (math.pi / 2.0) / e_field
-    state, report = integrate_basis(-3.0 * math.pi / 4.0, WEAK, 10, e_field,
-                                    horizon, horizon / 16384, report_stride=2048)
+    _, report = integrate_basis(-3.0 * math.pi / 4.0, WEAK, 10, e_field,
+                                horizon, horizon / 16384, report_stride=2048)
     assert report.fidelity[-1] > 0.999
     assert report.chain_holds()
     assert np.all(report.gap > 0.09)
 
 
 def test_fast_sweep_breaks_adiabaticity_frozen():
-    state, report = integrate_basis(-3.0 * math.pi / 4.0, WEAK, 10, 1.0,
-                                    math.pi / 2.0, (math.pi / 2.0) / 16384,
-                                    report_stride=4096)
+    _, report = integrate_basis(-3.0 * math.pi / 4.0, WEAK, 10, 1.0,
+                                math.pi / 2.0, (math.pi / 2.0) / 16384,
+                                report_stride=4096)
     assert report.fidelity[-1] == pytest.approx(0.0021957506625300523, rel=1e-6)
 
 
@@ -105,7 +104,7 @@ def test_rotated_frame_equivalence():
     # propagating Y' = (-iΛ - Ω̄)Y must reproduce Θ†X of the direct evolution
     pot = WEAK
     k0, e_field, horizon, dt, n = 0.3 * math.pi, 0.01, 1.0, 0.005, 10
-    state, _ = integrate_basis(k0, pot, n, e_field, horizon, dt)
+    X, _ = integrate_basis(k0, pot, n, e_field, horizon, dt)
 
     sol0 = solve_at(k0, 0.0, pot, n)
     y = sol0.vectors.conj().T @ sol0.vectors[:, 0]
@@ -117,7 +116,7 @@ def test_rotated_frame_equivalence():
         y = scipy.linalg.expm((-1j * np.diag(sol.energies) - omega_bar) * h) @ y
 
     sol_end = solve_at(k0, -e_field * horizon, pot, n)
-    y_direct = sol_end.vectors.conj().T @ state.coeffs
+    y_direct = sol_end.vectors.conj().T @ X
     assert np.linalg.norm(y - y_direct) < 1e-8
 
 
@@ -154,10 +153,10 @@ def _per_step_reference(k, pot, n, E, T, dt, stride, step=_block_step):
 
 def _compare_with_reference(args):
     """(ΔX, {column: (stacked, reference)}) for integrate_basis against the reference."""
-    state, report = integrate_basis(*args[:6], report_stride=args[6])
+    X_stacked, report = integrate_basis(*args[:6], report_stride=args[6])
     X, cols = _per_step_reference(*args)
     names = [f.name for f in dataclasses.fields(report)]
-    return state.coeffs - X, {name: (getattr(report, name), col)
+    return X_stacked - X, {name: (getattr(report, name), col)
                               for name, col in zip(names, cols)}
 
 
@@ -180,9 +179,9 @@ def test_stacked_propagation_is_bit_identical_on_a_real_lattice(args):
 @pytest.mark.parametrize("args", [*REAL_RUNS.values(), COMPLEX_RUN],
                          ids=[*REAL_RUNS.keys(), "complex"])
 def test_block_operator_stays_within_roundoff_of_the_parent_step(args):
-    state, report = integrate_basis(*args[:6], report_stride=args[6])
+    X_stacked, report = integrate_basis(*args[:6], report_stride=args[6])
     X, columns = _per_step_reference(*args, step=_parent_step)
-    assert np.linalg.norm(state.coeffs - X) <= 1e-12
+    assert np.linalg.norm(X_stacked - X) <= 1e-12
     # columns follow AdiabaticReport: t, gap, hdot_norm, omega_bar_star, bound_rhs, fidelity, …
     np.testing.assert_allclose(report.fidelity, columns[5], rtol=0.0, atol=1e-12)
 
@@ -336,7 +335,7 @@ def _parent_split_step(psi0, E, T, dt, potential=None, sample_stride=1, guard_si
     five sample lists and a separate power spectrum of ψ₀ for the k-window check."""
     t_grid, nsteps, h = _time_grid(T, dt)
     x, dx = psi0.x, psi0.dx
-    kgrid = TWO_PI * np.fft.fftfreq(psi0.N, d=dx)
+    kgrid = TWO_PI * np.fft.fftfreq(psi0.psi.size, d=dx)
     power = np.abs(np.fft.fft(psi0.psi)) ** 2
     k_mean = float(np.sum(power * kgrid) / np.sum(power))
     k_sigma = float(np.sqrt(np.sum(power * (kgrid - k_mean) ** 2) / np.sum(power)))
@@ -471,7 +470,7 @@ def test_zener_crossing_is_gauge_invariant():
         populations = np.abs(np.einsum("ml,lm->m", ground.conj(), c)) ** 2
         return populations, np.sum(np.abs(c) ** 2, axis=0)
 
-    res = split_step_free(GridState(float(cells), psi.size, psi, x), E, T, 0.04,
+    res = split_step_free(GridState(float(cells), psi, x), E, T, 0.04,
                           potential=pot.evaluate, sample_stride=100, guard_sigmas=0.5)
     assert res.sigma_x[-1] > 75.0              # the packet has split
     population, total = band_0(res.final.psi)
@@ -492,9 +491,9 @@ def test_zener_crossing_is_gauge_invariant():
 def test_grid_state_validation():
     x = -20.0 + (40.0 / 64) * np.arange(64)
     with pytest.raises(ValueError):
-        GridState(Ldom=40.0, N=64, psi=np.ones(64), x=x)   # not normalized
+        GridState(Ldom=40.0, psi=np.ones(64), x=x)   # not normalized
     with pytest.raises(ValueError):
-        GridState(Ldom=40.0, N=64, psi=np.ones(32), x=x)
+        GridState(Ldom=40.0, psi=np.ones(32), x=x)
     with pytest.raises(ValueError):
         gaussian_packet(40.0, 64, x0=0.0, k0=0.0, sigma=-1.0)
     for ldom, n in ((0.0, 64), (-40.0, 64), (40.0, 0)):
@@ -503,6 +502,14 @@ def test_grid_state_validation():
     psi0 = gaussian_packet(40.0, 64, x0=0.0, k0=0.0, sigma=1.0)
     with pytest.raises(ValueError):
         split_step_free(psi0, 0.0, 1.0, 0.1, sample_stride=0)
+
+
+def test_grid_state_refuses_psi_off_its_grid():
+    # a normalised 64-point psi on a 32-point x: refused at construction, not
+    # later by numpy's broadcast in split_step_free
+    psi = gaussian_packet(40.0, 64, x0=0.0, k0=0.0, sigma=2.0).psi
+    with pytest.raises(ConfigError, match="shape"):
+        GridState(40.0, psi, -20.0 + (40.0 / 32) * np.arange(32))
 
 
 @pytest.mark.filterwarnings("error")
