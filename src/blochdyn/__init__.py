@@ -18,8 +18,7 @@ _EXPORTS = {
     "central_equation": ("BandSolution", "band_derivatives", "band_sweep", "bloch_psi",
                          "build", "effective_mass", "group_velocity", "reduce_to_zone",
                          "solve_at"),
-    "conduction": ("BandFilling", "classify", "fractional_displacement", "solenoid_shift",
-                   "velocity_sum"),
+    "conduction": ("BandFilling", "classify", "velocity_sum"),
     "errors": ("BoundaryProximityError", "ConfigError", "DegeneratePointError",
                "EnergyDriftError", "InfiniteMassError", "PhysicsError"),
     "potential": ("FourierPotential", "random_symmetric", "single_cosine"),
@@ -30,7 +29,8 @@ _EXPORTS = {
                       "cyclotron_center_offset", "evolve_free_E", "evolve_fundamental",
                       "evolve_general_V", "evolve_lorentz", "evolve_periodic_B",
                       "evolve_periodic_E"),
-    "units": ("DIMENSION_TAGS", "E_CHARGE_SI", "HBAR_SI", "M_E_SI", "MU0_SI", "UnitSystem"),
+    "units": ("DIMENSION_TAGS", "E_CHARGE_SI", "HBAR_SI", "M_E_SI", "MU0_SI", "UnitSystem",
+              "fractional_displacement", "solenoid_shift"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

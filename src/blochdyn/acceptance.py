@@ -16,13 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .central_equation import band_derivatives, solve_at
-from .conduction import (
-    BandFilling,
-    _sums_and_labels,
-    fractional_displacement,
-    solenoid_shift,
-    velocity_sum,
-)
+from .conduction import BandFilling, _sums_and_labels, velocity_sum
 from .errors import ConfigError
 from .potential import FourierPotential, random_symmetric, single_cosine
 from .quantum import (
@@ -38,7 +32,7 @@ from .semiclassical import (
     evolve_lorentz,
     evolve_periodic_E,
 )
-from .units import UnitSystem
+from .units import UnitSystem, fractional_displacement, solenoid_shift
 
 TWO_PI = 2.0 * math.pi
 

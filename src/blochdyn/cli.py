@@ -6,7 +6,8 @@ physics error during a run, 4 validation failure. Outputs are deterministic: flo
 repr round-tripping in JSON, so identical scenarios give identical bytes.
 
 Each subcommand imports its compute module, and numpy, when it runs: --help,
---version and a scenario the schema rejects return before numpy is loaded.
+--version and a scenario the schema rejects return before numpy is loaded, and
+solenoid, two lines of scalar arithmetic in units, never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, PhysicsError
-from .units import UnitSystem
+from .units import UnitSystem, fractional_displacement, solenoid_shift
 
 if TYPE_CHECKING:
     from .potential import FourierPotential
@@ -389,8 +390,6 @@ def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_solenoid(scn: dict, units: UnitSystem, out: Path) -> int:
-    from .conduction import fractional_displacement, solenoid_shift
-
     block = scn["solenoid"]
     k0, reference = block["k0_per_m"], block.get("reference_shift_per_m")
     shift = solenoid_shift(block["turns_per_m"], block["current_A"],

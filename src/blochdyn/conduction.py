@@ -1,4 +1,4 @@
-"""Band filling, velocity sums under a gauge shift, and the solenoid scenario.
+"""Band filling and velocity sums under a gauge shift.
 
 A steady loop vector potential shifts every crystal momentum by eA/ħ.
 Occupation labels ride along with the shift (states follow adiabatically),
@@ -22,7 +22,6 @@ import numpy as np
 from .central_equation import TWO_PI, _check_band, band_derivatives, reduce_to_zone
 from .errors import ConfigError
 from .potential import FourierPotential
-from .units import E_CHARGE_SI, HBAR_SI, MU0_SI
 
 
 @dataclass(frozen=True)
@@ -108,26 +107,3 @@ def classify(filling: BandFilling, pot: FourierPotential, n: int) -> str:
     a further shift of 1e-4 of a reciprocal lattice vector.
     """
     return _sums_and_labels(filling, pot, n, [filling.fraction])[0][1]
-
-
-def solenoid_shift(n_turns_per_m: float, current_A: float, area_m2: float,
-                   radius_m: float) -> float:
-    """Momentum shift eA/ħ (SI, m⁻¹) from a solenoid piercing a conducting loop.
-
-    B = μ0·n·I inside the solenoid; the loop of radius r acquires the steady
-    vector potential A = B·a_r/(2πr).
-    """
-    if n_turns_per_m <= 0.0 or area_m2 <= 0.0 or radius_m <= 0.0:
-        raise ConfigError("turn density, area and radius must be positive")
-    if current_A < 0.0:
-        raise ConfigError("current must be nonnegative")
-    B = MU0_SI * n_turns_per_m * current_A
-    A = B * area_m2 / (2.0 * np.pi * radius_m)
-    return E_CHARGE_SI * A / HBAR_SI
-
-
-def fractional_displacement(k0_si: float, shift_si: float) -> float:
-    """shift/k0 for SI wavevectors; the relative crowding of the filled sea."""
-    if k0_si <= 0.0:
-        raise ConfigError("k0 must be positive")
-    return shift_si / k0_si

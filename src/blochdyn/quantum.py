@@ -7,15 +7,20 @@ integrator advances X with the exact exponential of the midpoint Hamiltonian
 midpoints and at the diagnostic samples, is known before the first step, so
 each set comes from one stacked _eigensystems pass of central_equation;
 adiabatic_diagnostics is the sample pass at a single time.
-The split-step propagator is Strang-ordered and second order in dt. The grid
-oracle builds the real-space Hamiltonian with a spectral kinetic circulant and
-folds it by Bloch's theorem into one small block per commensurate k, so each
-level's crystal-momentum label is exact by construction.
+The split-step propagator is Strang-ordered and second order in dt. In a
+uniform field alone, U = E·x, a Strang step is exact up to a global phase at
+any length, so it takes one step per sample interval and restores the phase
+of the dt-step loop at the end. The grid oracle builds the real-space
+Hamiltonian with a spectral kinetic circulant and folds it by Bloch's theorem
+into one small block per commensurate k, so each level's crystal-momentum
+label is exact by construction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -241,15 +246,24 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
                     guard_sigmas: float = 5.0) -> SplitStepResult:
     """Strang propagation of iψ̇ = -½ψ'' + U(x)ψ with U = E·x (+ optional extra).
 
+    With an extra potential every step has the length h = T/round(T/dt). With
+    U = E·x alone one Strang step spans each sample interval: τ = sample_stride·h,
+    and the last interval, when off-stride, is one shorter step. For V = E·x and
+    K = p²/2, [V,[V,K]] = -E² is a c-number and every higher commutator
+    vanishes, so e^{-iVτ/2}e^{-iKτ}e^{-iVτ/2} = e^{-iHτ}·e^{iE²τ³/24} exactly
+    and dt sets only the sample grid and the global phase. The final ψ is
+    multiplied by exp(iE²(h²T - Στ³)/24), so it is the h-step loop's state.
+
     moments(ψ) gives (norm, ⟨x⟩, ⟨k⟩, σ_x, σ_k), the k moments from the power
     spectrum. Those of ψ₀ are the t = 0 sample and bound the kick: the field
     moves ⟨k⟩ from ⟨k⟩₀ to ⟨k⟩₀ - E·T, and if either end plus guard_sigmas·σ_k₀
     reaches the grid's k window π/dx the run is refused with ConfigError before
     the first step (an extra potential's kick is not bounded). So is a grid
     step whose moment bound (N/dx)·(2π/dx)² overflows, before any moment is
-    taken. Later samples come every sample_stride steps and after the last.
-    E·x is unbounded, so at each sample a centroid within guard_sigmas·σ_x of
-    either boundary aborts with BoundaryProximityError.
+    taken, and a largest step τ whose phase τ·(π/dx)²/2 or τ·max|U|/2, or the
+    phase correction, overflows. Later samples come every sample_stride steps
+    and after the last. E·x is unbounded, so at each sample a centroid within
+    guard_sigmas·σ_x of either boundary aborts with BoundaryProximityError.
     """
     t_grid, nsteps, h = _time_grid(T, dt)
     sampled = _sample_rule(nsteps, sample_stride, "sample_stride")
@@ -281,11 +295,27 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
             f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {guard_sigmas}σ_k "
             f"it reaches {k_reach:.6g}, past the grid's k window π/dx = {np.pi / dx:.6g}")
     U = E * x if potential is None else E * x + np.asarray(potential(x), dtype=np.float64)
-    half_kick = np.exp(-0.5j * h * U)
-    kinetic = np.exp(-0.5j * h * kgrid ** 2)
+    # steps of m·h end at the stops: every step with an extra potential, else every sample
+    stride = operator.index(sample_stride) if potential is None else 1
+    lengths = {min(stride, nsteps), nsteps % stride or stride}
+    tau = max(lengths) * h
+    # a step of m·h carries the phase E²(mh)³/24, so h steps carry nsteps·E²h³/24 in
+    # all; the cubes are Python ints, where a numpy stride's would wrap
+    cubes = nsteps // stride * stride ** 3 + (nsteps % stride) ** 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        correction = (E * h) * (E * h) * h * (nsteps - cubes) / 24.0
+        phases = (0.5 * tau * (np.pi / dx) ** 2, 0.5 * tau * np.max(np.abs(U)), correction)
+    if not np.isfinite(phases).all():
+        raise ConfigError(f"step τ={tau!r} puts a Strang phase (τ·(π/dx)²/2, τ·max|U|/2 "
+                          "or E²(h²T - Στ³)/24) outside float range")
+    factors = {m: (np.exp(-0.5j * (m * h) * U), np.exp(-0.5j * (m * h) * kgrid ** 2))
+               for m in lengths}
     rows = []
-    for j in range(nsteps + 1):
-        if j:
+    j = 0
+    for stop in chain(range(0, nsteps, stride), [nsteps]):
+        if stop:
+            half_kick, kinetic = factors[stop - j]
+            j = stop
             psi = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * psi))
             if not sampled(j):
                 continue
@@ -297,6 +327,7 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
                 f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t_grid[j]:.6g}")
         rows.append((float(t_grid[j]), mx, mk, sig, tot))
 
+    psi *= np.exp(1j * correction)
     times, x_mean, k_mean, sigma_x, norms = map(np.array, zip(*rows))
     final = GridState(Ldom=psi0.Ldom, psi=psi / np.sqrt(norms[-1]), x=x)
     return SplitStepResult(times, x_mean, k_mean, sigma_x, norms, final)

@@ -16,6 +16,9 @@ dimension corresponds to:
 For a = 1 Å the energy unit is ≈ 7.62 eV and the electric-field unit is
 ≈ 7.62e10 V/m, so laboratory fields of order 10 V/m become internal numbers
 of order 1e-10 while band-structure matrix entries stay O(1)-O(100).
+
+The solenoid kick eA/ħ and its size against a wavevector are SI scalar
+arithmetic on these constants, so they live here and need no numpy.
 """
 
 from __future__ import annotations
@@ -94,3 +97,26 @@ class UnitSystem:
 
     def __repr__(self) -> str:
         return f"UnitSystem(a_ref_m={self.a_ref_m!r})"
+
+
+def solenoid_shift(n_turns_per_m: float, current_A: float, area_m2: float,
+                   radius_m: float) -> float:
+    """Momentum shift eA/ħ (SI, m⁻¹) from a solenoid piercing a conducting loop.
+
+    B = μ0·n·I inside the solenoid; the loop of radius r acquires the steady
+    vector potential A = B·a_r/(2πr).
+    """
+    if n_turns_per_m <= 0.0 or area_m2 <= 0.0 or radius_m <= 0.0:
+        raise ConfigError("turn density, area and radius must be positive")
+    if current_A < 0.0:
+        raise ConfigError("current must be nonnegative")
+    B = MU0_SI * n_turns_per_m * current_A
+    A = B * area_m2 / (2.0 * math.pi * radius_m)
+    return E_CHARGE_SI * A / HBAR_SI
+
+
+def fractional_displacement(k0_si: float, shift_si: float) -> float:
+    """shift/k0 for SI wavevectors; the relative crowding of the filled sea."""
+    if k0_si <= 0.0:
+        raise ConfigError("k0 must be positive")
+    return shift_si / k0_si

@@ -615,6 +615,22 @@ def test_a_grid_step_whose_k_moments_overflow_exits_2(tmp_path, capsys, dynamics
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dynamics, step", [
+    # h·(π/dx)²/2 overflows: a RuntimeWarning traceback, or "state not normalized: nan"
+    ({"T_internal": 1e307, "dt_internal": 1e306}, "1e+307"),
+    # h·(π/dx)²/2 is finite, the sample interval's is not; this one used to exit 3
+    ({"T_internal": 1e306, "dt_internal": 1e305}, "9.999999999999999e+305"),
+], ids=["step", "sample-interval"])
+def test_a_step_whose_strang_phase_overflows_exits_2(tmp_path, capsys, dynamics, step):
+    scn_obj = json.loads((SCENARIOS / "wavepacket_free.json").read_text())
+    scn_obj["field"]["E_internal"] = 0.0
+    scn_obj["dynamics"].update(dynamics)
+    out = tmp_path / "out"
+    assert main(["wavepacket", "--scenario", _write(tmp_path, scn_obj), "--out", str(out)]) == 2
+    assert f"step τ={step} puts a Strang phase" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stem, command", [("bands_weak_cosine", "bands"),
                                            ("conduction_fillings", "conduction")])
 def test_an_overflowing_lattice_constant_is_named(tmp_path, capsys, stem, command):
