@@ -26,9 +26,8 @@ _EXPORTS = {
                 "adiabatic_diagnostics", "frame_generator", "gaussian_packet",
                 "grid_ground_state", "integrate_basis", "split_step_free"),
     "semiclassical": ("DivergenceReport", "Trajectory", "compare_fundamental_lorentz",
-                      "cyclotron_center_offset", "evolve_free_E", "evolve_fundamental",
-                      "evolve_general_V", "evolve_lorentz", "evolve_periodic_B",
-                      "evolve_periodic_E"),
+                      "evolve_free_E", "evolve_fundamental", "evolve_general_V",
+                      "evolve_lorentz", "evolve_periodic_B", "evolve_periodic_E"),
     "units": ("DIMENSION_TAGS", "E_CHARGE_SI", "HBAR_SI", "M_E_SI", "MU0_SI", "UnitSystem",
               "fractional_displacement", "solenoid_shift"),
 }

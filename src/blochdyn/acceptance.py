@@ -192,7 +192,7 @@ def criterion_7_effective_mass_dynamics(seed: int = 0) -> list[tuple[bool, str]]
 
     v = traj.v_g
     dvdt = np.gradient(v, traj.times)
-    curv = traj.meta["inv_mass"]
+    curv = traj.inv_mass
     mask = np.abs(curv) > 0.25
     pred = -e_field * curv
     rel = np.abs(dvdt[mask] - pred[mask]) / np.abs(pred[mask])
@@ -302,7 +302,8 @@ def criterion_10_integrators(seed: int = 0) -> list[tuple[bool, str]]:
                               sample_stride=n)
         return res.final.psi
 
-    ref = ss_final(6400)
+    # over one period 2π of U = x²/2 every level e^{-i(n+½)t} returns to -1: ψ(2π) = -ψ₀
+    ref = -psi0.psi
     dx = psi0.dx
     e200 = float(np.linalg.norm(ss_final(200) - ref)) * math.sqrt(dx)
     e400 = float(np.linalg.norm(ss_final(400) - ref)) * math.sqrt(dx)

@@ -10,24 +10,25 @@ adiabatic_diagnostics is the sample pass at a single time.
 The split-step propagator is Strang-ordered and second order in dt. In a
 uniform field alone, U = E·x, a Strang step is exact up to a global phase at
 any length, so it takes one step per sample interval and restores the phase
-of the dt-step loop at the end. The grid oracle builds the real-space
-Hamiltonian with a spectral kinetic circulant and folds it by Bloch's theorem
-into one small block per commensurate k, so each level's crystal-momentum
-label is exact by construction.
+of the dt-step loop at the end. Both propagators walk the sampled steps of
+semiclassical._sample_steps (a stride is an integer >= 1) and hold only their
+times, never the step grid, though the basis integrator holds one midpoint
+shift per step, as each needs its own eigensystem. The grid oracle builds the
+real-space Hamiltonian with a spectral kinetic circulant and folds it by
+Bloch's theorem into one small block per commensurate k, so each level's
+crystal-momentum label is exact by construction.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .central_equation import _GAP_MIN, TWO_PI, _eigensystems, _phase_fix, solve_at
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
 from .potential import FourierPotential
-from .semiclassical import _sample_rule, _time_grid
+from .semiclassical import _sample_steps
 
 
 # --------------------------------------------------------------------------
@@ -145,14 +146,15 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     does not need. Per block, U = Θ·diag(e^{-iλh}) is formed once and Θ† is
     the conjugate-transpose view of one complex copy of Θ, so step j is
     X -> U[j] (Θ†[j] X). Diagnostics are sampled every report_stride steps
-    plus the final instant, from one _eigenframes pass; only the fidelity is
-    taken inside the step loop.
+    plus the final instant (report_stride an integer >= 1, else ConfigError),
+    from one _eigenframes pass at those times only; the step loop takes the
+    fidelity when j reaches the next sampled step.
     Returns (X, AdiabaticReport): X is the coefficient vector over the
     plane-wave index l at T.
     """
-    times, nsteps, h = _time_grid(T, dt)
-    sampled = _sample_rule(nsteps, report_stride, "report_stride")
-    ts = times[sampled(np.arange(nsteps + 1))]
+    samples, h = _sample_steps(T, dt, report_stride, "report_stride")
+    nsteps = int(samples[-1])
+    ts = samples * h
     grounds, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, ts)
     X = grounds[0].astype(np.complex128)
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
@@ -166,9 +168,9 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
             steps, conj = np.empty((2, *vs.shape), dtype=np.complex128)
         u = np.multiply(vs, np.exp(-1j * ws * h)[:, None, :], out=steps[:len(ws)])
         v_h = np.conjugate(vs, out=conj[:len(ws)]).transpose(0, 2, 1)
-        for j, u_j, v_h_j in zip(range(cut.start, cut.stop), u, v_h):
+        for j, u_j, v_h_j in zip(range(cut.start + 1, cut.stop + 1), u, v_h):
             X = np.dot(u_j, np.dot(v_h_j, X))   # np.dot dispatches faster than @ here
-            if sampled(j + 1):
+            if j == samples[len(fidelity)]:
                 fidelity.append(float(np.abs(np.vdot(grounds[len(fidelity)], X)) ** 2))
 
     report = AdiabaticReport(ts, gap, hdot, om_star, bound, np.array(fidelity), comm)
@@ -262,11 +264,13 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     step whose moment bound (N/dx)·(2π/dx)² overflows, before any moment is
     taken, and a largest step τ whose phase τ·(π/dx)²/2 or τ·max|U|/2, or the
     phase correction, overflows. Later samples come every sample_stride steps
-    and after the last. E·x is unbounded, so at each sample a centroid within
-    guard_sigmas·σ_x of either boundary aborts with BoundaryProximityError.
+    and after the last (sample_stride an integer >= 1, else ConfigError); the
+    run walks those sampled steps and holds only their times. E·x is
+    unbounded, so at each sample a centroid within guard_sigmas·σ_x of either
+    boundary aborts with BoundaryProximityError.
     """
-    t_grid, nsteps, h = _time_grid(T, dt)
-    sampled = _sample_rule(nsteps, sample_stride, "sample_stride")
+    samples, h = _sample_steps(T, dt, sample_stride, "sample_stride")
+    nsteps = int(samples[-1])
     x, dx = psi0.x, psi0.dx
     # |k - ⟨k⟩| < 2π/dx and, ψ being normalised, Σ|FFT ψ|² = N/dx: (N/dx)·(2π/dx)²
     # bounds every k², power and power-weighted k sum that moments and the steps form
@@ -295,13 +299,14 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
             f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {guard_sigmas}σ_k "
             f"it reaches {k_reach:.6g}, past the grid's k window π/dx = {np.pi / dx:.6g}")
     U = E * x if potential is None else E * x + np.asarray(potential(x), dtype=np.float64)
-    # steps of m·h end at the stops: every step with an extra potential, else every sample
-    stride = operator.index(sample_stride) if potential is None else 1
-    lengths = {min(stride, nsteps), nsteps % stride or stride}
+    # a sample interval of m steps is one Strang step of m·h when U = E·x alone, else
+    # m steps of h; every interval but the last spans the first one's steps
+    first, last = int(samples[1]), nsteps - int(samples[-2])
+    lengths = {first, last} if potential is None else {1}
     tau = max(lengths) * h
     # a step of m·h carries the phase E²(mh)³/24, so h steps carry nsteps·E²h³/24 in
-    # all; the cubes are Python ints, where a numpy stride's would wrap
-    cubes = nsteps // stride * stride ** 3 + (nsteps % stride) ** 3
+    # all; the cubes are Python ints, where numpy's would wrap
+    cubes = (samples.size - 2) * first ** 3 + last ** 3 if potential is None else nsteps
     with np.errstate(over="ignore", invalid="ignore"):
         correction = (E * h) * (E * h) * h * (nsteps - cubes) / 24.0
         phases = (0.5 * tau * (np.pi / dx) ** 2, 0.5 * tau * np.max(np.abs(U)), correction)
@@ -311,21 +316,22 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     factors = {m: (np.exp(-0.5j * (m * h) * U), np.exp(-0.5j * (m * h) * kgrid ** 2))
                for m in lengths}
     rows = []
-    j = 0
-    for stop in chain(range(0, nsteps, stride), [nsteps]):
+    start = 0
+    for stop in samples.tolist():
         if stop:
-            half_kick, kinetic = factors[stop - j]
-            j = stop
-            psi = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * psi))
-            if not sampled(j):
-                continue
+            length, count = (stop - start, 1) if potential is None else (1, stop - start)
+            half_kick, kinetic = factors[length]
+            for _ in range(count):
+                psi = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * psi))
             sample = moments(psi)
         tot, mx, mk, sig, _ = sample
+        t = stop * h
         if min(mx - x_lo, x_hi - mx) < guard_sigmas * sig:
             raise BoundaryProximityError(
                 f"centroid {mx:.3f} within {guard_sigmas}σ (σ={sig:.3f}) of the "
-                f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t_grid[j]:.6g}")
-        rows.append((float(t_grid[j]), mx, mk, sig, tot))
+                f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t:.6g}")
+        rows.append((t, mx, mk, sig, tot))
+        start = stop
 
     psi *= np.exp(1j * correction)
     times, x_mean, k_mean, sigma_x, norms = map(np.array, zip(*rows))

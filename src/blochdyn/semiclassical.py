@@ -20,7 +20,7 @@ PERIODIC_B   closed form: k(t) rotates at ω = B ε'(|k|)/|k| (isotropic band)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,7 @@ from .central_equation import _check_band, band_derivatives, reduce_to_zone
 from .errors import ConfigError, EnergyDriftError
 from .potential import FourierPotential
 
-# step count past which _time_grid refuses a (T, dt) pair as bad input
+# step count past which _sample_steps refuses a (T, dt) pair as bad input
 _MAX_STEPS = 2 ** 31
 # planar RK4 steps taken per numpy product
 _STEP_CHUNK = 256
@@ -37,43 +37,45 @@ _STEP_CHUNK = 256
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled k(t), x(t), v_g(t) with the governing equation tag."""
+    """Uniformly sampled k(t), x(t), v_g(t) with the governing equation tag; PERIODIC_E
+    sets inv_mass (m/m* along the path) and FREE_E the dispersion phase."""
 
     equation_tag: str
     times: np.ndarray
     k: np.ndarray
     x: np.ndarray
     v_g: np.ndarray
-    meta: dict = field(default_factory=dict)
+    inv_mass: np.ndarray | None = None
     phase: np.ndarray | None = None
-
-    @property
-    def k_reduced(self) -> np.ndarray:
-        a = self.meta.get("a", 1.0)
-        return reduce_to_zone(self.k, a)
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
 
-def _time_grid(T: float, dt: float):
-    """(times, nsteps, h) of every fixed-step integrator: round(T/dt) steps of T/nsteps."""
+def _sample_steps(T: float, dt: float, stride=1, name: str = "stride"):
+    """(samples, h) of round(T/dt) steps of h = T/nsteps: samples is the int array of
+    the sampled step indices, every stride-th and the last, so a propagator holds
+    the times samples·h and never the whole step grid. A stride that is not an
+    integer >= 1 (a numpy integer will do, a bool will not) is a ConfigError, as
+    are dt <= 0, T < dt and more than _MAX_STEPS steps.
+    """
     if not (dt > 0.0 and T >= dt):
         raise ConfigError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
     ratio = T / dt
     if not ratio <= _MAX_STEPS:
         raise ConfigError(f"T/dt = {ratio!r} steps exceeds the bound {_MAX_STEPS}")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {stride!r}")
     nsteps = max(1, int(round(ratio)))
-    dt_eff = T / nsteps
-    return np.arange(nsteps + 1) * dt_eff, nsteps, dt_eff
+    # a stride past nsteps samples as nsteps does, and keeps the array int64
+    return np.append(np.arange(0, nsteps, min(int(stride), nsteps)), nsteps), T / nsteps
 
 
-def _sample_rule(nsteps: int, stride: int, name: str):
-    """Whether step j, an index or an index array, is sampled: every stride-th and the last."""
-    if stride < 1:
-        raise ConfigError(f"{name} must be >= 1, got {stride!r}")
-    return lambda j: (j % stride == 0) | (j == nsteps)
+def _time_grid(T: float, dt: float):
+    """(times, nsteps, h) of every fixed-step integrator: round(T/dt) steps of T/nsteps."""
+    samples, h = _sample_steps(T, dt)
+    return samples * h, int(samples[-1]), h
 
 
 def _trapezoid_integral(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -116,7 +118,7 @@ def evolve_free_E(k0: float, E: float, T: float, dt: float, x0: float = 0.0) -> 
     k = k0 - E * times
     x = x0 + k0 * times - 0.5 * E * times ** 2
     phase = k0 ** 2 * times / 2.0 - k0 * E * times ** 2 / 2.0 + E ** 2 * times ** 3 / 6.0
-    return Trajectory("FREE_E", times, k, x, k.copy(), meta={"E": float(E)}, phase=phase)
+    return Trajectory("FREE_E", times, k, x, k.copy(), phase=phase)
 
 
 def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
@@ -150,16 +152,6 @@ def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
                 f"relative energy drift {drift:.3e} exceeds {energy_tol:.1e}; reduce dt"
             )
     return Trajectory("GENERAL_V", times, v.copy(), x, v)
-
-
-def cyclotron_center_offset(v0: np.ndarray, omega_c: float) -> np.ndarray:
-    """Starting position (relative to the orbit center) matching velocity v0.
-
-    For the circular solution v(t) = κ(cos ω_c t, sin ω_c t) the position is
-    x(t) = (κ/ω_c)(sin ω_c t, -cos ω_c t), i.e. x = (v × ẑ)/ω_c at all times.
-    """
-    v0 = np.asarray(v0, dtype=np.float64)
-    return np.array([v0[1], -v0[0]]) / omega_c
 
 
 def _planar(vec, name):
@@ -207,7 +199,7 @@ def _evolve_planar(tag: str, system, v0, v_name: str, x0, E, B: float, T: float,
         raise ConfigError(f"{tag} trajectory leaves float range (B={wc!r}, E={E!r}, "
                           f"T={T!r}, dt={dt!r})")
     v = ys[:, 2:4]
-    return Trajectory(tag, times, v.copy(), ys[:, 0:2], v, meta={"B": wc, "E": Ev.copy()})
+    return Trajectory(tag, times, v.copy(), ys[:, 0:2], v)
 
 
 def evolve_fundamental(k0, x0, E, B: float, T: float, dt: float) -> Trajectory:
@@ -277,7 +269,7 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     """Band transport under a uniform field: k(t) = reduce(k0 - E t).
 
     v_g is sampled from the band dispersion along the path and x(t) is its
-    trapezoid integral from the origin; meta["inv_mass"] carries the inverse
+    trapezoid integral from the origin; inv_mass carries the inverse
     effective mass m/m* along the path. All come from one band_derivatives
     call over the whole path.
     """
@@ -287,8 +279,7 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
     v = v[:, band]
     x = _trapezoid_integral(v, times)
-    meta = {"a": pot.a, "E": float(E), "inv_mass": inv_mass[:, band]}
-    return Trajectory("PERIODIC_E", times, k_unred, x, v, meta=meta)
+    return Trajectory("PERIODIC_E", times, k_unred, x, v, inv_mass=inv_mass[:, band])
 
 
 def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
@@ -313,4 +304,4 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     k = np.column_stack([c * k0[0] - s * k0[1], s * k0[0] + c * k0[1]])
     v = slope * k
     x = _trapezoid_integral(v, times)
-    return Trajectory("PERIODIC_B", times, k, x, v, meta={"a": pot.a, "B": float(B)})
+    return Trajectory("PERIODIC_B", times, k, x, v)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from blochdyn.central_equation import solve_at
 from blochdyn.quantum import _eigenframes
 from blochdyn.semiclassical import _time_grid
 
+ROOT = Path(__file__).resolve().parent.parent
 TWO_PI = 2.0 * math.pi
 WEAK = single_cosine(1.0, 0.05)
 # complex coefficients with no mirror plane: V(x0 - x) != V(x0 + x) for every x0
@@ -212,6 +217,47 @@ def test_stride_not_dividing_the_steps_keeps_the_last_step():
     np.testing.assert_array_equal(res.times, expect)
     _, report = integrate_basis(0.4, WEAK, 10, 0.05, 1.0, 0.1, report_stride=3)
     np.testing.assert_array_equal(report.t, expect)
+
+
+@pytest.mark.parametrize("stride", [2.5, 3.0, np.float64(2.0), True],
+                         ids=["fraction", "whole-float", "numpy-float", "bool"])
+def test_a_stride_that_is_not_an_integer_is_refused(stride):
+    # the uniform-field and extra-potential split-step paths, and the basis propagator
+    psi0 = gaussian_packet(400.0, 1024, x0=-30.0, k0=1.0, sigma=10.0)
+    runs = [
+        lambda: split_step_free(psi0, 0.05, 1.0, 0.1, sample_stride=stride),
+        lambda: split_step_free(psi0, 0.05, 1.0, 0.1, potential=np.zeros_like,
+                                sample_stride=stride),
+        lambda: integrate_basis(0.4, WEAK, 10, 0.05, 1.0, 0.1, report_stride=stride),
+    ]
+    for run in runs:
+        with pytest.raises(ConfigError, match="stride must be an integer >= 1"):
+            run()
+
+
+def test_a_long_run_at_a_wide_stride_holds_only_its_samples():
+    # 10^7 steps of h sampled at both ends: one Strang step, and no 10^7-long time grid
+    pytest.importorskip("resource")
+    script = """
+import resource
+from blochdyn import gaussian_packet, split_step_free
+psi0 = gaussian_packet(40.0, 64, 0.0, 0.0, 2.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+res = split_step_free(psi0, 0.01, 1.0, 1e-7, sample_stride=10**7)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(res.times.tolist(), after - before)
+"""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    times, grown = res.stdout.split("]")
+    assert times == "[0.0, 1.0"
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    grown_mb = int(grown) / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    assert grown_mb < 50.0, f"peak RSS grew by {grown_mb:.1f} MB"
 
 
 # --------------------------------------------------------------------------

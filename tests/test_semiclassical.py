@@ -9,7 +9,6 @@ from blochdyn import (
     ConfigError,
     EnergyDriftError,
     compare_fundamental_lorentz,
-    cyclotron_center_offset,
     evolve_free_E,
     evolve_fundamental,
     evolve_general_V,
@@ -167,13 +166,6 @@ def test_lorentz_one_component_vectors_are_zero_padded():
         np.testing.assert_array_equal(getattr(one, name), getattr(pair, name), err_msg=name)
 
 
-def test_cyclotron_center_offset():
-    np.testing.assert_allclose(cyclotron_center_offset([1.0, 0.0], 1.0),
-                               [0.0, -1.0], atol=1e-14)
-    offset = cyclotron_center_offset([0.0, 2.0], 4.0)
-    np.testing.assert_allclose(offset, [0.5, 0.0], atol=1e-14)
-
-
 def test_compare_centered_orbits_identical():
     period = TWO_PI
     rep = compare_fundamental_lorentz([1.0, 0.0], [0.0, -1.0], [0.0, 0.0],
@@ -209,13 +201,13 @@ def test_periodic_E_bloch_oscillation():
     assert traj.v_g[-1] == pytest.approx(traj.v_g[0], abs=1e-6)
     assert abs(traj.x[-1] - traj.x[0]) < 1e-2
     np.testing.assert_allclose(traj.k, -e_field * traj.times, atol=1e-12)
-    assert np.all(np.abs(traj.k_reduced) <= math.pi + 1e-12)
+    assert np.all(np.abs(reduce_to_zone(traj.k, pot.a)) <= math.pi + 1e-12)
 
 
 def test_periodic_E_mass_channel():
     pot = single_cosine(1.0, 0.05)
     traj = evolve_periodic_E(0.3, 0, pot, 10, 0.05, 10.0, 0.1)
-    inv_mass = traj.meta["inv_mass"]
+    inv_mass = traj.inv_mass
     assert inv_mass.shape == traj.times.shape
     assert np.all(np.isfinite(inv_mass))
 
@@ -412,5 +404,3 @@ def test_trapezoid_integral_matches_scipy():
 def test_trajectory_properties():
     traj = evolve_free_E(0.0, 1.0, 1.0, 0.25)
     assert traj.dt == pytest.approx(0.25)
-    np.testing.assert_allclose(traj.k_reduced,
-                               [0.0, -0.25, -0.5, -0.75, -1.0], atol=1e-12)
