@@ -15,8 +15,9 @@ semiclassical._sample_steps (a stride is an integer >= 1) and hold only their
 times, never the step grid, though the basis integrator holds one midpoint
 shift per step, as each needs its own eigensystem. The grid oracle builds the
 real-space Hamiltonian with a spectral kinetic circulant and folds it by
-Bloch's theorem into one small block per commensurate k, so each level's
-crystal-momentum label is exact by construction.
+Bloch's theorem into one small block per commensurate k. It returns the
+blocks' levels as computed, one row per k, so each level's crystal-momentum
+label is exact by construction and needs no lookup.
 """
 
 from __future__ import annotations
@@ -345,31 +346,25 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
 
 @dataclass
 class GridBands:
-    """Lowest grid levels of the Bloch-folded oracle (energies), each with its
-    exact commensurate crystal momentum k."""
+    """The Bloch-folded oracle's levels, one row per block: k (M,) ascending and
+    energies (M, N/M), so band b at crystal momentum k[m] is energies[m, b]."""
 
     k: np.ndarray
     energies: np.ndarray
 
-    def ground_band_energy(self, k: float) -> float:
-        match = np.abs(self.k - k) < 1e-9
-        if not np.any(match):
-            raise ConfigError(f"no labeled state at k={k!r}")
-        return float(np.min(self.energies[match]))
 
-
-def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
-                      n_levels: int | None = None) -> GridBands:
+def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048) -> GridBands:
     """Diagonalize -½∂² + V on M periods with N points, periodic boundary.
 
     The kinetic operator is the exact spectral circulant, so plane waves up
     to the grid Nyquist are represented without dispersion error. H commutes
     with translation by one period (s = N/M points), so Bloch's theorem on the
     grid splits it exactly into M blocks of size s, one per commensurate
-    k_m = 2πm/(Ma), m in (-M/2, M/2]:
+    k_m = 2πm/(Ma), m = 1 - M/2 … M/2:
     H_k[i, j] = Σ_r circ[(i - j - r·s) mod N]·e^{ikra} + δ_ij V(x_i).
-    Every level carries its block's k by construction. The lowest n_levels
-    over all blocks are returned, ordered by k and then by energy.
+    Every level carries its block's k by construction, so the blocks are
+    returned as computed: GridBands(k, energies) with energies[m] the s
+    levels of block m.
     """
     if N & (N - 1) or N <= 0:
         raise ConfigError(f"N must be a power of two, got {N}")
@@ -377,10 +372,6 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
         raise ConfigError(f"need at least 8 periods, got M={M}")
     if N % M:
         raise ConfigError(f"N={N} must be divisible by M={M}")
-    if n_levels is None:
-        n_levels = 3 * M
-    if not 1 <= n_levels <= N:
-        raise ConfigError(f"n_levels must lie in [1, {N}], got {n_levels}")
     a = pot.a
     dx = M * a / N
     kappa = TWO_PI * np.fft.fftfreq(N, d=dx)
@@ -391,9 +382,4 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048,
     gathered = circ[(i[:, None, None] - i[None, :, None] - s * r) % N]
     H = np.einsum("ijr,rm->mij", gathered, np.exp(TWO_PI * 1j * np.outer(r, m) / M))
     H[:, i, i] += pot.evaluate(dx * i)
-    energies = np.linalg.eigvalsh(H).ravel()   # block m's levels are contiguous
-    lowest = np.argsort(energies, kind="stable")[:n_levels]
-    k_out = np.repeat(TWO_PI * m / (M * a), s)[lowest]
-    e_out = energies[lowest]
-    order = np.lexsort((e_out, k_out))
-    return GridBands(k=k_out[order], energies=e_out[order])
+    return GridBands(k=TWO_PI * m / (M * a), energies=np.linalg.eigvalsh(H))

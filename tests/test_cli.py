@@ -14,8 +14,7 @@ import pytest
 from blochdyn import (BandFilling, ConfigError, FourierPotential, acceptance,
                       band_derivatives, band_sweep, classify, cli, conduction,
                       evolve_fundamental, evolve_general_V, evolve_lorentz, gaussian_packet,
-                      grid_ground_state, random_symmetric, single_cosine, split_step_free,
-                      velocity_sum)
+                      random_symmetric, single_cosine, split_step_free, velocity_sum)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
 from blochdyn.semiclassical import _time_grid
@@ -426,12 +425,10 @@ def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
     lambda: evolve_general_V(0.2, 0.5, lambda x: -0.5 * x * x, 3.0, 1e-3),
     lambda: gaussian_packet(400.0, 4096, -30.0, 40.0, 10.0),
     lambda: evolve_lorentz([1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1.0, 0.1),
-    lambda: grid_ground_state(single_cosine(1.0, 0.05), M=8, N=64, n_levels=0),
-    lambda: grid_ground_state(single_cosine(1.0, 0.05), M=8, N=64, n_levels=65),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
         "band_sweep", "band_sweep_no_bands", "band_derivatives", "potential", "filling",
         "fundamental", "split_step", "general_V_without_dV", "packet_k0_past_k_window",
-        "lorentz_three_components", "grid_no_levels", "grid_levels_past_N"])
+        "lorentz_three_components"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
