@@ -218,17 +218,20 @@ def criterion_8_conduction(seed: int = 12345) -> list[tuple[bool, str]]:
     rng = np.random.default_rng(seed)
     n_k = 256
     worst_filled = 0.0
-    for _ in range(10):
+    for i in range(10):
         pot = random_symmetric(1.0, rng)
         shift = float(rng.uniform(-0.3, 0.3)) * TWO_PI
-        for s in (0.0, shift):
+        # the last potential's unshifted filled-band sum is the trio's first, below
+        for s in (0.0, shift) if i < 9 else (shift,):
             filling = BandFilling(band=0, n_k=n_k, fraction=1.0, shift=s)
             worst_filled = max(worst_filled, abs(velocity_sum(filling, pot, 10)))
 
     # one unshifted band pass on the last potential labels the full, half and
-    # empty fillings and gives the half-filled sum and Σ m/m* for the linear response
+    # empty fillings and gives the filled-band sum, the half-filled sum and Σ m/m*
+    # for the linear response
     half0 = BandFilling(band=0, n_k=n_k, fraction=0.5)
     trio = _sums_and_labels(half0, pot, 10, (1.0, 0.5, 0.0))
+    worst_filled = max(worst_filled, abs(trio[0][0]))
     labels = tuple(label for _, label, _ in trio)
     shift = 1e-4 * TWO_PI
     net = velocity_sum(replace(half0, shift=shift), pot, 10) - trio[1][0]

@@ -3,21 +3,23 @@ a split-step real-space propagator, and a Bloch-folded grid diagonalization.
 
 These provide independent checks of the semiclassical picture. The basis
 integrator advances X with the exact exponential of the midpoint Hamiltonian
-(exactly unitary per step). Every gauge shift A = -E t it visits, at the step
-midpoints and at the diagnostic samples, is known before the first step, so
-each set comes from one stacked _eigensystems pass of central_equation;
-adiabatic_diagnostics is the sample pass at a single time.
+(exactly unitary per step). Its diagnostic samples come from one stacked
+_eigensystems pass of central_equation, and its step midpoints from one
+_eigensystems block at a time; adiabatic_diagnostics is the sample pass at a
+single time.
 The split-step propagator is Strang-ordered and second order in dt. In a
 uniform field alone, U = E·x, a Strang step is exact up to a global phase at
 any length, so it takes one step per sample interval and restores the phase
 of the dt-step loop at the end. Both propagators walk the sampled steps of
 semiclassical._sample_steps (a stride is an integer >= 1) and hold only their
-times, never the step grid, though the basis integrator holds one midpoint
-shift per step, as each needs its own eigensystem. The grid oracle builds the
-real-space Hamiltonian with a spectral kinetic circulant and folds it by
-Bloch's theorem into one small block per commensurate k. It returns the
-blocks' levels as computed, one row per k, so each level's crystal-momentum
-label is exact by construction and needs no lookup.
+times, never the step grid: the basis integrator forms each block's midpoint
+shifts in its block loop, and the split-step propagator runs every step in
+place on one copy of the state.
+The grid oracle builds the real-space Hamiltonian with a spectral kinetic
+circulant and folds it by Bloch's theorem into one small block per
+commensurate k. It returns the blocks' levels as computed, one row per k, so
+each level's crystal-momentum label is exact by construction and needs no
+lookup.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_equation import _GAP_MIN, TWO_PI, _eigensystems, _phase_fix, solve_at
+from .central_equation import (_GAP_MIN, _K_BLOCK, TWO_PI, _eigensystems, _phase_fix,
+                               solve_at)
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
 from .potential import FourierPotential
 from .semiclassical import _sample_steps
@@ -143,13 +146,15 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     A(t) = -E t. Each step applies Θ exp(-iΛ dt) Θ† of the midpoint
     Hamiltonian, so the update is unitary to roundoff and integrator drift
     cannot masquerade as nonadiabaticity. The midpoint shifts A = -E(j + ½)dt
-    go through one _eigensystems pass with no phase fix, which the product
-    does not need. Per block, U = Θ·diag(e^{-iλh}) is formed once and Θ† is
-    the conjugate-transpose view of one complex copy of Θ, so step j is
-    X -> U[j] (Θ†[j] X). Diagnostics are sampled every report_stride steps
-    plus the final instant (report_stride an integer >= 1, else ConfigError),
-    from one _eigenframes pass at those times only; the step loop takes the
-    fidelity when j reaches the next sampled step.
+    are formed one _K_BLOCK block at a time, so memory follows the block and
+    the samples, not nsteps, and each block is one _eigensystems call with no
+    phase fix, which the product does not need. Per block, U = Θ·diag(e^{-iλh})
+    is formed once into a reused work array and Θ† is the conjugate-transpose
+    view of one complex copy of Θ, so step j is X -> U[j] (Θ†[j] X).
+    Diagnostics are sampled every report_stride steps plus the final instant
+    (report_stride an integer >= 1, else ConfigError), from one _eigenframes
+    pass at those times only; the step loop takes the fidelity when j reaches
+    the next sampled step, a Python int.
     Returns (X, AdiabaticReport): X is the coefficient vector over the
     plane-wave index l at T.
     """
@@ -159,20 +164,27 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     grounds, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, ts)
     X = grounds[0].astype(np.complex128)
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
-    steps = None    # one block's U and conj(Θ), reused: a fresh pair costs more than its steps
-    shifts = np.arange(0.5, nsteps)     # -E(j + ½)h in place, with no full-length temporary
-    with np.errstate(over="ignore"):
-        shifts *= -E
-        shifts *= h
-    for cut, ws, vs, _ in _eigensystems(k, shifts, pot, n):
+    marks = iter(samples.tolist()[1:])     # Python ints: the loop compares no numpy scalar
+    mark = next(marks)
+    steps = None    # one block's U and Θ†, reused: a fresh pair costs more than its steps
+    for lo in range(0, nsteps, _K_BLOCK):
+        hi = min(lo + _K_BLOCK, nsteps)
+        shifts = np.arange(lo + 0.5, hi)    # -E(j + ½)h for this block's steps only
+        with np.errstate(over="ignore"):
+            shifts *= -E
+            shifts *= h
+        (_, ws, vs, _), = _eigensystems(k, shifts, pot, n)
         if steps is None:   # the first block is the largest
-            steps, conj = np.empty((2, *vs.shape), dtype=np.complex128)
-        u = np.multiply(vs, np.exp(-1j * ws * h)[:, None, :], out=steps[:len(ws)])
-        v_h = np.conjugate(vs, out=conj[:len(ws)]).transpose(0, 2, 1)
-        for j, u_j, v_h_j in zip(range(cut.start + 1, cut.stop + 1), u, v_h):
-            X = np.dot(u_j, np.dot(v_h_j, X))   # np.dot dispatches faster than @ here
-            if j == samples[len(fidelity)]:
+            steps, frames = np.empty((2, *vs.shape), dtype=np.complex128)
+        v = frames[:len(ws)]
+        v[...] = vs     # complex before the product, which then runs no casting loop
+        u = np.multiply(v, np.exp(-1j * ws * h)[:, None, :], out=steps[:len(ws)])
+        v_h = np.conjugate(v, out=v).transpose(0, 2, 1)
+        for j, u_j, v_h_j in zip(range(lo + 1, hi + 1), u, v_h):
+            X = u_j.dot(v_h_j.dot(X))     # the bound dot dispatches faster than @ here
+            if j == mark:
                 fidelity.append(float(np.abs(np.vdot(grounds[len(fidelity)], X)) ** 2))
+                mark = next(marks, None)
 
     report = AdiabaticReport(ts, gap, hdot, om_star, bound, np.array(fidelity), comm)
     return X, report
@@ -266,9 +278,11 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     taken, and a largest step τ whose phase τ·(π/dx)²/2 or τ·max|U|/2, or the
     phase correction, overflows. Later samples come every sample_stride steps
     and after the last (sample_stride an integer >= 1, else ConfigError); the
-    run walks those sampled steps and holds only their times. E·x is
-    unbounded, so at each sample a centroid within guard_sigmas·σ_x of either
-    boundary aborts with BoundaryProximityError.
+    run walks those sampled steps and holds only their times. Every step runs
+    in place on one copy of ψ₀, with out= products and FFTs, so ψ₀ is left as
+    it was and the final state is a new array. E·x is unbounded, so at each
+    sample a centroid within guard_sigmas·σ_x of either boundary aborts with
+    BoundaryProximityError.
     """
     samples, h = _sample_steps(T, dt, sample_stride, "sample_stride")
     nsteps = int(samples[-1])
@@ -292,7 +306,7 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
         sk = float(np.sqrt(np.sum(power * (kgrid - mk) ** 2) / np.sum(power)))
         return tot, mx, mk, np.sqrt(max(mx2 - mx * mx, 0.0)), sk
 
-    psi = psi0.psi.astype(np.complex128)
+    psi = psi0.psi.astype(np.complex128)     # a copy, the work array of every step
     _, _, k_mean, _, k_sigma = sample = moments(psi)
     k_reach = max(abs(k_mean), abs(k_mean - E * T)) + guard_sigmas * k_sigma
     if not k_reach < np.pi / dx:
@@ -323,7 +337,13 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
             length, count = (stop - start, 1) if potential is None else (1, stop - start)
             half_kick, kinetic = factors[length]
             for _ in range(count):
-                psi = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * psi))
+                # half_kick·ifft(kinetic·fft(half_kick·ψ)) in place, each product in
+                # that operand order: numpy's complex multiply is not bitwise commutative
+                np.multiply(half_kick, psi, out=psi)
+                np.fft.fft(psi, out=psi)
+                np.multiply(kinetic, psi, out=psi)
+                np.fft.ifft(psi, out=psi)
+                np.multiply(half_kick, psi, out=psi)
             sample = moments(psi)
         tot, mx, mk, sig, _ = sample
         t = stop * h

@@ -32,8 +32,9 @@ def test_criterion(cid, name):
 
 
 def test_criterion_8_makes_each_band_pass_once(monkeypatch):
-    # 20 filled-band sums, the shifted half-filled sum, and one unshifted pass
-    # that serves the classification trio, the half-filled sum and its Σ m/m*
+    # 19 filled-band sums, the shifted half-filled sum, and one unshifted pass that
+    # serves the last potential's filled-band sum, the classification trio, the
+    # half-filled sum and its Σ m/m*
     calls = []
 
     def counted(*args):
@@ -43,8 +44,8 @@ def test_criterion_8_makes_each_band_pass_once(monkeypatch):
     monkeypatch.setattr(conduction, "band_derivatives", counted)
     monkeypatch.setattr(acceptance, "band_derivatives", counted)
     assert all(ok for ok, _ in acceptance.criterion_8_conduction(SEED))
-    assert len(calls) == 22
-    assert sum(len(ks) for ks, *_ in calls) == 5504
+    assert len(calls) == 21
+    assert sum(len(ks) for ks, *_ in calls) == 5248
 
 
 @pytest.mark.parametrize("only, message", [([99], "unknown criteria [99]"),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,10 @@ REAL_RUNS = {
     "real": (-0.75 * math.pi, WEAK, 10, 0.05, 3.0, 3.0 / 320, 40),
     # 150 steps: two full blocks and a partial one; stride 7 straddles each boundary
     "partial-blocks": (0.4, WEAK, 10, 0.05, 1.5, 0.01, 7),
+    # 128 steps at stride 64: each sample falls on a block's last step
+    "sample-at-block-end": (0.4, WEAK, 10, 0.05, 1.28, 0.01, 64),
+    # 50 steps at stride 80: the last step is the only sample after t = 0
+    "stride-past-the-steps": (0.4, WEAK, 10, 0.05, 0.5, 0.01, 80),
 }
 COMPLEX_RUN = (0.3, SKEW, 10, 0.02, 4.0, 0.01, 37)
 
@@ -275,6 +280,20 @@ print(res.times.tolist(), after - before)
     # ru_maxrss counts KiB on Linux and bytes on macOS
     grown_mb = int(grown) / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
     assert grown_mb < 50.0, f"peak RSS grew by {grown_mb:.1f} MB"
+
+
+def test_the_midpoint_shifts_are_held_one_block_at_a_time():
+    # one 8·nsteps-byte array of shifts would add 96 KB to the peak from 2^12 to 2^14 steps
+    def traced_peak(nsteps):
+        tracemalloc.start()
+        try:
+            integrate_basis(0.3, WEAK, 1, 0.05, 1.0, 1.0 / nsteps, report_stride=nsteps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = traced_peak(2 ** 14) - traced_peak(2 ** 12)
+    assert grown < 32 * 1024, f"traced peak grew by {grown / 1024:.1f} KB"
 
 
 # --------------------------------------------------------------------------
@@ -453,6 +472,9 @@ SPLIT_STEP_RUNS = {
              0.0, math.pi, 0.005, lambda x: 0.5 * x * x, 20),
     # stride 1 in a uniform field: one sample interval is one step
     "stride-1-field": (CRITERION_1_PACKET, 0.05, 0.5, 0.01, None, 1),
+    # stride 1 with a potential: the moments between every two steps
+    "trap-stride-1": (gaussian_packet(40.0, 1024, x0=2.0, k0=0.0, sigma=1.0),
+                      0.0, 0.5, 0.005, lambda x: 0.5 * x * x, 1),
 }
 
 
@@ -495,6 +517,27 @@ def test_a_numpy_integer_stride_takes_the_same_steps():
     got, expect = (split_step_free(psi0, 0.01, 2.1, 1e-6, sample_stride=stride)
                    for stride in (np.int64(2_100_000), 2_100_000))
     np.testing.assert_array_equal(got.final.psi, expect.final.psi)
+
+
+@pytest.mark.parametrize("potential, stride", [(None, 7), (lambda x: 0.5 * x * x, 20)],
+                         ids=["uniform-field", "potential"])
+def test_split_step_works_on_its_own_copy_of_the_state(monkeypatch, potential, stride):
+    psi0 = gaussian_packet(40.0, 512, x0=2.0, k0=0.0, sigma=1.0)
+    before = psi0.psi.copy()
+    steps = []
+    fft = np.fft.fft
+
+    def recorded(a, *args, **kwargs):     # the work array is every in-place step's output
+        if kwargs.get("out") is not None:
+            steps.append(kwargs["out"])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    res = split_step_free(psi0, 0.05, 1.0, 0.01, potential=potential, sample_stride=stride)
+    np.testing.assert_array_equal(psi0.psi, before)
+    assert steps and all(work is steps[0] for work in steps)
+    assert not np.shares_memory(res.final.psi, steps[0])
+    assert not np.shares_memory(res.final.psi, psi0.psi)
 
 
 def test_uniform_field_steps_differ_from_the_parent_loop_by_the_periodic_wrap():
