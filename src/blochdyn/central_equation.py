@@ -69,24 +69,15 @@ def _plane_wavevectors(k, A_shift, a: float, n: int) -> np.ndarray:
 def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential, n: int):
     """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k, and their κ.
 
-    A_shift is one gauge shift for every matrix, or one per entry of ks.
+    A_shift is one gauge shift for every matrix, or one per entry of ks. Each
+    matrix is a copy of pot.coupling_block(n), the Toeplitz part
+    H[i, j] = V_{l_i - l_j} that the potential forms once per n, plus its
+    kinetic diagonal κ²/2.
     """
     k_max = float(np.abs(ks).max(initial=0.0))
     if not k_max <= np.pi / pot.a * (1.0 + 1e-12):
         raise ConfigError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")
-    if n < 1:
-        raise ConfigError(f"truncation half-width must be >= 1, got {n}")
-    if n < pot.cutoff:
-        raise ConfigError(
-            f"truncation n={n} smaller than potential cutoff L={pot.cutoff}; "
-            "harmonics would be silently dropped"
-        )
-    size = 2 * n + 1
-    dtype = np.float64 if pot.is_real else np.complex128
-    # Toeplitz potential part H[i, j] = V_{l_i - l_j}, row index i carries l_i = i - n
-    coeffs = np.zeros(2 * size - 1, dtype=dtype)
-    for l, v in pot.items():
-        coeffs[l + 2 * n] = v.real if l == 0 or dtype is np.float64 else v
+    coupling = pot.coupling_block(n)
     kappa = _plane_wavevectors(ks, A_shift, pot.a, n)
     with np.errstate(over="ignore"):
         kinetic = kappa ** 2 / 2.0
@@ -94,8 +85,8 @@ def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential, n: int):
         raise ConfigError(f"a={pot.a!r} with gauge shift |A| up to "
                           f"{float(np.max(np.abs(A_shift)))!r} gives a non-finite "
                           "plane-wave energy (k + 2πl/a + A)²/2")
-    ls = np.arange(-n, n + 1)
-    H = np.repeat(coeffs[np.subtract.outer(ls, ls) + 2 * n][None], ks.size, axis=0)
+    size = 2 * n + 1
+    H = np.repeat(coupling[None], ks.size, axis=0)
     # every diagonal H[k, i, i] as one strided view
     H.reshape(ks.size, size * size)[:, ::size + 1] += kinetic
     return H, kappa

@@ -15,11 +15,14 @@ semiclassical._sample_steps (a stride is an integer >= 1) and hold only their
 times, never the step grid: the basis integrator forms each block's midpoint
 shifts in its block loop, and the split-step propagator runs every step in
 place on one copy of the state.
-The grid oracle builds the real-space Hamiltonian with a spectral kinetic
-circulant and folds it by Bloch's theorem into one small block per
-commensurate k. It returns the blocks' levels as computed, one row per k, so
-each level's crystal-momentum label is exact by construction and needs no
-lookup.
+The grid oracle diagonalizes the real-space Hamiltonian with a spectral
+kinetic circulant, folded by Bloch's theorem into one small block per
+commensurate k. Each block's kinetic part comes straight from the spectral
+symbol κ²/2: the grid's plane waves that belong to the block, one inverse FFT
+and two phase products, with no real-space circulant gathered. That is the
+same matrix as the folded circulant. The oracle returns the blocks' levels as
+computed, one row per k, so each level's crystal-momentum label is exact by
+construction and needs no lookup.
 """
 
 from __future__ import annotations
@@ -149,8 +152,10 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     are formed one _K_BLOCK block at a time, so memory follows the block and
     the samples, not nsteps, and each block is one _eigensystems call with no
     phase fix, which the product does not need. Per block, U = Θ·diag(e^{-iλh})
-    is formed once into a reused work array and Θ† is the conjugate-transpose
-    view of one complex copy of Θ, so step j is X -> U[j] (Θ†[j] X).
+    is formed once into a reused work array and Θ† is the transposed view of
+    one complex copy of Θ, conjugated in place only when eigh returns complex
+    vectors (on a real lattice Θ is real and Θ† = Θᵀ), so step j is
+    X -> U[j] (Θ†[j] X).
     Diagnostics are sampled every report_stride steps plus the final instant
     (report_stride an integer >= 1, else ConfigError), from one _eigenframes
     pass at those times only; the step loop takes the fidelity when j reaches
@@ -179,7 +184,9 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
         v = frames[:len(ws)]
         v[...] = vs     # complex before the product, which then runs no casting loop
         u = np.multiply(v, np.exp(-1j * ws * h)[:, None, :], out=steps[:len(ws)])
-        v_h = np.conjugate(v, out=v).transpose(0, 2, 1)
+        if np.iscomplexobj(vs):     # on a real lattice Θ† is Θᵀ
+            np.conjugate(v, out=v)
+        v_h = v.transpose(0, 2, 1)
         for j, u_j, v_h_j in zip(range(lo + 1, hi + 1), u, v_h):
             X = u_j.dot(v_h_j.dot(X))     # the bound dot dispatches faster than @ here
             if j == mark:
@@ -381,7 +388,13 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048) -> Grid
     with translation by one period (s = N/M points), so Bloch's theorem on the
     grid splits it exactly into M blocks of size s, one per commensurate
     k_m = 2πm/(Ma), m = 1 - M/2 … M/2:
-    H_k[i, j] = Σ_r circ[(i - j - r·s) mod N]·e^{ikra} + δ_ij V(x_i).
+    H_m[i, j] = Σ_r circ[(i - j - r·s) mod N]·e^{ik_m·ra} + δ_ij V(x_i).
+    Summed over r, the circulant keeps only the grid's plane waves p ≡ m
+    (mod M), so the blocks are folded from the spectral symbol instead. Wave
+    p sits at slot ((p - m)/M) mod s of block m, one inverse FFT over the
+    slots gives c_m[d] = (1/s)·Σ (κ_p²/2)·e^{2πi·slot·d/s}, and
+    H_m[i, j] = e^{ik_m(x_i - x_j)}·c_m[(i - j) mod s] + δ_ij V(x_i).
+    It is the same matrix, to roundoff, with no (s, s, M) real-space gather.
     Every level carries its block's k by construction, so the blocks are
     returned as computed: GridBands(k, energies) with energies[m] the s
     levels of block m.
@@ -394,12 +407,16 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048) -> Grid
         raise ConfigError(f"N={N} must be divisible by M={M}")
     a = pot.a
     dx = M * a / N
-    kappa = TWO_PI * np.fft.fftfreq(N, d=dx)
-    circ = np.fft.ifft(0.5 * kappa ** 2).real   # the full grid H[i, j] = circ[(i - j) % N]
     s = N // M
-    i, r = np.arange(s), np.arange(M)
     m = np.arange(1 - M // 2, M // 2 + 1)
-    gathered = circ[(i[:, None, None] - i[None, :, None] - s * r) % N]
-    H = np.einsum("ijr,rm->mij", gathered, np.exp(TWO_PI * 1j * np.outer(r, m) / M))
+    # p[m, slot] = m + M·slot (mod N): the grid's plane waves that fold into block m
+    p = (m[:, None] + M * np.arange(s)) % N
+    symbol = 0.5 * (TWO_PI * np.fft.fftfreq(N, d=dx))[p] ** 2
+    c = np.fft.ifft(symbol, axis=1)     # c[m, d] = (1/s)·Σ_slot symbol·e^{2πi·slot·d/s}
+    i = np.arange(s)
+    H = c[:, (i[:, None] - i) % s]
+    phase = np.exp(TWO_PI * 1j * np.outer(m, i) / N)     # e^{i k_m x_i}
+    H *= phase[:, :, None]
+    H *= phase.conj()[:, None, :]
     H[:, i, i] += pot.evaluate(dx * i)
     return GridBands(k=TWO_PI * m / (M * a), energies=np.linalg.eigvalsh(H))

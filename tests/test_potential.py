@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blochdyn import FourierPotential, random_symmetric, single_cosine
+from blochdyn import ConfigError, FourierPotential, random_symmetric, single_cosine
 
 
 def test_cosine_values():
@@ -79,3 +79,16 @@ def test_items_round_trip():
     rebuilt = FourierPotential(1.0, dict(pot.items()))
     x = np.linspace(0, 1, 33)
     np.testing.assert_allclose(rebuilt.evaluate(x), pot.evaluate(x), atol=1e-14)
+
+
+def test_coupling_block_is_the_read_only_toeplitz_of_the_coefficients():
+    pot = FourierPotential(1.0, {0: 0.07, 2: 0.3 - 0.2j, -2: 0.3 + 0.2j})
+    block = pot.coupling_block(3)
+    ls = np.arange(-3, 4)
+    np.testing.assert_array_equal(block, [[pot.coefficient(i - j) for j in ls] for i in ls])
+    assert block.dtype == np.complex128
+    assert single_cosine(1.0, 0.5).coupling_block(1).dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 1.0
+    with pytest.raises(ConfigError, match="n=1 smaller than potential cutoff L=2"):
+        pot.coupling_block(1)

@@ -31,6 +31,7 @@ from blochdyn import (
     split_step_free,
 )
 from blochdyn.central_equation import solve_at
+from blochdyn.potential import _toeplitz_block
 from blochdyn.quantum import _eigenframes
 from blochdyn.semiclassical import _time_grid
 
@@ -84,6 +85,62 @@ def test_free_electron_phase_is_the_dispersion_phase(k0, E, T, steps):
     total = np.angle(X[4]) + evolve_free_E(k0, E, T, dt).phase[-1]
     remainder = np.angle(np.exp(1j * (total - E ** 2 * T * dt ** 2 / 24.0)))
     assert abs(remainder) < 1e-12
+
+
+def _bloch_period_phase(pot, E, n=8, k0=0.3, steps_per_time=8):
+    """(|overlap|², phase) of X(T_B) on the rolled band-0 vector, dynamic phase removed.
+
+    After T_B = 2π/(aE) the shift A = -2π/a has moved H's plane-wave index by
+    one, so band 0 has returned as its vector rolled by one place. The overlap
+    carries -∫ε₀dt + γ_Zak + O(E); the dynamic part ∫ε₀dt = (1/E)∫_zone ε₀ dk
+    is a periodic trapezoid, which converges exponentially: with V = 0.5 the
+    nearest branch points lie ±iV/π off the zone edge, so 256 points leave
+    about e^{-256·0.16} of it.
+    """
+    T = TWO_PI / (pot.a * E)
+    X, _ = integrate_basis(k0, pot, n, E, T, 1.0 / steps_per_time, report_stride=10 ** 9)
+    overlap = np.vdot(np.roll(solve_at(k0, 0.0, pot, n).vectors[:, 0], 1), X)
+    ks = -math.pi / pot.a + TWO_PI / pot.a * np.arange(256) / 256
+    dynamic = TWO_PI / pot.a * float(np.mean(band_derivatives(ks, pot, n, 1)[0])) / E
+    return abs(overlap) ** 2, float(np.angle(overlap * np.exp(1j * dynamic)))
+
+
+def test_one_bloch_period_returns_band_0_with_the_zak_phase():
+    """J. Zak, Phys. Rev. Lett. 62, 2747 (1989): the cosine lattice, inversion
+    symmetric about x = 0, has γ_Zak = π, and moving it by x0 gives γ - 2πx0/a.
+
+    What is left after the dynamic phase is γ plus a term linear in E, measured
+    +0.0210 at E = 0.01 and +0.0105 at E = 0.005: a Stark shift of order E²/Δ
+    held for T_B ∝ 1/E. Richardson's 2φ(E/2) - φ(E) removes it (measured
+    3.4e-5 from -π), and it cancels between the two placements of the lattice.
+    The moved lattice has complex coefficients, so its eigenframes are complex.
+    """
+    cosine = single_cosine(1.0, 0.5)
+    moved = FourierPotential(1.0, {1: -0.5j, -1: 0.5j})    # V(x - a/4)
+    fidelity, phase = _bloch_period_phase(cosine, 0.01)
+    assert fidelity >= 1.0 - 1e-6
+    richardson = 2.0 * _bloch_period_phase(cosine, 0.005)[1] - phase
+    assert abs(np.angle(np.exp(1j * (richardson + math.pi)))) <= 1e-4
+    fidelity_moved, phase_moved = _bloch_period_phase(moved, 0.01)
+    assert fidelity_moved >= 1.0 - 1e-6
+    assert abs(np.angle(np.exp(1j * (phase_moved - phase + math.pi / 2)))) <= 1e-3
+
+
+def test_the_coupling_block_is_formed_once_per_potential(monkeypatch):
+    formed = []
+
+    def counted(pot, n):
+        formed.append(n)
+        return _toeplitz_block(pot, n)
+
+    monkeypatch.setattr("blochdyn.potential._toeplitz_block", counted)
+    pot = single_cosine(1.0, 0.05)     # a new potential, with no block formed yet
+    # 4096 steps: 64 stacked blocks of midpoints, and one sample pass
+    integrate_basis(0.3, pot, 4, 0.05, 4.096, 0.001, report_stride=512)
+    assert formed == [4]
+    block = pot.coupling_block(4)
+    assert block is pot.coupling_block(4) and not block.flags.writeable
+    assert formed == [4]
 
 
 def test_slow_sweep_follows_ground_band():
@@ -735,6 +792,41 @@ def test_grid_hamiltonian_is_the_gathered_circulant():
         H[np.diag_indices(N)] += pot.evaluate(dx * np.arange(N))
         np.testing.assert_allclose(np.sort(gb.energies, axis=None), np.linalg.eigvalsh(H),
                                    rtol=0, atol=1e-10)
+
+
+def _gathered_circulant_blocks(pot, M, N):
+    """The M Bloch blocks as built before the spectral-symbol fold: the real-space
+    circulant gathered over the periods r, then summed with e^{ik_m·ra}."""
+    dx = M * pot.a / N
+    circ = np.fft.ifft(0.5 * (TWO_PI * np.fft.fftfreq(N, d=dx)) ** 2).real
+    s = N // M
+    i, r = np.arange(s), np.arange(M)
+    m = np.arange(1 - M // 2, M // 2 + 1)
+    gathered = circ[(i[:, None, None] - i[None, :, None] - s * r) % N]
+    H = np.einsum("ijr,rm->mij", gathered, np.exp(TWO_PI * 1j * np.outer(r, m) / M))
+    H[:, i, i] += pot.evaluate(dx * i)
+    return H
+
+
+@pytest.mark.parametrize("M, N", [(8, 64), (16, 256)])
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+def test_every_grid_block_holds_its_own_levels(pot, M, N):
+    # block by block, not the sorted union: a high level filed under the wrong k fails here
+    gb = grid_ground_state(pot, M=M, N=N)
+    expect = np.linalg.eigvalsh(_gathered_circulant_blocks(pot, M, N))
+    assert gb.energies.shape == expect.shape == (M, N // M)
+    np.testing.assert_allclose(gb.energies, expect, rtol=0, atol=1e-10)
+
+
+def test_the_grid_oracle_holds_no_real_space_cube():
+    # the (s, s, M) gather and its einsum peaked at 6.1 MiB; the M blocks alone are 4 MiB
+    tracemalloc.start()
+    try:
+        grid_ground_state(single_cosine(1.0, 0.05), 16, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_grid_ground_state_validation():
