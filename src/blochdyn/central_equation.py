@@ -10,6 +10,11 @@ in the plane-wave basis exp(i(k + 2πl/a + s)x), l = -n..n, is
 in internal units (ħ = m = e = 1). Eigenvalues are the band energies
 ħω_{k,b}; eigenvector components a_l are the plane-wave weights of the
 Bloch function.
+
+The truncation n and the Toeplitz block V_{l-l'} belong to this module. Each
+band pass forms its block once, with _coupling_block, before its first k, so
+a truncation that would drop harmonics is refused by every pass, even one
+over no k; κ is formed per matrix stack, in _hamiltonians alone.
 """
 
 from __future__ import annotations
@@ -43,72 +48,87 @@ def reduce_to_zone(k, a: float = 1.0):
 
 @dataclass(frozen=True)
 class BandSolution:
-    """Eigendecomposition at one (k, A_shift): ascending energies, phase-fixed vectors."""
+    """Eigendecomposition at one (k, A_shift): ascending energies, phase-fixed vectors.
+
+    plane_wavevectors holds the κ_l = k + 2πl/a + A_shift, l = -n..n, of the
+    pass that solved it.
+    """
 
     k: float
     A_shift: float
-    a: float
-    n: int
     energies: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def plane_wavevectors(self) -> np.ndarray:
-        return _plane_wavevectors(self.k, self.A_shift, self.a, self.n)
+    plane_wavevectors: np.ndarray
 
 
-def _plane_wavevectors(k, A_shift, a: float, n: int) -> np.ndarray:
-    """κ_l = k + 2πl/a + A_shift for l = -n..n, along a new last axis of k.
+def _coupling_block(pot: FourierPotential, n: int) -> np.ndarray:
+    """The (2n+1)² Toeplitz block B[i, j] = V_{l_i - l_j}, l_i = i - n, of truncation n.
 
-    A_shift is a scalar or an array that broadcasts against k.
+    It is float64 on a real lattice and complex128 otherwise, with V_0 kept
+    real: one gather from the 4n+1 diagonals. Every band pass forms it before
+    its first k, so a truncation below 1 or below the cutoff, which would drop
+    harmonics, is refused with ConfigError even by a pass over no k.
     """
+    if n < 1:
+        raise ConfigError(f"truncation half-width must be >= 1, got {n}")
+    if n < pot.cutoff:
+        raise ConfigError(
+            f"truncation n={n} smaller than potential cutoff L={pot.cutoff}; "
+            "harmonics would be silently dropped"
+        )
+    dtype = np.float64 if pot.is_real else np.complex128
+    coeffs = np.zeros(4 * n + 1, dtype=dtype)     # coeffs[l + 2n] = V_l
+    for l, v in pot.items():
+        coeffs[l + 2 * n] = v.real if l == 0 or dtype is np.float64 else v
     ls = np.arange(-n, n + 1)
-    return np.asarray(k)[..., None] + TWO_PI * ls / a + np.asarray(A_shift)[..., None]
+    return coeffs[np.subtract.outer(ls, ls) + 2 * n]
 
 
-def _hamiltonians(ks: np.ndarray, A_shift, pot: FourierPotential, n: int):
+def _hamiltonians(ks: np.ndarray, A_shift, coupling: np.ndarray, a: float):
     """Stacked (len(ks), 2n+1, 2n+1) Hermitian matrices, one per reduced k, and their κ.
 
-    A_shift is one gauge shift for every matrix, or one per entry of ks. Each
-    matrix is a copy of pot.coupling_block(n), the Toeplitz part
-    H[i, j] = V_{l_i - l_j} that the potential forms once per n, plus its
-    kinetic diagonal κ²/2.
+    coupling is the pass's _coupling_block on lattice constant a. A_shift is
+    one gauge shift for every matrix, or one per entry of ks. Each matrix is a
+    copy of coupling plus its kinetic diagonal κ²/2, where κ_l = k + 2πl/a +
+    A_shift runs along the last axis of the returned κ.
     """
     k_max = float(np.abs(ks).max(initial=0.0))
-    if not k_max <= np.pi / pot.a * (1.0 + 1e-12):
-        raise ConfigError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={pot.a!r}")
-    coupling = pot.coupling_block(n)
-    kappa = _plane_wavevectors(ks, A_shift, pot.a, n)
+    if not k_max <= np.pi / a * (1.0 + 1e-12):
+        raise ConfigError(f"|k|={k_max!r} outside the reduced zone [-π/a, π/a] for a={a!r}")
+    size = coupling.shape[0]
+    ls = np.arange(-(size // 2), size // 2 + 1)
+    kappa = ks[:, None] + TWO_PI * ls / a + np.asarray(A_shift)[..., None]
     with np.errstate(over="ignore"):
         kinetic = kappa ** 2 / 2.0
     if not np.isfinite(kinetic).all():
-        raise ConfigError(f"a={pot.a!r} with gauge shift |A| up to "
+        raise ConfigError(f"a={a!r} with gauge shift |A| up to "
                           f"{float(np.max(np.abs(A_shift)))!r} gives a non-finite "
                           "plane-wave energy (k + 2πl/a + A)²/2")
-    size = 2 * n + 1
     H = np.repeat(coupling[None], ks.size, axis=0)
     # every diagonal H[k, i, i] as one strided view
     H.reshape(ks.size, size * size)[:, ::size + 1] += kinetic
     return H, kappa
 
 
-def _eigensystems(ks, shifts, pot: FourierPotential, n: int):
+def _eigensystems(ks, shifts, coupling: np.ndarray, a: float):
     """Eigensystems of H(k + A) over the broadcast pairs of ks and shifts.
 
-    Yields (slice, energies, vectors, κ) per _K_BLOCK pairs from one stacked
-    eigh call, with no phase fix. This is the package's one plane-wave
+    coupling is the pass's _coupling_block, which the caller forms once per
+    pass. Yields (slice, energies, vectors, κ) per _K_BLOCK pairs from one
+    stacked eigh call, with no phase fix. This is the package's one plane-wave
     eigensolve: solve_at and every stacked pass take their eigensystems from it.
     """
     ks, shifts = np.broadcast_arrays(ks, shifts)
     for lo in range(0, ks.size, _K_BLOCK):
         cut = slice(lo, min(lo + _K_BLOCK, ks.size))
-        H, kappa = _hamiltonians(ks[cut], shifts[cut], pot, n)
+        H, kappa = _hamiltonians(ks[cut], shifts[cut], coupling, a)
         yield (cut, *np.linalg.eigh(H), kappa)
 
 
 def build(k: float, A_shift: float, pot: FourierPotential, n: int) -> np.ndarray:
     """The (2n+1)x(2n+1) Hermitian matrix at reduced k with gauge shift."""
-    return _hamiltonians(np.array([k], dtype=np.float64), A_shift, pot, n)[0][0]
+    return _hamiltonians(np.array([k], dtype=np.float64), A_shift, _coupling_block(pot, n),
+                         pot.a)[0][0]
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
@@ -126,9 +146,10 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 
 def solve_at(k: float, A_shift: float, pot: FourierPotential, n: int) -> BandSolution:
     """The eigensystem at one (k, A_shift): a one-pair _eigensystems pass, phase-fixed."""
-    (_, energies, vectors, _), = _eigensystems([float(k)], A_shift, pot, n)
-    return BandSolution(k=float(k), A_shift=float(A_shift), a=pot.a, n=n,
-                        energies=energies[0], vectors=_phase_fix(vectors[0]))
+    (_, energies, vectors, kappa), = _eigensystems([float(k)], A_shift,
+                                                   _coupling_block(pot, n), pot.a)
+    return BandSolution(k=float(k), A_shift=float(A_shift), energies=energies[0],
+                        vectors=_phase_fix(vectors[0]), plane_wavevectors=kappa[0])
 
 
 def _check_band(band: int, n: int) -> None:
@@ -138,7 +159,7 @@ def _check_band(band: int, n: int) -> None:
 
 def bloch_psi(sol: BandSolution, band: int, x):
     """ψ(x) = Σ_l a_l exp(i(k + 2πl/a + A_shift)x) for the given band."""
-    _check_band(band, sol.n)
+    _check_band(band, sol.energies.size // 2)
     x = np.asarray(x, dtype=np.float64)
     kap = sol.plane_wavevectors
     val = np.exp(1j * np.multiply.outer(x, kap)) @ sol.vectors[:, band].astype(np.complex128)
@@ -164,7 +185,8 @@ def _stencil_energies(k, band, pot, n, delta):
     is needed across the stencil. The three shifts are one _eigensystems pass.
     """
     _check_band(band, n)
-    (_, energies, vectors, _), = _eigensystems(k, (0.0, -delta, delta), pot, n)
+    (_, energies, vectors, _), = _eigensystems(k, (0.0, -delta, delta),
+                                               _coupling_block(pot, n), pot.a)
     e_minus, e_plus = (energies[i, _match_band(vectors[0], vectors[i], band)] for i in (1, 2))
     return e_minus, energies[0, band], e_plus
 
@@ -213,7 +235,7 @@ def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
         raise ConfigError(f"n_bands={n_bands} out of range for truncation n={n}")
     out = np.empty((3, ks.size, n_bands))
     own = np.arange(n_bands)
-    for cut, energies, vecs, kappa in _eigensystems(ks, 0.0, pot, n):
+    for cut, energies, vecs, kappa in _eigensystems(ks, 0.0, _coupling_block(pot, n), pot.a):
         # coupling[:, j, b] = ⟨j|κ|b⟩
         coupling = vecs.conj().transpose(0, 2, 1) @ (kappa[:, :, None] * vecs[:, :, :n_bands])
         weight = np.abs(coupling) ** 2

@@ -21,11 +21,11 @@ class FourierPotential:
     construction rejects anything else. V_0, if present, must be real.
     ``cutoff`` is the largest stored |l| (0 for the empty potential), and
     ``is_real`` is True when all coefficients are real, i.e. V(-x) = V(x).
-    ``coupling_block(n)`` is the plane-wave Toeplitz block of the truncation
-    n, formed on first use and kept for the potential's lifetime.
+    It holds the coefficients and nothing derived from a plane-wave
+    truncation: the band solver forms its coupling block per pass.
     """
 
-    __slots__ = ("a", "cutoff", "is_real", "_coeffs", "_ls", "_vs", "_blocks")
+    __slots__ = ("a", "cutoff", "is_real", "_coeffs", "_ls", "_vs")
 
     def __init__(self, a: float, coeffs: dict[int, complex]):
         if not a > 0.0:
@@ -52,30 +52,9 @@ class FourierPotential:
         self._coeffs = clean
         self._ls = np.array(sorted(clean), dtype=np.int64)
         self._vs = np.array([clean[l] for l in self._ls], dtype=np.complex128)
-        # read on every Hamiltonian assembly, so computed once here
+        # read by every band pass, so computed once here
         self.cutoff = int(np.max(np.abs(self._ls))) if self._ls.size else 0
         self.is_real = bool(np.all(np.abs(self._vs.imag) <= _IMAG_TOL))
-        self._blocks: dict[int, np.ndarray] = {}
-
-    def coupling_block(self, n: int) -> np.ndarray:
-        """The read-only (2n+1)² block B[i, j] = V_{l_i - l_j}, l_i = i - n.
-
-        It is float64 on a real lattice and complex128 otherwise, with V_0 kept
-        real. Every Hamiltonian of the truncation n starts from this block, so
-        it is formed once per n. A truncation below 1 or below the cutoff, which
-        would drop harmonics, is refused with ConfigError.
-        """
-        block = self._blocks.get(n)
-        if block is None:
-            if n < 1:
-                raise ConfigError(f"truncation half-width must be >= 1, got {n}")
-            if n < self.cutoff:
-                raise ConfigError(
-                    f"truncation n={n} smaller than potential cutoff L={self.cutoff}; "
-                    "harmonics would be silently dropped"
-                )
-            block = self._blocks[n] = _toeplitz_block(self, n)
-        return block
 
     def coefficient(self, l: int) -> complex:
         return self._coeffs.get(int(l), 0.0 + 0.0j)
@@ -85,7 +64,7 @@ class FourierPotential:
 
     def evaluate(self, x):
         """Real potential value at x (scalar or array)."""
-        return self._series(x, self._vs, 1.0)
+        return self._series(x, self._vs, max(1.0, float(np.sum(np.abs(self._vs)))))
 
     def derivative(self, x):
         """dV/dx at x, real by the same Hermiticity."""
@@ -105,19 +84,6 @@ class FourierPotential:
 
     def __repr__(self) -> str:
         return f"FourierPotential(a={self.a!r}, coeffs={self._coeffs!r})"
-
-
-def _toeplitz_block(pot: FourierPotential, n: int) -> np.ndarray:
-    """Form FourierPotential.coupling_block(n): one gather from the 4n+1 diagonals."""
-    size = 2 * n + 1
-    dtype = np.float64 if pot.is_real else np.complex128
-    coeffs = np.zeros(2 * size - 1, dtype=dtype)     # coeffs[l + 2n] = V_l
-    for l, v in pot.items():
-        coeffs[l + 2 * n] = v.real if l == 0 or dtype is np.float64 else v
-    ls = np.arange(-n, n + 1)
-    block = coeffs[np.subtract.outer(ls, ls) + 2 * n]
-    block.flags.writeable = False
-    return block
 
 
 def single_cosine(a: float, amplitude: float) -> FourierPotential:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_equation import (_GAP_MIN, _K_BLOCK, TWO_PI, _eigensystems, _phase_fix,
-                               solve_at)
+from .central_equation import (_GAP_MIN, _K_BLOCK, TWO_PI, _coupling_block, _eigensystems,
+                               _phase_fix, solve_at)
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
 from .potential import FourierPotential
 from .semiclassical import _sample_steps
@@ -106,7 +106,7 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
     with np.errstate(over="ignore"):   # _eigensystems refuses an infinite shift
         shifts = -E * np.asarray(ts, dtype=np.float64)
     blocks = []
-    for cut, w, theta, kappa in _eigensystems(k, shifts, pot, n):
+    for cut, w, theta, kappa in _eigensystems(k, shifts, _coupling_block(pot, n), pot.a):
         gap = w[:, 1] - w[:, 0]
         closed = np.flatnonzero(gap <= _GAP_MIN)
         if closed.size:
@@ -150,7 +150,8 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     Hamiltonian, so the update is unitary to roundoff and integrator drift
     cannot masquerade as nonadiabaticity. The midpoint shifts A = -E(j + ½)dt
     are formed one _K_BLOCK block at a time, so memory follows the block and
-    the samples, not nsteps, and each block is one _eigensystems call with no
+    the samples, not nsteps. Each block is one _eigensystems call on the
+    coupling block that the run forms once, before its block loop, with no
     phase fix, which the product does not need. Per block, U = Θ·diag(e^{-iλh})
     is formed once into a reused work array and Θ† is the transposed view of
     one complex copy of Θ, conjugated in place only when eigh returns complex
@@ -171,6 +172,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
     marks = iter(samples.tolist()[1:])     # Python ints: the loop compares no numpy scalar
     mark = next(marks)
+    coupling = _coupling_block(pot, n)
     steps = None    # one block's U and Θ†, reused: a fresh pair costs more than its steps
     for lo in range(0, nsteps, _K_BLOCK):
         hi = min(lo + _K_BLOCK, nsteps)
@@ -178,7 +180,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
         with np.errstate(over="ignore"):
             shifts *= -E
             shifts *= h
-        (_, ws, vs, _), = _eigensystems(k, shifts, pot, n)
+        (_, ws, vs, _), = _eigensystems(k, shifts, coupling, pot.a)
         if steps is None:   # the first block is the largest
             steps, frames = np.empty((2, *vs.shape), dtype=np.complex128)
         v = frames[:len(ws)]

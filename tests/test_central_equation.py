@@ -24,12 +24,12 @@ from blochdyn import (
 from blochdyn.central_equation import (
     _DELTA_K_MASS,
     _DELTA_K_VELOCITY,
+    _coupling_block,
     _eigensystems,
     _hamiltonians,
     _mass_from_curvature,
     _match_band,
     _phase_fix,
-    _plane_wavevectors,
     _stencil_energies,
     band_derivatives,
     band_sweep,
@@ -69,7 +69,7 @@ def test_stacked_shifts_equal_build(pot):
     # one gauge shift per stacked matrix, each bit-identical to build(k, A)
     k = -0.75 * math.pi
     shifts = -0.3 * (np.arange(5) + 0.5) * 0.7
-    stacked, _ = _hamiltonians(np.full(shifts.size, k), shifts, pot, 4)
+    stacked, _ = _hamiltonians(np.full(shifts.size, k), shifts, _coupling_block(pot, 4), pot.a)
     for H, A in zip(stacked, shifts):
         np.testing.assert_array_equal(H, build(k, float(A), pot, 4))
 
@@ -83,15 +83,40 @@ def test_eigensystems_tile_the_pairs_once(pot, size):
     for k_arg, A_arg in ((ks, 0.4), (-0.75 * math.pi, shifts)):
         pairs = np.broadcast_arrays(k_arg, A_arg)
         seen = []
-        for cut, energies, vectors, kappa in _eigensystems(k_arg, A_arg, pot, 4):
+        for cut, energies, vectors, kappa in _eigensystems(k_arg, A_arg, _coupling_block(pot, 4),
+                                                           pot.a):
             seen += range(size)[cut]
             for k, A, w, v, kap in zip(pairs[0][cut], pairs[1][cut], energies, vectors,
                                        kappa, strict=True):
                 w_ref, v_ref = np.linalg.eigh(build(k, A, pot, 4))
                 np.testing.assert_array_equal(w, w_ref)
                 np.testing.assert_array_equal(v, v_ref)
-                np.testing.assert_array_equal(kap, _plane_wavevectors(k, A, pot.a, 4))
+                np.testing.assert_array_equal(kap, k + TWO_PI * np.arange(-4, 5) / pot.a + A)
         assert seen == list(range(size))
+
+
+def test_coupling_block_is_the_toeplitz_of_the_coefficients():
+    pot = FourierPotential(1.0, {0: 0.07, 2: 0.3 - 0.2j, -2: 0.3 + 0.2j})
+    block = _coupling_block(pot, 3)
+    ls = np.arange(-3, 4)
+    np.testing.assert_array_equal(block, [[pot.coefficient(i - j) for j in ls] for i in ls])
+    assert block.dtype == np.complex128
+    assert _coupling_block(single_cosine(1.0, 0.5), 1).dtype == np.float64
+    with pytest.raises(ConfigError, match="n=1 smaller than potential cutoff L=2"):
+        _coupling_block(pot, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: band_derivatives([], WEAK, 0, 1), "half-width must be >= 1, got 0"),
+    (lambda: band_derivatives([], FourierPotential(1.0, {3: 0.1, -3: 0.1}), 1, 1),
+     "n=1 smaller than potential cutoff L=3"),
+    (lambda: velocity_sum(BandFilling(0, 64, 0.0), single_cosine(1.0, 0.1), 0),
+     "half-width must be >= 1, got 0"),
+], ids=["band_derivatives-n0", "band_derivatives-cutoff", "velocity_sum-empty"])
+def test_a_pass_over_no_k_refuses_a_bad_truncation(call, message):
+    # each used to return an empty or zero result
+    with pytest.raises(ConfigError, match=message):
+        call()
 
 
 def test_offdiagonal_coefficient_placement():
@@ -127,7 +152,8 @@ def test_build_rejections():
     lambda: solve_at(0.1, math.inf, WEAK, 3),
     lambda: solve_at(0.1, math.nan, WEAK, 3),
     lambda: solve_at(0.1, 1e200, WEAK, 3),        # finite shift, (k + A)²/2 overflows
-    lambda: _hamiltonians(np.zeros(3), np.array([0.0, -math.inf, 1.0]), WEAK, 3),
+    lambda: _hamiltonians(np.zeros(3), np.array([0.0, -math.inf, 1.0]),
+                          _coupling_block(WEAK, 3), WEAK.a),
 ], ids=["k_nan", "stacked_k_nan", "shift_inf", "shift_nan", "shift_overflow",
         "stacked_shift_inf"])
 def test_non_finite_k_or_shift_is_refused(solve):

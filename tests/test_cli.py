@@ -410,6 +410,23 @@ def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_waves, coefficients, message", [
+    (0, None, "truncation half-width must be >= 1, got 0"),
+    (1, [[-3, 0.25, 0.0], [3, 0.25, 0.0]], "truncation n=1 smaller than potential cutoff L=3"),
+], ids=["n0", "below-cutoff"])
+def test_conduction_with_no_occupied_k_refuses_a_bad_truncation(tmp_path, capsys, n_waves,
+                                                                coefficients, message):
+    # an empty filling used to exit 0 and write conduction.json; fraction 0.5 exits 2
+    scn_obj = json.loads((SCENARIOS / "conduction_fillings.json").read_text())
+    scn_obj["dynamics"].update(n_waves=n_waves, fractions=[0.0])
+    if coefficients:
+        scn_obj["potential"]["coefficients_internal"] = coefficients
+    out = tmp_path / "out"
+    assert main(["conduction", "--scenario", _write(tmp_path, scn_obj), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("call", [
     lambda: _time_grid(1.0, 2.0),
     lambda: _time_grid(1.0, 1e-320),

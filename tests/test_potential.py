@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blochdyn import ConfigError, FourierPotential, random_symmetric, single_cosine
+from blochdyn import FourierPotential, random_symmetric, single_cosine
 
 
 def test_cosine_values():
@@ -81,14 +81,16 @@ def test_items_round_trip():
     np.testing.assert_allclose(rebuilt.evaluate(x), pot.evaluate(x), atol=1e-14)
 
 
-def test_coupling_block_is_the_read_only_toeplitz_of_the_coefficients():
-    pot = FourierPotential(1.0, {0: 0.07, 2: 0.3 - 0.2j, -2: 0.3 + 0.2j})
-    block = pot.coupling_block(3)
-    ls = np.arange(-3, 4)
-    np.testing.assert_array_equal(block, [[pot.coefficient(i - j) for j in ls] for i in ls])
-    assert block.dtype == np.complex128
-    assert single_cosine(1.0, 0.5).coupling_block(1).dtype == np.float64
-    with pytest.raises(ValueError, match="read-only"):
-        block[0, 0] = 1.0
-    with pytest.raises(ConfigError, match="n=1 smaller than potential cutoff L=2"):
-        pot.coupling_block(1)
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_evaluate_bounds_roundoff_by_the_coefficient_sum(scale):
+    # a valid complex lattice whose imaginary roundoff, about 1.2e-16·Σ|V_l|, passes
+    # 1e-12 at |V_l| ≈ 1e4; the check used to be absolute and raised AssertionError
+    harmonics = {1: 0.7 + 0.3j, 2: -0.4 + 0.9j, 3: 0.2 - 0.5j}
+    coeffs = {}
+    for l, v in harmonics.items():
+        coeffs[l], coeffs[-l] = scale * v, scale * v.conjugate()
+    xs = np.linspace(-3.0, 3.0, 601)
+    expect = sum(2.0 * scale * (v * np.exp(2j * np.pi * l * xs)).real
+                 for l, v in harmonics.items())
+    np.testing.assert_allclose(FourierPotential(1.0, coeffs).evaluate(xs), expect,
+                               rtol=0.0, atol=1e-13 * scale)

@@ -30,8 +30,7 @@ from blochdyn import (
     single_cosine,
     split_step_free,
 )
-from blochdyn.central_equation import solve_at
-from blochdyn.potential import _toeplitz_block
+from blochdyn.central_equation import _coupling_block, solve_at
 from blochdyn.quantum import _eigenframes
 from blochdyn.semiclassical import _time_grid
 
@@ -126,20 +125,22 @@ def test_one_bloch_period_returns_band_0_with_the_zak_phase():
     assert abs(np.angle(np.exp(1j * (phase_moved - phase + math.pi / 2)))) <= 1e-3
 
 
-def test_the_coupling_block_is_formed_once_per_potential(monkeypatch):
+@pytest.mark.parametrize("nsteps", [2 ** 12, 2 ** 14])
+def test_the_coupling_block_is_formed_once_per_pass(monkeypatch, nsteps):
     formed = []
 
     def counted(pot, n):
         formed.append(n)
-        return _toeplitz_block(pot, n)
+        return _coupling_block(pot, n)
 
-    monkeypatch.setattr("blochdyn.potential._toeplitz_block", counted)
-    pot = single_cosine(1.0, 0.05)     # a new potential, with no block formed yet
-    # 4096 steps: 64 stacked blocks of midpoints, and one sample pass
-    integrate_basis(0.3, pot, 4, 0.05, 4.096, 0.001, report_stride=512)
-    assert formed == [4]
-    block = pot.coupling_block(4)
-    assert block is pot.coupling_block(4) and not block.flags.writeable
+    monkeypatch.setattr("blochdyn.central_equation._coupling_block", counted)
+    monkeypatch.setattr("blochdyn.quantum._coupling_block", counted)
+    # one sample pass, and one step pass over nsteps / 64 stacked blocks of midpoints
+    _, report = integrate_basis(0.3, WEAK, 4, 0.05, nsteps * 0.001, 0.001, report_stride=512)
+    assert report.t.size == nsteps // 512 + 1
+    assert formed == [4, 4]
+    formed.clear()
+    band_derivatives(np.linspace(-math.pi, math.pi, 1001), WEAK, 4, 3)
     assert formed == [4]
 
 
