@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .central_equation import _check_band, band_derivatives, reduce_to_zone
+from .central_equation import _check_band, _coupling_block, band_derivatives, reduce_to_zone
 from .errors import ConfigError, EnergyDriftError
 from .potential import FourierPotential
 
@@ -290,10 +290,12 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     = ε'(ρ) k/ρ is parallel to k, ρ = |k| is conserved, and k0 rotates rigidly
     counter-clockwise at ω = B ε'(ρ)/ρ: near a band extremum the period is 2π m*/B,
     not the free 2π/B. One band_derivatives call gives ε'(ρ); x(t) integrates
-    v_g from the origin. Below ρ = 1e-12, k stays put and v_g = 0.
+    v_g from the origin. Below ρ = 1e-12, k stays put and v_g = 0; the
+    truncation is checked there too, though no band pass runs.
     """
     k0 = _planar(k0, "k0")
     _check_band(band, n)
+    _coupling_block(pot, n)
     times, _, _ = _time_grid(T, dt)
     rho = float(np.hypot(k0[0], k0[1]))
     slope = 0.0

@@ -34,7 +34,9 @@ def test_criterion(cid, name):
 def test_criterion_8_makes_each_band_pass_once(monkeypatch):
     # 19 filled-band sums, the shifted half-filled sum, and one unshifted pass that
     # serves the last potential's filled-band sum, the classification trio, the
-    # half-filled sum and its Σ m/m*
+    # half-filled sum and its Σ m/m*. The 10 unshifted passes each solve their 256
+    # states at 128 |k|, the 10 shifted filled-band passes 256 k each and the
+    # shifted half filling 128 k: 10·128 + 10·256 + 128
     calls = []
 
     def counted(*args):
@@ -45,7 +47,7 @@ def test_criterion_8_makes_each_band_pass_once(monkeypatch):
     monkeypatch.setattr(acceptance, "band_derivatives", counted)
     assert all(ok for ok, _ in acceptance.criterion_8_conduction(SEED))
     assert len(calls) == 21
-    assert sum(len(ks) for ks, *_ in calls) == 5248
+    assert sum(len(ks) for ks, *_ in calls) == 3968
 
 
 @pytest.mark.parametrize("only, message", [([99], "unknown criteria [99]"),

@@ -225,7 +225,8 @@ def test_conduction_json_equals_the_per_filling_calls(tmp_path):
 
 def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
     # one band pass per gauge shift serves all three fractions: two passes over
-    # the 256 states of the largest (full) filling, not one per fraction and shift
+    # the 256 states of the largest (full) filling, not one per fraction and shift.
+    # The unshifted pass solves each of its 128 mirror pairs once, at |k|
     calls = []
 
     def counted(*args):
@@ -236,7 +237,7 @@ def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
     scn = str(SCENARIOS / "conduction_fillings.json")
     assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
     assert len(calls) == 2
-    assert sum(len(ks) for ks, *_ in calls) == 512
+    assert [len(ks) for ks, *_ in calls] == [128, 256]
 
 
 def test_solenoid_json_values(tmp_path):

@@ -19,7 +19,7 @@ from blochdyn import (
     solenoid_shift,
     velocity_sum,
 )
-from blochdyn.conduction import _sums_and_labels
+from blochdyn.conduction import _folded_pass, _sums_and_labels
 
 TWO_PI = 2.0 * math.pi
 WEAK = single_cosine(1.0, 0.25)
@@ -39,9 +39,12 @@ def test_grid_is_midpoint_offset_and_symmetric():
     assert grid[0] == pytest.approx(-math.pi + 0.5 * dk)
     assert grid[-1] == pytest.approx(math.pi - 0.5 * dk)
     assert 0.0 not in grid
-    # exact mirror pairing keeps symmetric fillings symmetric
-    np.testing.assert_allclose(np.sort(grid) + np.sort(grid)[::-1], 0.0,
-                               atol=1e-15)
+    # the upper half is the lower half negated, so every state pairs bitwise
+    # with its mirror, and an odd grid's middle state is exactly 0.0
+    for a, n_k in itertools.product((1.0, 0.7), (64, 65, 1024)):
+        grid = BandFilling(0, n_k, 1.0).k_grid(a)
+        np.testing.assert_array_equal(grid[::-1], -grid)
+        assert n_k % 2 == 0 or grid[n_k // 2] == 0.0
 
 
 def test_occupied_states_fill_from_smallest_momentum():
@@ -50,6 +53,17 @@ def test_occupied_states_fill_from_smallest_momentum():
     np.testing.assert_allclose(
         f.occupied_k(1.0),
         [-0.5 * dk, 0.5 * dk, -1.5 * dk, 1.5 * dk], atol=1e-15)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.7])
+@pytest.mark.parametrize("n_k", [64, 65, 1024])
+def test_occupied_k_puts_the_negative_partner_first(n_k, a):
+    occupied = BandFilling(0, n_k, 1.0).occupied_k(a)
+    # an odd grid fills its exact k = 0 first
+    assert n_k % 2 == 0 or occupied[0] == 0.0
+    negative, positive = occupied[n_k % 2::2], occupied[n_k % 2 + 1::2]
+    assert np.all(negative < 0.0)
+    np.testing.assert_array_equal(positive, -negative)
 
 
 def test_occupied_count_rounds():
@@ -164,9 +178,12 @@ def test_labels_match_a_finite_difference_probe():
 
 
 def _inverse_mass_sum(filling, pot, n):
-    """Signed Σ m/m* of the occupied states, from a band pass of their own."""
+    """Signed Σ m/m* of the occupied states, from a band pass of their own.
+
+    m/m* is even in k, so the pass runs at each state's |k|, as the folded pass does.
+    """
     ks = reduce_to_zone(filling.occupied_k(pot.a) + filling.shift, pot.a)
-    _, _, inv_mass = band_derivatives(ks, pot, n, filling.band + 1)
+    _, _, inv_mass = band_derivatives(np.abs(ks), pot, n, filling.band + 1)
     return math.fsum(inv_mass[:, filling.band])
 
 
@@ -182,6 +199,36 @@ def test_one_pass_per_shift_equals_the_per_filling_calls():
             want = [(velocity_sum(f, pot, 8), classify(f, pot, 8), _inverse_mass_sum(f, pot, 8))
                     for f in (BandFilling(band, n_k, frac, shift) for frac in fractions)]
             assert _sums_and_labels(grid, pot, 8, fractions) == want, (pot, band, n_k, shift)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.37 * TWO_PI], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("n_k", [64, 65])
+def test_the_folded_pass_equals_a_pass_at_the_signed_k(n_k, shift):
+    # one solve per |k| gives each state the velocity and m/m* of a solve at its own
+    # k, up to the two solves' roundoff: at most 1.05e-12 of the pass's largest
+    # value over 20 random_symmetric lattices, so the bound is 1e-11 of it
+    rng = np.random.default_rng(3)
+    for pot in (WEAK, SKEW, random_symmetric(1.0, rng)):
+        for band in (0, 1):
+            ks = reduce_to_zone(BandFilling(band, n_k, 1.0).occupied_k(1.0) + shift, 1.0)
+            velocity, inv_mass = _folded_pass(ks, pot, 8, band)
+            _, want_v, want_m = band_derivatives(ks, pot, 8, band + 1)
+            for got, want in ((velocity, want_v[:, band]), (inv_mass, want_m[:, band])):
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-11 * np.abs(want).max())
+            # v is odd, so the state at k = 0 has exactly none
+            assert np.all(velocity[ks == 0.0] == 0.0)
+
+
+def test_an_unshifted_filling_of_whole_mirror_pairs_sums_to_zero():
+    # v(-k) = -v(k) exactly: an even count on an even grid, or an odd count on an
+    # odd grid (its k = 0 state first), fills whole pairs, on any lattice
+    rng = np.random.default_rng(17)
+    for pot in (WEAK, SKEW, random_symmetric(1.0, rng)):
+        for band, n_k in itertools.product((0, 1), (64, 65)):
+            fractions = [count / n_k for count in range(n_k % 2, n_k + 1, 2)]
+            sums = _sums_and_labels(BandFilling(band, n_k, 0.0), pot, 8, fractions)
+            assert [total for total, _, _ in sums] == [0.0] * len(fractions), (pot, band, n_k)
 
 
 def test_one_pass_per_shift_rejects_what_a_filling_rejects():

@@ -30,7 +30,7 @@ from blochdyn import (
     single_cosine,
     split_step_free,
 )
-from blochdyn.central_equation import _coupling_block, solve_at
+from blochdyn.central_equation import _coupling_block, _eigensystems, solve_at
 from blochdyn.quantum import _eigenframes
 from blochdyn.semiclassical import _time_grid
 
@@ -104,25 +104,46 @@ def _bloch_period_phase(pot, E, n=8, k0=0.3, steps_per_time=8):
     return abs(overlap) ** 2, float(np.angle(overlap * np.exp(1j * dynamic)))
 
 
+def _stark_integral(pot, n=8, points=512):
+    """P = ∫_zone Σ(k) dk, with Σ = Σ_{j≠0} |⟨j|κ|0⟩|²/(ε_j - ε_0)³, as a periodic trapezoid.
+
+    In a field E band 0 is dressed to ε_0 - E²Σ(k), the second-order Stark
+    shift, and with dt = dk/E one Bloch period adds the phase +E·P to it.
+    """
+    ks = -math.pi / pot.a + TWO_PI / pot.a * np.arange(points) / points
+    total = 0.0
+    for _, energies, vecs, kappa in _eigensystems(ks, 0.0, _coupling_block(pot, n), pot.a):
+        # velocity[:, j] = ⟨j|κ|0⟩
+        velocity = np.einsum("kij,ki,ki->kj", vecs.conj(), kappa, vecs[:, :, 0])
+        gaps = energies[:, 1:] - energies[:, :1]
+        total += float(np.sum(np.abs(velocity[:, 1:]) ** 2 / gaps ** 3))
+    return TWO_PI / pot.a * total / points
+
+
 def test_one_bloch_period_returns_band_0_with_the_zak_phase():
     """J. Zak, Phys. Rev. Lett. 62, 2747 (1989): the cosine lattice, inversion
     symmetric about x = 0, has γ_Zak = π, and moving it by x0 gives γ - 2πx0/a.
 
-    What is left after the dynamic phase is γ plus a term linear in E, measured
-    +0.0210 at E = 0.01 and +0.0105 at E = 0.005: a Stark shift of order E²/Δ
-    held for T_B ∝ 1/E. Richardson's 2φ(E/2) - φ(E) removes it (measured
-    3.4e-5 from -π), and it cancels between the two placements of the lattice.
-    The moved lattice has complex coefficients, so its eigenframes are complex.
+    What is left after the dynamic phase is γ plus E·P, the second-order Stark
+    phase of _stark_integral: a shift of order E²/Δ held for T_B ∝ 1/E. At
+    E = 0.01 and 8 steps per unit time the phase lies 4.1e-6 (V1 = 0.5) and
+    -4.0e-5 (V1 = 1.0) from -π + E·P; the first is the next order in E, the
+    second the midpoint step's h² error. P is translation invariant, so it
+    cancels between the two placements of the lattice. The moved lattice has
+    complex coefficients, so its eigenframes are complex.
     """
-    cosine = single_cosine(1.0, 0.5)
-    moved = FourierPotential(1.0, {1: -0.5j, -1: 0.5j})    # V(x - a/4)
-    fidelity, phase = _bloch_period_phase(cosine, 0.01)
-    assert fidelity >= 1.0 - 1e-6
-    richardson = 2.0 * _bloch_period_phase(cosine, 0.005)[1] - phase
-    assert abs(np.angle(np.exp(1j * (richardson + math.pi)))) <= 1e-4
-    fidelity_moved, phase_moved = _bloch_period_phase(moved, 0.01)
+    E = 0.01
+    phases = {}
+    for depth in (0.5, 1.0):
+        cosine = single_cosine(1.0, depth)
+        fidelity, phases[depth] = _bloch_period_phase(cosine, E)
+        assert fidelity >= 1.0 - 1e-6
+        stark = E * _stark_integral(cosine)
+        assert abs(np.angle(np.exp(1j * (phases[depth] + math.pi - stark)))) <= 1e-4, depth
+    moved = FourierPotential(1.0, {1: -0.5j, -1: 0.5j})    # V(x - a/4) at V1 = 0.5
+    fidelity_moved, phase_moved = _bloch_period_phase(moved, E)
     assert fidelity_moved >= 1.0 - 1e-6
-    assert abs(np.angle(np.exp(1j * (phase_moved - phase + math.pi / 2)))) <= 1e-3
+    assert abs(np.angle(np.exp(1j * (phase_moved - phases[0.5] + math.pi / 2)))) <= 1e-3
 
 
 @pytest.mark.parametrize("nsteps", [2 ** 12, 2 ** 14])

@@ -1,6 +1,7 @@
 """Equation-of-motion integrators: closed forms, conservation, field limits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from blochdyn import (
     ConfigError,
     EnergyDriftError,
+    FourierPotential,
     compare_fundamental_lorentz,
     evolve_free_E,
     evolve_fundamental,
@@ -285,6 +287,17 @@ def test_periodic_B_conserves_the_orbit_radius():
     traj = evolve_periodic_B([2.5, -1.0], 0, pot, 8, -0.7, 200.0, 0.01)
     np.testing.assert_allclose(np.hypot(traj.k[:, 0], traj.k[:, 1]), math.hypot(2.5, -1.0),
                                rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, message", [(0, "truncation half-width must be >= 1, got 0"),
+                                        (2, "smaller than potential cutoff L=3")])
+@pytest.mark.parametrize("k0", [[0.0, 0.0], [1e-13, 0.0], [0.5, 0.0]],
+                         ids=["origin", "below-rho-min", "off"])
+def test_periodic_B_refuses_a_bad_truncation_at_every_k0(k0, n, message):
+    # below ρ = 1e-12 no band pass runs, and the truncation is still checked
+    pot = FourierPotential(1.0, {1: 0.1, -1: 0.1, 3: 0.05, -3: 0.05})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        evolve_periodic_B(k0, 0, pot, n, 1.0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("band", [-1, 9])
