@@ -1,7 +1,7 @@
 """Scenario-driven command line: runs named experiments from strict JSON
 scenario files and writes plot-ready CSV/JSON into an output directory.
 
-Exit codes: 0 success, 2 bad input (ConfigError, or OSError on a file), 3
+Exit codes: 0 success, 2 bad input (ConfigError, OSError on a file, MemoryError), 3
 physics error during a run, 4 validation failure. Outputs are deterministic: floats use %.17g in CSV and
 repr round-tripping in JSON, so identical scenarios give identical bytes.
 
@@ -44,13 +44,13 @@ def _is_num(v) -> bool:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, int) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
 
 
 # kind -> (test, what a value of that kind is)
 _KINDS = {
     "num": (_is_num, "a finite number"),
-    "int": (_is_int, "an integer"),
+    "int": (_is_int, "an integer in the int64 range"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "vec2": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_num, v)),
              "a list of two numbers"),
@@ -476,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

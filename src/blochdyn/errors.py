@@ -6,9 +6,9 @@ for truncation n, an unknown dimension tag). It subclasses ValueError.
 PhysicsError subclasses mark conditions where the requested computation is
 ill-defined at the evaluation point.
 
-The CLI maps ConfigError, and an OSError while reading or writing files, to
-exit code 2, and PhysicsError to exit code 3. Any other exception, a bare
-ValueError included, is a fault of the program and propagates unmapped.
+The CLI maps ConfigError, an OSError on a file and a MemoryError (a size the
+machine cannot allocate) to exit code 2, PhysicsError to exit code 3. Any other
+exception, a bare ValueError included, is a program fault and propagates.
 """
 
 

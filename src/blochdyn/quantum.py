@@ -6,7 +6,7 @@ integrator advances X with the exact exponential of the midpoint Hamiltonian
 (exactly unitary per step). Its diagnostic samples come from one stacked
 _eigensystems pass of central_equation, and its step midpoints from one
 _eigensystems block at a time; adiabatic_diagnostics is the sample pass at a
-single time.
+single time. A GridState derives its grid points from Ldom and psi.size.
 The split-step propagator is Strang-ordered and second order in dt. In a
 uniform field alone, U = E·x, a Strang step is exact up to a global phase at
 any length, so it takes one step per sample interval and restores the phase
@@ -61,9 +61,10 @@ class AdiabaticReport:
     comm_norm: np.ndarray
 
     def chain_holds(self) -> bool:
-        """gap·Ω̄* <= ||[Ω̄, Λ]||_F <= ||Ḣ||_F at every sample, with slack 1e-9."""
-        lhs_ok = np.all(self.gap * self.omega_bar_star <= self.comm_norm + 1e-9)
-        rhs_ok = np.all(self.comm_norm <= self.hdot_norm + 1e-9)
+        """gap·Ω̄* <= ||[Ω̄, Λ]||_F <= ||Ḣ||_F at every sample, with slack 1e-9·||Ḣ||_F."""
+        slack = 1e-9 * self.hdot_norm
+        lhs_ok = np.all(self.gap * self.omega_bar_star <= self.comm_norm + slack)
+        rhs_ok = np.all(self.comm_norm <= self.hdot_norm + slack)
         return bool(lhs_ok and rhs_ok)
 
 
@@ -205,22 +206,25 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
 
 @dataclass
 class GridState:
-    """Normalized complex amplitudes psi at the points x of a uniform periodic
-    grid of length Ldom; the step is dx = Ldom / psi.size."""
+    """Normalized complex amplitudes psi on a uniform periodic grid of length Ldom;
+    the step is dx = Ldom / psi.size and the points are x = -Ldom/2 + j·dx."""
 
     Ldom: float
     psi: np.ndarray
-    x: np.ndarray
 
     def __post_init__(self):
-        if self.psi.ndim != 1 or self.psi.shape != self.x.shape:
-            raise ConfigError(f"psi has shape {self.psi.shape}, the grid x {self.x.shape}")
+        if self.psi.ndim != 1:
+            raise ConfigError(f"psi must be one-dimensional, got shape {self.psi.shape}")
         if not abs(self.norm - 1.0) <= 1e-8:
             raise ConfigError(f"state not normalized: ∫|ψ|²dx = {self.norm!r}")
 
     @property
     def dx(self) -> float:
         return self.Ldom / self.psi.size
+
+    @property
+    def x(self) -> np.ndarray:     # gaussian_packet's grid, bitwise
+        return -0.5 * self.Ldom + self.dx * np.arange(self.psi.size)
 
     @property
     def norm(self) -> float:
@@ -252,7 +256,7 @@ def gaussian_packet(Ldom: float, N: int, x0: float, k0: float, sigma: float) -> 
     if not 0.0 < norm < np.inf:
         raise ConfigError(f"packet grid norm is {norm!r}: no weight on the grid at this x0, sigma")
     psi /= np.sqrt(norm)
-    return GridState(Ldom=float(Ldom), psi=psi, x=x)
+    return GridState(Ldom=float(Ldom), psi=psi)
 
 
 @dataclass
@@ -365,7 +369,7 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
 
     psi *= np.exp(1j * correction)
     times, x_mean, k_mean, sigma_x, norms = map(np.array, zip(*rows))
-    final = GridState(Ldom=psi0.Ldom, psi=psi / np.sqrt(norms[-1]), x=x)
+    final = GridState(Ldom=psi0.Ldom, psi=psi / np.sqrt(norms[-1]))
     return SplitStepResult(times, x_mean, k_mean, sigma_x, norms, final)
 
 

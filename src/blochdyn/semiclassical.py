@@ -2,6 +2,7 @@
 
 The two planar equations are linear with constant coefficients, so their RK4
 step is one precomputed affine map; evolve_general_V runs RK4 stage by stage.
+Every planar vector has exactly two components; any other shape is a ConfigError.
 
 Internal units throughout (ħ = m = e = 1): a uniform electric field E enters
 accelerations as -E, a magnetic field B ẑ gives the cyclotron frequency
@@ -121,30 +122,22 @@ def evolve_free_E(k0: float, E: float, T: float, dt: float, x0: float = 0.0) -> 
     return Trajectory("FREE_E", times, k, x, k.copy(), phase=phase)
 
 
-def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
-                     dV: Callable[[float], float] | None = None,
+def evolve_general_V(k0: float, x0: float, V: Callable, T: float, dt: float, dV: Callable,
                      energy_tol: float | None = 1e-6) -> Trajectory:
     """Classical limit in a linearizable potential: dv/dt = +V'(x), dx/dt = v.
 
-    V is an electrical potential (the potential energy is -V), given either
-    as a FourierPotential or as a callable together with its derivative dV;
-    a callable without dV raises ConfigError. Conservation of v²/2 - V(x) is
-    checked to energy_tol relative over the run unless energy_tol is None.
+    V is an electrical potential (the potential energy is -V), a callable on
+    arrays of x, and dV its derivative, a callable on one x; a lattice passes
+    pot.evaluate, dV=pot.derivative. Conservation of v²/2 - V(x) is checked
+    to energy_tol relative over the run unless energy_tol is None.
     """
-    if isinstance(V, FourierPotential):
-        Vx, dVx = V.evaluate, V.derivative
-    elif dV is None:
-        raise ConfigError("a callable V needs its derivative dV")
-    else:
-        Vx, dVx = V, dV
-
     def rhs(y):
-        return y[1], float(dVx(y[0]))
+        return y[1], float(dV(y[0]))
 
     times, ys = _rk4(rhs, (x0, k0), T, dt)
     x, v = ys[:, 0], ys[:, 1]
     if energy_tol is not None:
-        energy = 0.5 * v ** 2 - np.asarray(Vx(x), dtype=np.float64)
+        energy = 0.5 * v ** 2 - np.asarray(V(x), dtype=np.float64)
         scale = max(abs(energy[0]), 1e-30)
         drift = float(np.max(np.abs(energy - energy[0])) / scale)
         if drift > energy_tol:
@@ -155,11 +148,9 @@ def evolve_general_V(k0: float, x0: float, V, T: float, dt: float,
 
 
 def _planar(vec, name):
-    v = np.atleast_1d(np.asarray(vec, dtype=np.float64))
-    if v.size == 1:
-        v = np.array([float(v[0]), 0.0])
-    if v.size != 2:
-        raise ConfigError(f"{name} must have 1 or 2 components, got {vec!r}")
+    v = np.asarray(vec, dtype=np.float64)
+    if v.shape != (2,):
+        raise ConfigError(f"{name} must have 2 components, got {vec!r}")
     return v
 
 

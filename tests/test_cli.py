@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochdyn import (BandFilling, ConfigError, FourierPotential, acceptance,
+from blochdyn import (BandFilling, ConfigError, FourierPotential, UnitSystem, acceptance,
                       band_derivatives, band_sweep, classify, cli, conduction,
-                      evolve_fundamental, evolve_general_V, evolve_lorentz, gaussian_packet,
-                      random_symmetric, single_cosine, split_step_free, velocity_sum)
+                      evolve_fundamental, evolve_lorentz, gaussian_packet, random_symmetric,
+                      single_cosine, split_step_free, velocity_sum)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
 from blochdyn.semiclassical import _time_grid
@@ -137,6 +137,19 @@ def test_cyclotron_writes_tagged_trajectory(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert "FUNDAMENTAL" in lines[0]
     assert lines[1].split(",")[:2] == ["t", "kx"]
+
+
+def test_cyclotron_field_in_tesla_equals_the_internal_field(tmp_path):
+    scn_obj = json.loads((SCENARIOS / "cyclotron.json").read_text())
+    b_si = UnitSystem(scn_obj["units"]["a_ref_m"]).to_si(scn_obj["field"]["B_internal"],
+                                                         "magnetic_field")
+    scn_obj["field"] = {"B_tesla": b_si}
+    tesla = _write(tmp_path, scn_obj, "tesla.json")
+    internal = str(SCENARIOS / "cyclotron.json")
+    for name, scn in (("internal", internal), ("tesla", tesla)):
+        assert main(["cyclotron", "--scenario", scn, "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "tesla" / "trajectory.csv").read_bytes()
+            == (tmp_path / "internal" / "trajectory.csv").read_bytes())
 
 
 def test_compare_eom_reports_divergence(tmp_path):
@@ -428,6 +441,24 @@ def test_conduction_with_no_occupied_k_refuses_a_bad_truncation(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stem, command, block, key, value, message", [
+    # past int64, where numpy would raise a bare ValueError
+    ("conduction_fillings", "conduction", "dynamics", "n_k", 10 ** 19, "int64 range"),
+    ("bands_weak_cosine", "bands", "sweep", "k_points", 10 ** 19, "int64 range"),
+    # in range, but each asks for petabytes at its first allocation: MemoryError
+    ("conduction_fillings", "conduction", "dynamics", "n_k", 10 ** 15, "Unable to allocate"),
+    ("conduction_fillings", "conduction", "dynamics", "n_waves", 10 ** 7, "Unable to allocate"),
+], ids=["n_k-1e19", "k_points-1e19", "n_k-1e15", "n_waves-1e7"])
+def test_a_size_no_machine_can_allocate_exits_2(tmp_path, capsys, stem, command, block, key,
+                                                value, message):
+    out = tmp_path / "out"
+    scn = _shipped_with(tmp_path, stem, block, **{key: value})
+    assert main([command, "--scenario", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("call", [
     lambda: _time_grid(1.0, 2.0),
     lambda: _time_grid(1.0, 1e-320),
@@ -440,13 +471,14 @@ def test_conduction_with_no_occupied_k_refuses_a_bad_truncation(tmp_path, capsys
     lambda: evolve_fundamental([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0, 1.0, 0.1),
     lambda: split_step_free(gaussian_packet(400.0, 256, 0.0, 1.0, 10.0), 0.0, 1.0, 0.1,
                             sample_stride=0),
-    lambda: evolve_general_V(0.2, 0.5, lambda x: -0.5 * x * x, 3.0, 1e-3),
     lambda: gaussian_packet(400.0, 4096, -30.0, 40.0, 10.0),
     lambda: evolve_lorentz([1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1.0, 0.1),
+    lambda: evolve_lorentz([0.7], [0.3, 0.0], [0.0, 0.0], 1.0, 1.0, 0.1),
+    lambda: evolve_fundamental([0.7, 0.0], 0.3, [0.0, 0.0], 1.0, 1.0, 0.1),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
         "band_sweep", "band_sweep_no_bands", "band_derivatives", "potential", "filling",
-        "fundamental", "split_step", "general_V_without_dV", "packet_k0_past_k_window",
-        "lorentz_three_components"])
+        "fundamental", "split_step", "packet_k0_past_k_window",
+        "lorentz_three_components", "lorentz_one_component", "fundamental_scalar_x0"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

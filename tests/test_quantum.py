@@ -416,6 +416,10 @@ def test_si_field_diagnostics_frozen():
     assert rep.bound_rhs[0] * ev == pytest.approx(1.3270002855952059e-06, rel=1e-9)
     assert math.isnan(rep.fidelity[0])
     assert rep.chain_holds()
+    # each link's slack is 1e-9·‖Ḣ‖ = 2.3e-17 internal here, far below gap·Ω̄* = 4.1e-10,
+    # so a zero commutator norm, or a drive below the commutator, breaks the chain
+    assert not dataclasses.replace(rep, comm_norm=np.zeros(1)).chain_holds()
+    assert not dataclasses.replace(rep, hdot_norm=0.5 * rep.comm_norm).chain_holds()
 
 
 def test_si_diagnostics_against_two_level_model():
@@ -704,7 +708,9 @@ def test_zener_crossing_is_gauge_invariant():
         populations = np.abs(np.einsum("ml,lm->m", ground.conj(), c)) ** 2
         return populations, np.sum(np.abs(c) ** 2, axis=0)
 
-    res = split_step_free(GridState(float(cells), psi, x), E, T, 0.04,
+    psi0 = GridState(float(cells), psi)
+    np.testing.assert_array_equal(psi0.x, x)     # the hand-built grid is the derived one
+    res = split_step_free(psi0, E, T, 0.04,
                           potential=pot.evaluate, sample_stride=100, guard_sigmas=0.5)
     assert res.sigma_x[-1] > 75.0              # the packet has split
     population, total = band_0(res.final.psi)
@@ -723,11 +729,10 @@ def test_zener_crossing_is_gauge_invariant():
 
 
 def test_grid_state_validation():
-    x = -20.0 + (40.0 / 64) * np.arange(64)
     with pytest.raises(ValueError):
-        GridState(Ldom=40.0, psi=np.ones(64), x=x)   # not normalized
-    with pytest.raises(ValueError):
-        GridState(Ldom=40.0, psi=np.ones(32), x=x)
+        GridState(Ldom=40.0, psi=np.ones(64))   # not normalized
+    with pytest.raises(ValueError, match="one-dimensional"):
+        GridState(Ldom=40.0, psi=np.ones((8, 8)))
     with pytest.raises(ValueError):
         gaussian_packet(40.0, 64, x0=0.0, k0=0.0, sigma=-1.0)
     for ldom, n in ((0.0, 64), (-40.0, 64), (40.0, 0)):
@@ -745,12 +750,20 @@ def test_a_potential_whose_strang_phase_overflows_is_refused():
         split_step_free(psi0, 0.0, 1e9, 1e8, potential=lambda x: np.full_like(x, 1e301))
 
 
-def test_grid_state_refuses_psi_off_its_grid():
-    # a normalised 64-point psi on a 32-point x: refused at construction, not
-    # later by numpy's broadcast in split_step_free
-    psi = gaussian_packet(40.0, 64, x0=0.0, k0=0.0, sigma=2.0).psi
-    with pytest.raises(ConfigError, match="shape"):
-        GridState(40.0, psi, -20.0 + (40.0 / 32) * np.arange(32))
+@pytest.mark.parametrize("ldom, n", [(40.0, 64), (400.0, 4096), (37.3, 1000), (1.0, 7)])
+def test_grid_state_derives_its_grid(ldom, n):
+    # the points are gaussian_packet's -Ldom/2 + j·dx, bit for bit; no grid can be
+    # passed, so none can disagree with Ldom
+    packet = gaussian_packet(ldom, n, x0=0.0, k0=0.0, sigma=0.1 * ldom)
+    dx = ldom / n
+    np.testing.assert_array_equal(packet.x, -0.5 * ldom + dx * np.arange(n))
+    assert packet.dx == dx
+    with pytest.raises(TypeError):
+        GridState(ldom, packet.psi, packet.x)
+    with pytest.raises(TypeError):
+        GridState(Ldom=ldom, psi=packet.psi, x=packet.x)
+    final = split_step_free(packet, 0.0, 0.1, 0.05, guard_sigmas=1.0).final
+    np.testing.assert_array_equal(final.x, packet.x)
 
 
 @pytest.mark.filterwarnings("error")

@@ -86,9 +86,9 @@ def test_harmonic_well_ten_periods():
     np.testing.assert_allclose(energy, energy[0], rtol=1e-8)
 
 
-def test_periodic_potential_accepted_directly():
+def test_periodic_potential_through_evaluate_and_derivative():
     pot = single_cosine(1.0, 0.2)
-    traj = evolve_general_V(0.9, 0.1, pot, 10.0, 1e-3)
+    traj = evolve_general_V(0.9, 0.1, pot.evaluate, 10.0, 1e-3, dV=pot.derivative)
     assert traj.equation_tag == "GENERAL_V"
     energy = 0.5 * traj.v_g ** 2 - pot.evaluate(traj.x)
     np.testing.assert_allclose(energy, energy[0], atol=1e-7)
@@ -159,13 +159,6 @@ def test_lorentz_mirror_symmetry_under_field_reversal():
     mir = evolve_lorentz([1.0, -0.3], [0.2, 0.5], [0.1, 0.0], -1.3, 6.0, 1e-3)
     np.testing.assert_allclose(mir.x[:, 0], fwd.x[:, 0], atol=1e-12)
     np.testing.assert_allclose(mir.x[:, 1], -fwd.x[:, 1], atol=1e-12)
-
-
-def test_lorentz_one_component_vectors_are_zero_padded():
-    one = evolve_lorentz([0.7], 0.3, [0.05], 1.3, 2.0, 0.01)
-    pair = evolve_lorentz([0.7, 0.0], [0.3, 0.0], [0.05, 0.0], 1.3, 2.0, 0.01)
-    for name in ("times", "k", "x", "v_g"):
-        np.testing.assert_array_equal(getattr(one, name), getattr(pair, name), err_msg=name)
 
 
 def test_compare_centered_orbits_identical():
@@ -345,7 +338,7 @@ def _array_rk4(f, y0, T, dt):
 def test_rk4_on_floats_is_bit_identical_to_the_array_form(monkeypatch):
     pot = single_cosine(1.0, 0.3)
     runs = [
-        lambda: evolve_general_V(0.9, 0.1, pot, 5.0, 1e-2),
+        lambda: evolve_general_V(0.9, 0.1, pot.evaluate, 5.0, 1e-2, dV=pot.derivative),
         lambda: evolve_general_V(0.3, 1.2, lambda x: -0.5 * x * x - 0.1 * x ** 3, 5.0, 1e-2,
                                  dV=lambda x: -x - 0.3 * x * x),
     ]
