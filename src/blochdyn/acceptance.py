@@ -214,24 +214,27 @@ def criterion_7_effective_mass_dynamics(seed: int = 0) -> list[tuple[bool, str]]
 
 
 def criterion_8_conduction(seed: int = 12345) -> list[tuple[bool, str]]:
-    """Filled bands carry nothing; a half-filled band responds linearly to a shift."""
+    """Filled bands carry nothing; a half-filled band responds linearly to a shift.
+
+    The gate is the filled band of each of 10 random lattices at its drawn
+    shift. Unshifted, a filled band is whole mirror pairs, which time reversal
+    sums to exactly 0.0 (conduction module docstring), so it is not solved
+    here; test_criterion_8_unshifted_filled_bands_sum_to_exactly_zero pins
+    that on these lattices.
+    """
     rng = np.random.default_rng(seed)
     n_k = 256
     worst_filled = 0.0
-    for i in range(10):
+    for _ in range(10):
         pot = random_symmetric(1.0, rng)
         shift = float(rng.uniform(-0.3, 0.3)) * TWO_PI
-        # the last potential's unshifted filled-band sum is the trio's first, below
-        for s in (0.0, shift) if i < 9 else (shift,):
-            filling = BandFilling(band=0, n_k=n_k, fraction=1.0, shift=s)
-            worst_filled = max(worst_filled, abs(velocity_sum(filling, pot, 10)))
+        filling = BandFilling(band=0, n_k=n_k, fraction=1.0, shift=shift)
+        worst_filled = max(worst_filled, abs(velocity_sum(filling, pot, 10)))
 
     # one unshifted band pass on the last potential labels the full, half and
-    # empty fillings and gives the filled-band sum, the half-filled sum and Σ m/m*
-    # for the linear response
+    # empty fillings and gives the half-filled sum and Σ m/m* for the linear response
     half0 = BandFilling(band=0, n_k=n_k, fraction=0.5)
     trio = _sums_and_labels(half0, pot, 10, (1.0, 0.5, 0.0))
-    worst_filled = max(worst_filled, abs(trio[0][0]))
     labels = tuple(label for _, label, _ in trio)
     shift = 1e-4 * TWO_PI
     net = velocity_sum(replace(half0, shift=shift), pot, 10) - trio[1][0]

@@ -67,7 +67,9 @@ def _coupling_block(pot: FourierPotential, n: int) -> np.ndarray:
     It is float64 on a real lattice and complex128 otherwise, with V_0 kept
     real: one gather from the 4n+1 diagonals. Every band pass forms it before
     its first k, so a truncation below 1 or below the cutoff, which would drop
-    harmonics, is refused with ConfigError even by a pass over no k.
+    harmonics, is refused with ConfigError even by a pass over no k. The block
+    is allocated before its index arrays, so one that no memory can hold raises
+    MemoryError before anything of its size is written.
     """
     if n < 1:
         raise ConfigError(f"truncation half-width must be >= 1, got {n}")
@@ -77,11 +79,12 @@ def _coupling_block(pot: FourierPotential, n: int) -> np.ndarray:
             "harmonics would be silently dropped"
         )
     dtype = np.float64 if pot.is_real else np.complex128
+    block = np.empty((2 * n + 1, 2 * n + 1), dtype=dtype)
     coeffs = np.zeros(4 * n + 1, dtype=dtype)     # coeffs[l + 2n] = V_l
     for l, v in pot.items():
         coeffs[l + 2 * n] = v.real if l == 0 or dtype is np.float64 else v
     ls = np.arange(-n, n + 1)
-    return coeffs[np.subtract.outer(ls, ls) + 2 * n]
+    return np.take(coeffs, np.subtract.outer(ls, ls) + 2 * n, out=block)
 
 
 def _hamiltonians(ks: np.ndarray, A_shift, coupling: np.ndarray, a: float):

@@ -6,12 +6,15 @@ output doubles as the acceptance report.
 
 import re
 
+import numpy as np
 import pytest
 
 from blochdyn import acceptance, conduction
 from blochdyn.acceptance import CRITERIA, run_all
 from blochdyn.central_equation import band_derivatives
+from blochdyn.conduction import BandFilling, velocity_sum
 from blochdyn.errors import ConfigError
+from blochdyn.potential import random_symmetric
 
 SEED = 12345
 
@@ -32,11 +35,10 @@ def test_criterion(cid, name):
 
 
 def test_criterion_8_makes_each_band_pass_once(monkeypatch):
-    # 19 filled-band sums, the shifted half-filled sum, and one unshifted pass that
-    # serves the last potential's filled-band sum, the classification trio, the
-    # half-filled sum and its Σ m/m*. The 10 unshifted passes each solve their 256
-    # states at 128 |k|, the 10 shifted filled-band passes 256 k each and the
-    # shifted half filling 128 k: 10·128 + 10·256 + 128
+    # 10 shifted filled-band sums, the shifted half-filled sum, and one unshifted
+    # pass that serves the classification trio, the half-filled sum and its Σ m/m*.
+    # The 10 shifted filled-band passes solve 256 k each, the unshifted pass its
+    # 256 states at 128 |k| and the shifted half filling 128 k: 10·256 + 128 + 128
     calls = []
 
     def counted(*args):
@@ -46,8 +48,19 @@ def test_criterion_8_makes_each_band_pass_once(monkeypatch):
     monkeypatch.setattr(conduction, "band_derivatives", counted)
     monkeypatch.setattr(acceptance, "band_derivatives", counted)
     assert all(ok for ok, _ in acceptance.criterion_8_conduction(SEED))
-    assert len(calls) == 21
-    assert sum(len(ks) for ks, *_ in calls) == 3968
+    assert len(calls) == 12
+    assert sum(len(ks) for ks, *_ in calls) == 2816
+
+
+@pytest.mark.parametrize("seed", [SEED, 1])
+def test_criterion_8_unshifted_filled_bands_sum_to_exactly_zero(seed):
+    # criterion 8 gates only the shifted filled bands: unshifted, each of its
+    # lattices' filled band is whole mirror pairs, and time reversal sums it to 0.0
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        pot = random_symmetric(1.0, rng)
+        rng.uniform(-0.3, 0.3)      # the criterion's shift draw
+        assert velocity_sum(BandFilling(0, 256, 1.0), pot, 10) == 0.0
 
 
 @pytest.mark.parametrize("only, message", [([99], "unknown criteria [99]"),

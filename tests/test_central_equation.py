@@ -1,6 +1,7 @@
 """Plane-wave band solver: matrix structure, oracles, derivatives, labels."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,13 +98,31 @@ def test_eigensystems_tile_the_pairs_once(pot, size):
 
 def test_coupling_block_is_the_toeplitz_of_the_coefficients():
     pot = FourierPotential(1.0, {0: 0.07, 2: 0.3 - 0.2j, -2: 0.3 + 0.2j})
-    block = _coupling_block(pot, 3)
-    ls = np.arange(-3, 4)
-    np.testing.assert_array_equal(block, [[pot.coefficient(i - j) for j in ls] for i in ls])
-    assert block.dtype == np.complex128
+    for lattice, n in ((pot, 3), (random_symmetric(1.0, np.random.default_rng(3)), 10)):
+        ls = np.arange(-n, n + 1)
+        table = np.array([[lattice.coefficient(i - j) for j in ls] for i in ls])
+        # bitwise: the block is filled in place, and V_0 stays real
+        expected = table.real if lattice.is_real else table
+        assert _coupling_block(lattice, n).tobytes() == expected.tobytes()
+    assert _coupling_block(pot, 3).dtype == np.complex128
     assert _coupling_block(single_cosine(1.0, 0.5), 1).dtype == np.float64
     with pytest.raises(ConfigError, match="n=1 smaller than potential cutoff L=2"):
         _coupling_block(pot, 1)
+
+
+def test_a_coupling_block_no_memory_holds_is_refused_at_start_up_size():
+    # (2·10⁷ + 1)² float64 is 2.8 PiB: refused before its index arrays are written.
+    # numpy records a refused request with tracemalloc and never releases it, so
+    # that record stays in the current total; peak − current is what was written
+    # and freed on the way to the refusal
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            _coupling_block(single_cosine(1.0, 0.1), 10 ** 7)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < 2 ** 20
 
 
 @pytest.mark.parametrize("call, message", [
