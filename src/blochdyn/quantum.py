@@ -46,19 +46,23 @@ from .semiclassical import _sample_steps
 class AdiabaticReport:
     """Sampled diagnostics of the instantaneous eigenframe.
 
-    gap, hdot_norm, omega_bar_star, bound_rhs and comm_norm are in internal
-    units (ħ = 1, so rates and energies share one scale); fidelity is the
-    squared overlap with the instantaneous ground state, NaN where no wave
-    function was propagated.
+    gap, hdot_norm, omega_bar_star and comm_norm are in internal units
+    (ħ = 1, so rates and energies share one scale), and so is the derived
+    bound_rhs = hdot_norm / gap; fidelity is the squared overlap with the
+    instantaneous ground state, NaN where no wave function was propagated.
     """
 
     t: np.ndarray
     gap: np.ndarray
     hdot_norm: np.ndarray
     omega_bar_star: np.ndarray
-    bound_rhs: np.ndarray
     fidelity: np.ndarray
     comm_norm: np.ndarray
+
+    @property
+    def bound_rhs(self) -> np.ndarray:
+        """||Ḣ||_F / gap at every sample."""
+        return self.hdot_norm / self.gap
 
     def chain_holds(self) -> bool:
         """gap·Ω̄* <= ||[Ω̄, Λ]||_F <= ||Ḣ||_F at every sample, with slack 1e-9·||Ḣ||_F."""
@@ -97,12 +101,13 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
     """Instantaneous eigenframes at the times ts, where the gauge shift is A = -E t.
 
     One _eigensystems pass gives (grounds, gap, hdot_norm, omega_bar_star,
-    bound_rhs, comm_norm): grounds[i] is the phase-fixed band-0 vector at
-    ts[i], the rest are arrays over ts. With Adot = -E and M = Θ†ḢΘ as in frame_generator,
+    comm_norm): grounds[i] is the phase-fixed band-0 vector at ts[i], the
+    rest are arrays over ts. With Adot = -E and M = Θ†ḢΘ as in frame_generator,
     Ω̄* is the largest |Ω̄_0j| = |M_0j|/(λ_j - λ_0) and comm_norm is
-    ‖offdiag(M)‖_F = ‖[Ω̄, Λ]‖_F. The gap guard runs before any bound is
+    ‖offdiag(M)‖_F = ‖[Ω̄, Λ]‖_F. The gap guard runs before the drive is
     divided by a gap. A finite shift whose drive -E·κ overflows any of these
-    diagnostics is refused with ConfigError.
+    diagnostics, or AdiabaticReport's bound_rhs = hdot_norm / gap, is refused
+    with ConfigError.
     """
     with np.errstate(over="ignore"):   # _eigensystems refuses an infinite shift
         shifts = -E * np.asarray(ts, dtype=np.float64)
@@ -124,8 +129,9 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
             diag = np.arange(m.shape[1])
             m[:, diag, diag] = 0.0     # [Ω̄, Λ]_ij = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
             comm_norm = np.array([np.linalg.norm(c) for c in m])
-            columns = (hdot_norm, omega_star, hdot_norm / gap, comm_norm)
-        overflow = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+            columns = (hdot_norm, omega_star, comm_norm)
+            finite = np.isfinite((*columns, hdot_norm / gap)).all(axis=0)
+        overflow = np.flatnonzero(~finite)
         if overflow.size:
             i = overflow[0]
             raise ConfigError(f"field E={E!r} at gauge shift A={float(shifts[cut][i])!r} "
@@ -137,9 +143,9 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
 def adiabatic_diagnostics(k: float, pot: FourierPotential, n: int, E: float,
                           t: float) -> AdiabaticReport:
     """Single-sample eigenframe diagnostics; no state is propagated (fidelity NaN)."""
-    _, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, [t])
+    _, gap, hdot, om_star, comm = _eigenframes(k, pot, n, E, [t])
     return AdiabaticReport(np.array([t], dtype=np.float64), gap, hdot, om_star,
-                           bound, np.array([np.nan]), comm)
+                           np.array([np.nan]), comm)
 
 
 def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
@@ -168,7 +174,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     samples, h = _sample_steps(T, dt, report_stride, "report_stride")
     nsteps = int(samples[-1])
     ts = samples * h
-    grounds, gap, hdot, om_star, bound, comm = _eigenframes(k, pot, n, E, ts)
+    grounds, gap, hdot, om_star, comm = _eigenframes(k, pot, n, E, ts)
     X = grounds[0].astype(np.complex128)
     fidelity = [float(np.abs(np.vdot(grounds[0], X)) ** 2)]
     marks = iter(samples.tolist()[1:])     # Python ints: the loop compares no numpy scalar
@@ -196,7 +202,7 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
                 fidelity.append(float(np.abs(np.vdot(grounds[len(fidelity)], X)) ** 2))
                 mark = next(marks, None)
 
-    report = AdiabaticReport(ts, gap, hdot, om_star, bound, np.array(fidelity), comm)
+    report = AdiabaticReport(ts, gap, hdot, om_star, np.array(fidelity), comm)
     return X, report
 
 

@@ -226,14 +226,21 @@ def _lorentz_system(wc, E):
 @dataclass(frozen=True)
 class DivergenceReport:
     """Both planar trajectories, the per-sample norms |Δx| and |Δv| between
-    them (position_divergence, velocity_divergence) and their maxima."""
+    them (position_divergence, velocity_divergence), and the maxima derived
+    from those arrays."""
 
-    max_position_divergence: float
-    max_velocity_divergence: float
     fundamental: Trajectory
     lorentz: Trajectory
     position_divergence: np.ndarray
     velocity_divergence: np.ndarray
+
+    @property
+    def max_position_divergence(self) -> float:
+        return float(np.max(self.position_divergence))
+
+    @property
+    def max_velocity_divergence(self) -> float:
+        return float(np.max(self.velocity_divergence))
 
 
 def compare_fundamental_lorentz(k0, x0, E, B: float, T: float, dt: float) -> DivergenceReport:
@@ -252,7 +259,7 @@ def compare_fundamental_lorentz(k0, x0, E, B: float, T: float, dt: float) -> Div
     if not (np.isfinite(dx).all() and np.isfinite(dv).all()):
         raise ConfigError(f"the divergence of the planar equations leaves float range "
                           f"(B={B!r}, E={E!r}, T={T!r})")
-    return DivergenceReport(float(np.max(dx)), float(np.max(dv)), fund, lor, dx, dv)
+    return DivergenceReport(fund, lor, dx, dv)
 
 
 def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,

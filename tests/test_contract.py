@@ -1,9 +1,12 @@
 """tools/contract.py: the run plan and how byte differences are reported."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "contract.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "contract.py"
 spec = importlib.util.spec_from_file_location("contract", TOOL)
 contract = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(contract)
@@ -18,7 +21,30 @@ def test_the_plan_runs_every_shipped_scenario_three_validate_seeds_and_five_band
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"band-sweep-{seed}-{kind}.json"
         for seed in range(1, 6) for kind in ("bands", "conduction"))
+    assert ("validate-12345", ["validate", "--seed", "12345"]) in plan
     assert ("validate-7", ["validate", "--seed", "7"]) in plan
+    assert [(name, argv[0], argv[2]) for name, argv in plan[:len(contract.SHIPPED)]] == [
+        (stem, cmd, str(ROOT / "scenarios" / f"{stem}.json")) for cmd, stem in contract.SHIPPED]
+
+
+def test_every_run_is_a_fresh_python_w_error_process_with_one_blas_thread(tmp_path, monkeypatch):
+    (tmp_path / "inputs").mkdir()
+    plan = contract.runs(tmp_path / "inputs")
+    calls = []
+
+    def record(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        return subprocess.CompletedProcess(cmd, 0, "out", "")
+
+    monkeypatch.setattr(contract.subprocess, "run", record)
+    done = contract.run_tree(ROOT, tmp_path / "side", plan)
+    assert done == {name: (0, "out", "") for name, _ in plan}
+    assert len(calls) == len(plan)
+    for (name, argv), (cmd, kwargs) in zip(plan, calls):
+        assert cmd == [sys.executable, "-W", "error", "-m", "blochdyn", *argv, "--out", name]
+        assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert kwargs["env"]["PYTHONPATH"] == str(ROOT / "src")
+        assert kwargs["cwd"] == tmp_path / "side"
 
 
 def test_identical_texts_report_nothing():

@@ -31,7 +31,7 @@ from blochdyn import (
     split_step_free,
 )
 from blochdyn.central_equation import _coupling_block, _eigensystems, solve_at
-from blochdyn.quantum import _eigenframes
+from blochdyn.quantum import AdiabaticReport, _eigenframes
 from blochdyn.semiclassical import _time_grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +47,7 @@ SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j,
 
 
 def _sample_reference(k, pot, n, E, t):
-    """Ground vector and (gap, hdot_norm, omega_bar_star, bound_rhs, comm_norm) at t.
+    """Ground vector and (gap, hdot_norm, omega_bar_star, comm_norm) at t.
 
     One frame_generator call per sample: the diagnostics before stacking.
     """
@@ -55,10 +55,10 @@ def _sample_reference(k, pot, n, E, t):
     gap = float(sol.energies[1] - sol.energies[0])
     hdot = abs(E) * float(np.sqrt(np.sum(sol.plane_wavevectors ** 2)))
     if E == 0.0:
-        return sol.vectors[:, 0], (gap, hdot, 0.0, 0.0, 0.0)
+        return sol.vectors[:, 0], (gap, hdot, 0.0, 0.0)
     comm = m - np.diag(np.diag(m))     # [Ω̄, Λ]_ij = Ω̄_ij (λ_j - λ_i) = M_ij, i≠j
     return sol.vectors[:, 0], (gap, hdot, float(np.max(np.abs(omega_bar[0, 1:]))),
-                               hdot / gap, float(np.linalg.norm(comm)))
+                               float(np.linalg.norm(comm)))
 
 
 def test_stationary_state_accumulates_only_phase():
@@ -242,7 +242,7 @@ def _per_step_reference(k, pot, n, E, T, dt, stride, step=_block_step):
     def sample(j):
         ground, diagnostics = _sample_reference(k, pot, n, E, float(times[j]))
         fid = float(np.abs(np.vdot(ground, X)) ** 2)
-        rows.append((float(times[j]), *diagnostics[:4], fid, diagnostics[4]))
+        rows.append((float(times[j]), *diagnostics[:3], fid, diagnostics[3]))
 
     sample(0)
     for j in range(nsteps):
@@ -288,8 +288,8 @@ def test_block_operator_stays_within_roundoff_of_the_parent_step(args):
     X_stacked, report = integrate_basis(*args[:6], report_stride=args[6])
     X, columns = _per_step_reference(*args, step=_parent_step)
     assert np.linalg.norm(X_stacked - X) <= 1e-12
-    # columns follow AdiabaticReport: t, gap, hdot_norm, omega_bar_star, bound_rhs, fidelity, …
-    np.testing.assert_allclose(report.fidelity, columns[5], rtol=0.0, atol=1e-12)
+    # columns follow AdiabaticReport: t, gap, hdot_norm, omega_bar_star, fidelity, comm_norm
+    np.testing.assert_allclose(report.fidelity, columns[4], rtol=0.0, atol=1e-12)
 
 
 def test_stacked_propagation_on_a_complex_lattice():
@@ -387,7 +387,7 @@ def test_eigenframes_equal_the_per_sample_reference(pot, E):
     grounds, *columns = _eigenframes(0.4, pot, 10, E, ts)
     rows = [_sample_reference(0.4, pot, 10, E, float(t)) for t in ts]
     np.testing.assert_array_equal(grounds, [ground for ground, _ in rows])
-    names = ["gap", "hdot_norm", "omega_bar_star", "bound_rhs", "comm_norm"]
+    names = ["gap", "hdot_norm", "omega_bar_star", "comm_norm"]
     for name, got, expect in zip(names, columns, zip(*(d for _, d in rows))):
         np.testing.assert_array_equal(got, expect, err_msg=name)
 
@@ -422,6 +422,24 @@ def test_si_field_diagnostics_frozen():
     assert not dataclasses.replace(rep, hdot_norm=0.5 * rep.comm_norm).chain_holds()
 
 
+def test_bound_rhs_is_derived_from_the_drive_and_the_gap():
+    # criterion 6's SI probe: the bound is hdot_norm / gap, bit for bit
+    units = UnitSystem(1e-10)
+    pot = single_cosine(1.0, 0.5 / units.energy_eV)
+    e_int = units.to_internal(10.0, "electric_field")
+    rep = adiabatic_diagnostics(math.pi, pot, 10, e_int, 2e-3 / e_int)
+    assert rep.bound_rhs == rep.hdot_norm / rep.gap
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "t", "gap", "hdot_norm", "omega_bar_star", "fidelity", "comm_norm"]
+    # no report holds a bound that its arrays disagree with
+    assert dataclasses.replace(rep, gap=0.5 * rep.gap).bound_rhs == 2.0 * rep.bound_rhs
+    with pytest.raises(TypeError):
+        AdiabaticReport(rep.t, rep.gap, rep.hdot_norm, rep.omega_bar_star, rep.bound_rhs,
+                        rep.fidelity, rep.comm_norm)
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, bound_rhs=rep.bound_rhs)
+
+
 def test_si_diagnostics_against_two_level_model():
     units = UnitSystem(1e-10)
     v1 = 0.5 / units.energy_eV
@@ -441,8 +459,8 @@ def test_diagnostics_survive_exact_zone_edge():
 
 
 def test_diagnostics_zero_field():
-    _, gap, hdot, om_star, bound, comm = _eigenframes(0.5, WEAK, 10, 0.0, [3.0])
-    assert hdot == 0.0 and om_star == 0.0 and bound == 0.0 and comm == 0.0
+    _, gap, hdot, om_star, comm = _eigenframes(0.5, WEAK, 10, 0.0, [3.0])
+    assert hdot == 0.0 and om_star == 0.0 and comm == 0.0
     assert gap > 0.0
 
 

@@ -1,5 +1,6 @@
 """Equation-of-motion integrators: closed forms, conservation, field limits."""
 
+import dataclasses
 import math
 import re
 
@@ -22,7 +23,7 @@ from blochdyn import (
     solve_at,
 )
 from blochdyn import semiclassical
-from blochdyn.semiclassical import _time_grid, _trapezoid_integral
+from blochdyn.semiclassical import DivergenceReport, _time_grid, _trapezoid_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,6 +175,23 @@ def test_compare_crossed_fields_frozen_divergence():
                                       1.0, 10.0, 1e-3)
     assert rep.max_position_divergence == pytest.approx(11.465010899107085, rel=1e-9)
     assert rep.max_velocity_divergence == pytest.approx(1.7320507980397548, rel=1e-9)
+
+
+def test_compare_maxima_are_derived_from_the_divergences():
+    rep = compare_fundamental_lorentz([1.0, 0.0], [0.0, -1.0], [1.0, 0.0], 1.0, 10.0, 1e-3)
+    assert rep.max_position_divergence == float(np.max(rep.position_divergence))
+    assert rep.max_velocity_divergence == float(np.max(rep.velocity_divergence))
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "fundamental", "lorentz", "position_divergence", "velocity_divergence"]
+    # no report holds a maximum that its arrays disagree with
+    halved = dataclasses.replace(rep, position_divergence=0.5 * rep.position_divergence)
+    assert halved.max_position_divergence == 0.5 * rep.max_position_divergence
+    with pytest.raises(TypeError):
+        DivergenceReport(rep.max_position_divergence, rep.max_velocity_divergence,
+                         rep.fundamental, rep.lorentz, rep.position_divergence,
+                         rep.velocity_divergence)
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, max_velocity_divergence=0.0)
 
 
 def test_compare_off_center_differs_even_without_E():
