@@ -97,10 +97,12 @@ def single_cosine(a: float, amplitude: float) -> FourierPotential:
     return FourierPotential(a, {1: amplitude, -1: amplitude})
 
 
-def random_symmetric(a: float, rng: np.random.Generator) -> FourierPotential:
+def random_symmetric(a: float, rng) -> FourierPotential:
     """Random real (mirror-symmetric) potential on harmonics l = 1..3.
 
     Each V_l = V_{-l} has magnitude uniform in [0.3, 1.5] and a random sign.
+    rng is any generator with uniform(low, high) and random(), such as
+    random.Random or numpy.random.Generator; each l draws uniform, then random.
     """
     coeffs: dict[int, complex] = {}
     for l in range(1, 4):

@@ -20,9 +20,10 @@ kinetic circulant, folded by Bloch's theorem into one small block per
 commensurate k. Each block's kinetic part comes straight from the spectral
 symbol κ²/2: the grid's plane waves that belong to the block, one inverse FFT
 and two phase products, with no real-space circulant gathered. That is the
-same matrix as the folded circulant. The oracle returns the blocks' levels as
-computed, one row per k, so each level's crystal-momentum label is exact by
-construction and needs no lookup.
+same matrix as the folded circulant. The oracle builds and diagonalizes one
+block at a time, so it never holds the stack of all M blocks. It returns the
+blocks' levels as computed, one row per k, so each level's crystal-momentum
+label is exact by construction and needs no lookup.
 """
 
 from __future__ import annotations
@@ -407,9 +408,12 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048) -> Grid
     slots gives c_m[d] = (1/s)·Σ (κ_p²/2)·e^{2πi·slot·d/s}, and
     H_m[i, j] = e^{ik_m(x_i - x_j)}·c_m[(i - j) mod s] + δ_ij V(x_i).
     It is the same matrix, to roundoff, with no (s, s, M) real-space gather.
-    Every level carries its block's k by construction, so the blocks are
-    returned as computed: GridBands(k, energies) with energies[m] the s
-    levels of block m.
+    The blocks are built and diagonalized one at a time in one reused (s, s)
+    array, so memory holds one block, never the (M, s, s) stack; eigvalsh
+    factors each matrix on its own either way, so the levels are the stacked
+    call's, bitwise. Every level carries its block's k by construction, so the
+    blocks are returned as computed: GridBands(k, energies) with energies[m]
+    the s levels of block m.
     """
     if N & (N - 1) or N <= 0:
         raise ConfigError(f"N must be a power of two, got {N}")
@@ -426,9 +430,15 @@ def grid_ground_state(pot: FourierPotential, M: int = 16, N: int = 2048) -> Grid
     symbol = 0.5 * (TWO_PI * np.fft.fftfreq(N, d=dx))[p] ** 2
     c = np.fft.ifft(symbol, axis=1)     # c[m, d] = (1/s)·Σ_slot symbol·e^{2πi·slot·d/s}
     i = np.arange(s)
-    H = c[:, (i[:, None] - i) % s]
+    lag = (i[:, None] - i) % s
     phase = np.exp(TWO_PI * 1j * np.outer(m, i) / N)     # e^{i k_m x_i}
-    H *= phase[:, :, None]
-    H *= phase.conj()[:, None, :]
-    H[:, i, i] += pot.evaluate(dx * i)
-    return GridBands(k=TWO_PI * m / (M * a), energies=np.linalg.eigvalsh(H))
+    v = pot.evaluate(dx * i)
+    energies = np.empty((M, s))
+    h = np.empty((s, s), dtype=np.complex128)     # one block, rebuilt in place for each k
+    for levels, c_m, phase_m in zip(energies, c, phase):
+        np.take(c_m, lag, out=h)
+        h *= phase_m[:, None]
+        h *= phase_m.conj()
+        h[i, i] += v
+        levels[:] = np.linalg.eigvalsh(h)
+    return GridBands(k=TWO_PI * m / (M * a), energies=energies)

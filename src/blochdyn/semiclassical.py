@@ -17,18 +17,22 @@ FUNDAMENTAL  dv/dt = -(ω_c/2) v×ẑ - (ω_c²/2) x - E, with x = x0 + ∫v
 LORENTZ      dv/dt = -v×B - E (RK4 as one precomputed step matrix)
 PERIODIC_E   k(t) = reduce(k0 - E t), v_g from the band dispersion
 PERIODIC_B   closed form: k(t) rotates at ω = B ε'(|k|)/|k| (isotropic band)
+
+The two band integrators import the band solver when they run, so the
+planar equations load neither central_equation nor potential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .central_equation import _check_band, _coupling_block, band_derivatives, reduce_to_zone
 from .errors import ConfigError, EnergyDriftError
-from .potential import FourierPotential
+
+if TYPE_CHECKING:
+    from .potential import FourierPotential
 
 # step count past which _sample_steps refuses a (T, dt) pair as bad input
 _MAX_STEPS = 2 ** 31
@@ -271,6 +275,8 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     effective mass m/m* along the path. All come from one band_derivatives
     call over the whole path.
     """
+    from .central_equation import _check_band, band_derivatives, reduce_to_zone
+
     _check_band(band, n)
     times, _, _ = _time_grid(T, dt)
     k_unred = k0 - E * times
@@ -291,6 +297,8 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     v_g from the origin. Below ρ = 1e-12, k stays put and v_g = 0; the
     truncation is checked there too, though no band pass runs.
     """
+    from .central_equation import _check_band, _coupling_block, band_derivatives, reduce_to_zone
+
     k0 = _planar(k0, "k0")
     _check_band(band, n)
     _coupling_block(pot, n)

@@ -4,9 +4,9 @@ Each case prints one PASS/FAIL line plus the measured numbers, so the pytest
 output doubles as the acceptance report.
 """
 
+import random
 import re
 
-import numpy as np
 import pytest
 
 from blochdyn import acceptance, conduction
@@ -56,11 +56,30 @@ def test_criterion_8_makes_each_band_pass_once(monkeypatch):
 def test_criterion_8_unshifted_filled_bands_sum_to_exactly_zero(seed):
     # criterion 8 gates only the shifted filled bands: unshifted, each of its
     # lattices' filled band is whole mirror pairs, and time reversal sums it to 0.0
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(10):
         pot = random_symmetric(1.0, rng)
         rng.uniform(-0.3, 0.3)      # the criterion's shift draw
         assert velocity_sum(BandFilling(0, 256, 1.0), pot, 10) == 0.0
+
+
+def test_criterion_8_draws_frozen_lattices_from_the_standard_library(monkeypatch):
+    # random.Random keeps its sequence for a given seed, so the first lattice and
+    # shift at SEED are frozen here; another generator draws other values
+    class Drawn(Exception):
+        pass
+
+    def first(filling, pot, n):
+        raise Drawn(filling, pot)
+
+    monkeypatch.setattr(acceptance, "velocity_sum", first)
+    with pytest.raises(Drawn) as drawn:
+        acceptance.criterion_8_conduction(SEED)
+    filling, pot = drawn.value.args
+    v1, v2, v3 = 0.7999438470544094, 1.2902478111044917, 0.7420940273861708
+    assert dict(pot.items()) == {1: v1, -1: v1, 2: v2, -2: v2, 3: v3, -3: v3}
+    assert (filling.band, filling.fraction) == (0, 1.0)
+    assert filling.shift == 0.03960490123731675 * acceptance.TWO_PI == 0.2488449335466072
 
 
 @pytest.mark.parametrize("only, message", [([99], "unknown criteria [99]"),

@@ -63,6 +63,27 @@ def test_a_bands_run_loads_only_what_it_computes_with(tmp_path):
     assert (tmp_path / "bands.csv").is_file()
 
 
+@pytest.mark.parametrize("command, stem, output", [("cyclotron", "cyclotron", "trajectory.csv"),
+                                                   ("compare-eom", "compare_eom", "compare.csv")])
+def test_a_planar_run_loads_no_band_solver(tmp_path, command, stem, output):
+    # only the band integrators use the band solver, and they import it when they run
+    argv = [command, "--scenario", str(ROOT / "scenarios" / f"{stem}.json"), "--out", str(tmp_path)]
+    loaded = _loaded_after(f"from blochdyn import cli\nassert cli.main({argv!r}) == 0")
+    assert {"blochdyn.semiclassical", "numpy"} <= set(loaded)
+    assert not {"blochdyn.central_equation", "blochdyn.potential"} & set(loaded)
+    assert (tmp_path / output).is_file()
+
+
+def test_criterion_8_loads_no_numpy_random(tmp_path):
+    # its draws come from the standard library; the numpy.random modules that
+    # `import numpy` loads on its own, which depend on the numpy release, are allowed
+    argv = ["validate", "--only", "8", "--out", str(tmp_path)]
+    loaded = _loaded_after(f"from blochdyn import cli\nassert cli.main({argv!r}) == 0")
+    assert "blochdyn.acceptance" in loaded
+    assert {m for m in loaded if m.startswith("numpy.random")} <= set(_loaded_after("import numpy"))
+    assert (tmp_path / "validate.json").is_file()
+
+
 def test_a_solenoid_run_loads_no_numpy(tmp_path):
     # the kick is scalar arithmetic next to the CODATA constants in units
     argv = ["solenoid", "--scenario", str(ROOT / "scenarios" / "solenoid_reference.json"),

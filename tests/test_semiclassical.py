@@ -11,6 +11,7 @@ from blochdyn import (
     ConfigError,
     EnergyDriftError,
     FourierPotential,
+    band_derivatives,
     compare_fundamental_lorentz,
     evolve_free_E,
     evolve_fundamental,
@@ -217,6 +218,33 @@ def test_periodic_E_bloch_oscillation():
     assert np.all(np.abs(reduce_to_zone(traj.k, pot.a)) <= math.pi + 1e-12)
 
 
+# complex coefficients with no mirror plane, so band 0 has no k -> -k symmetry
+SKEW = FourierPotential(1.0, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j, 2: 0.1 - 0.15j, -2: 0.1 + 0.15j})
+
+
+@pytest.mark.parametrize("pot, band, k0, E, periods", [
+    (single_cosine(1.0, 0.3), 0, 0.3, 0.05, 1.0),
+    (SKEW, 0, -1.0, -1e-3, 1.2),
+    (SKEW, 1, -1.0, -1e-3, 1.2),
+], ids=["real-band0", "complex-band0", "complex-band1"])
+def test_periodic_E_position_closes_on_the_band_energy(pot, band, k0, E, periods):
+    # dε/dt = -E·v, so x(t) = -(ε(k(t)) - ε(k0))/E exactly; the 1/E amplifies the
+    # roundoff of ε, so this oracle holds for |E| >= 1e-3 only. The trapezoid errs
+    # by at most t·h²/12·max|v''|, v'' = E²·ε''' with ε''' taken on a fine zone
+    # grid, and halving h quarters the error
+    ks = np.linspace(-math.pi, math.pi, 1025)
+    third = np.max(np.abs(np.gradient(band_derivatives(ks, pot, 10, band + 1)[2][:, band], ks)))
+    T = periods * TWO_PI / abs(E)
+    errors = []
+    for steps in (400, 800):
+        traj = evolve_periodic_E(k0, band, pot, 10, E, T, T / steps)
+        eps = band_derivatives(reduce_to_zone(traj.k, pot.a), pot, 10, band + 1)[0][:, band]
+        error = np.max(np.abs(traj.x - (eps[0] - eps) / E))
+        assert error <= T * traj.dt ** 2 / 12.0 * E * E * third
+        errors.append(error)
+    assert 3.8 <= errors[0] / errors[1] <= 4.2
+
+
 def test_periodic_E_mass_channel():
     pot = single_cosine(1.0, 0.05)
     traj = evolve_periodic_E(0.3, 0, pot, 10, 0.05, 10.0, 0.1)
@@ -298,6 +326,43 @@ def test_periodic_B_conserves_the_orbit_radius():
     traj = evolve_periodic_B([2.5, -1.0], 0, pot, 8, -0.7, 200.0, 0.01)
     np.testing.assert_allclose(np.hypot(traj.k[:, 0], traj.k[:, 1]), math.hypot(2.5, -1.0),
                                rtol=0.0, atol=1e-14)
+
+
+def _rigid_rotation(k0, slope, B, t):
+    """x(t) from the origin of v = slope·R(ωt)k0, ω = B·slope: slope·(sin ωt/ω·k0 +
+    (1 - cos ωt)/ω·Jk0), J the quarter turn, in sinc forms that stay exact as ω -> 0."""
+    omega = B * slope
+    along = t * np.sinc(omega * t / math.pi)
+    across = 0.5 * omega * t * t * np.sinc(omega * t / TWO_PI) ** 2
+    return slope * (np.outer(along, k0) + np.outer(across, [-k0[1], k0[0]]))
+
+
+@pytest.mark.parametrize("pot, k0, band, B", [(single_cosine(1.0, 0.3), [2.0, 1.0], 1, 0.8),
+                                              (SKEW, [2.5, -1.0], 0, -0.7)],
+                         ids=["real", "complex"])
+def test_periodic_B_position_is_the_rigid_rotation_closed_form(pot, k0, band, B):
+    # the trapezoid of a rotating v errs by at most t·h²/12·|slope|·ρ·ω², and
+    # halving h quarters the error
+    rho = math.hypot(*k0)
+    slope = band_derivatives(reduce_to_zone(rho, pot.a), pot, 10, band + 1)[1][0, band] / rho
+    errors = []
+    for dt in (0.02, 0.01):
+        traj = evolve_periodic_B(k0, band, pot, 10, B, 20.0, dt)
+        np.testing.assert_allclose(traj.v_g, slope * traj.k, rtol=0, atol=1e-15)
+        error = np.max(np.abs(traj.x - _rigid_rotation(k0, slope, B, traj.times)))
+        assert error <= 20.0 * dt ** 2 / 12.0 * abs(slope) * rho * (B * slope) ** 2
+        errors.append(error)
+    assert 3.8 <= errors[0] / errors[1] <= 4.2
+
+
+@pytest.mark.parametrize("B", [0.0, 1e-30])
+def test_periodic_B_closed_form_holds_as_the_field_vanishes(B):
+    # sin(ωt)/ω -> t and (1 - cos ωt)/ω -> 0: v is constant, so the trapezoid is exact
+    pot = single_cosine(1.0, 0.3)
+    traj = evolve_periodic_B([0.4, 0.1], 0, pot, 10, B, 50.0, 0.05)
+    slope = traj.v_g[0, 0] / 0.4
+    np.testing.assert_allclose(traj.x, _rigid_rotation([0.4, 0.1], slope, B, traj.times),
+                               rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n, message", [(0, "truncation half-width must be >= 1, got 0"),
