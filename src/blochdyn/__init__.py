@@ -18,7 +18,7 @@ _EXPORTS = {
     "central_equation": ("BandSolution", "band_derivatives", "band_sweep", "bloch_psi",
                          "build", "effective_mass", "group_velocity", "reduce_to_zone",
                          "solve_at"),
-    "conduction": ("BandFilling", "classify", "velocity_sum"),
+    "conduction": ("BandFilling", "classify", "fillings", "velocity_sum"),
     "errors": ("BoundaryProximityError", "ConfigError", "DegeneratePointError",
                "EnergyDriftError", "InfiniteMassError", "PhysicsError"),
     "potential": ("FourierPotential", "random_symmetric", "single_cosine"),

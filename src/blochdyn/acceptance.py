@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .central_equation import band_derivatives, solve_at
-from .conduction import BandFilling, _sums_and_labels, velocity_sum
+from .conduction import BandFilling, fillings, velocity_sum
 from .errors import ConfigError
 from .potential import FourierPotential, random_symmetric, single_cosine
 from .quantum import (
@@ -236,12 +236,12 @@ def criterion_8_conduction(seed: int = 12345) -> list[tuple[bool, str]]:
 
     # one unshifted band pass on the last potential labels the full, half and
     # empty fillings and gives the half-filled sum and Σ m/m* for the linear response
-    half0 = BandFilling(band=0, n_k=n_k, fraction=0.5)
-    trio = _sums_and_labels(half0, pot, 10, (1.0, 0.5, 0.0))
-    labels = tuple(label for _, label, _ in trio)
+    full, half, empty = fillings(pot, 10, 0, n_k, 0.0, (1.0, 0.5, 0.0))
+    labels = (full.label, half.label, empty.label)
     shift = 1e-4 * TWO_PI
-    net = velocity_sum(replace(half0, shift=shift), pot, 10) - trio[1][0]
-    response = shift * trio[1][2]
+    shifted = BandFilling(band=0, n_k=n_k, fraction=0.5, shift=shift)
+    net = velocity_sum(shifted, pot, 10) - half.velocity_sum
+    response = shift * half.response
     resp_rel = abs(net - response) / abs(response)
 
     return [

@@ -371,19 +371,16 @@ def _run_adiabatic(scn: dict, units: UnitSystem, out: Path) -> int:
 
 
 def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
-    from dataclasses import replace
-
-    from .conduction import BandFilling, _sums_and_labels
+    from .conduction import fillings
 
     pot, dyn = _potential(scn), scn["dynamics"]
     band, n_k, n, shift = dyn["band"], dyn["n_k"], dyn["n_waves"], dyn["shift_internal"]
     fractions = dyn["fractions"]
-    grid = BandFilling(band=band, n_k=n_k, fraction=0.0)
-    unshifted = _sums_and_labels(grid, pot, n, fractions)
-    shifted = _sums_and_labels(replace(grid, shift=shift), pot, n, fractions)
-    entries = [{"fraction": frac, "velocity_sum_unshifted": base,
-                "velocity_sum_shifted": moved, "classification": label}
-               for frac, (base, label, _), (moved, _, _) in zip(fractions, unshifted, shifted)]
+    unshifted = fillings(pot, n, band, n_k, 0.0, fractions)
+    shifted = fillings(pot, n, band, n_k, shift, fractions)
+    entries = [{"fraction": frac, "velocity_sum_unshifted": base.velocity_sum,
+                "velocity_sum_shifted": moved.velocity_sum, "classification": base.label}
+               for frac, base, moved in zip(fractions, unshifted, shifted)]
     _write_json(out / "conduction.json", {"version": 1, "band": band, "n_k": n_k,
                                           "shift_internal": shift, "fillings": entries})
     return 0

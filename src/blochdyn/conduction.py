@@ -9,7 +9,11 @@ the rate at which a further shift moves the velocity sum (the Drude weight
 of Kohn's insulator criterion), in the same band pass as the velocity sum.
 The occupied states of every fraction of one band are prefixes of one |k|
 order, so one band pass per gauge shift, over the largest fraction's states,
-serves every fraction of a conduction run.
+serves every fraction: fillings makes that pass and returns each fraction's
+velocity sum, label and Σ m/m* by name, and velocity_sum and classify are
+fillings at a single fraction. The pass reduces the shift to the zone before
+it moves the labels, and refuses a shift too large for its float spacing to
+place it on the k grid.
 
 Time reversal makes each pass solve every |k| once. On a Hermitian lattice,
 real or complex, H(-k) is the conjugate of H(k) with the plane waves
@@ -87,40 +91,69 @@ def _folded_pass(ks: np.ndarray, pot: FourierPotential, n: int, band: int):
     return np.sign(ks) * velocity[state, band], inv_mass[state, band]
 
 
-def _sums_and_labels(filling: BandFilling, pot: FourierPotential, n: int,
-                     fractions) -> list[tuple[float, str, float]]:
-    """velocity_sum, classify and the signed Σ m/m* of filling at each of fractions.
+@dataclass(frozen=True)
+class FillingResult:
+    """One fraction's share of a fillings pass.
 
-    All three come from one band pass. filling fixes the band, n_k and shift,
-    and pot the lattice constant of the k grid; filling's own fraction is not
-    used. Each fraction's occupied states are a prefix of the largest one's,
-    so each sum is math.fsum over its own prefix of the one pass, which
-    _folded_pass makes at the distinct |k|.
+    velocity_sum is velocity_sum's value, label is classify's, and response is
+    the signed Σ m/m* of the occupied states at the pass's shift, the rate at
+    which a further shift moves velocity_sum.
     """
-    _check_band(filling.band, n)
-    counts = [replace(filling, fraction=f).occupied_count for f in fractions]
-    largest = replace(filling, fraction=max(fractions, default=0.0))
-    ks = reduce_to_zone(largest.occupied_k(pot.a) + filling.shift, pot.a)
-    velocity, inv_mass = _folded_pass(ks, pot, n, filling.band)
+
+    velocity_sum: float
+    label: str
+    response: float
+
+
+def fillings(pot: FourierPotential, n: int, band: int, n_k: int, shift: float,
+             fractions) -> list[FillingResult]:
+    """velocity_sum, classify and Σ m/m* of band at each of fractions, from one band pass.
+
+    Every fraction's filling is BandFilling(band, n_k, fraction, shift), on the
+    k grid of pot's lattice constant. Each fraction's occupied states are a
+    prefix of the largest one's, so each sum is math.fsum over its own prefix
+    of the one pass, which _folded_pass makes at the distinct |k|.
+
+    The shift is reduced to the zone once, before it moves the labels, so a
+    shift far outside the zone rounds the way its in-zone image does, and an
+    in-zone shift reduces to itself bitwise (bar -0.0, which becomes 0.0, and
+    the one float just above -π/a). That reduction is exact only to about one
+    float spacing of the shift, so a shift whose spacing exceeds 1e-4 of the
+    grid step Δk = 2π/(a·n_k) is refused with ConfigError: rounding, not the
+    shift, would decide where in the zone the labels land.
+    """
+    grid = BandFilling(band, n_k, 0.0)
+    _check_band(band, n)
+    counts = [replace(grid, fraction=f).occupied_count for f in fractions]
+    dk = TWO_PI / (pot.a * n_k)
+    if not math.ulp(shift) <= 1e-4 * dk:
+        raise ConfigError(f"gauge shift {shift!r} is too large for the k grid: its float "
+                          f"spacing {math.ulp(shift)!r} exceeds 1e-4 of the grid step "
+                          f"2π/(a·n_k) = {dk!r}")
+    largest = replace(grid, fraction=max(fractions, default=0.0))
+    ks = reduce_to_zone(largest.occupied_k(pot.a) + reduce_to_zone(shift, pot.a), pot.a)
+    velocity, inv_mass = _folded_pass(ks, pot, n, band)
     probe = 1e-4 * TWO_PI / pot.a
     out = []
     for count in counts:
         response = math.fsum(inv_mass[:count])
-        moved = abs(response) * probe > 1e-8 * filling.n_k
-        out.append((math.fsum(velocity[:count]), "conductor" if moved else "insulator",
-                    response))
+        moved = abs(response) * probe > 1e-8 * n_k
+        out.append(FillingResult(math.fsum(velocity[:count]),
+                                 "conductor" if moved else "insulator", response))
     return out
 
 
 def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
     """Total group velocity of the occupied, shift-transported states.
 
-    Each occupied label k contributes the band velocity at reduce(k + shift).
-    Velocities come from the eigenvector expectation of the plane-wave
-    momenta (the exact band derivative); accumulation uses exact summation
-    so the result is independent of evaluation order.
+    Each occupied label k contributes the band velocity at
+    reduce(k + reduce(shift)). Velocities come from the eigenvector
+    expectation of the plane-wave momenta (the exact band derivative);
+    accumulation uses exact summation so the result is independent of
+    evaluation order.
     """
-    return _sums_and_labels(filling, pot, n, [filling.fraction])[0][0]
+    return fillings(pot, n, filling.band, filling.n_k, filling.shift,
+                    [filling.fraction])[0].velocity_sum
 
 
 def classify(filling: BandFilling, pot: FourierPotential, n: int) -> str:
@@ -130,4 +163,5 @@ def classify(filling: BandFilling, pot: FourierPotential, n: int) -> str:
     inverse masses). A conductor's sum would move by more than 1e-8·n_k under
     a further shift of 1e-4 of a reciprocal lattice vector.
     """
-    return _sums_and_labels(filling, pot, n, [filling.fraction])[0][1]
+    return fillings(pot, n, filling.band, filling.n_k, filling.shift,
+                    [filling.fraction])[0].label

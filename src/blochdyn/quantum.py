@@ -24,19 +24,25 @@ same matrix as the folded circulant. The oracle builds and diagonalizes one
 block at a time, so it never holds the stack of all M blocks. It returns the
 blocks' levels as computed, one row per k, so each level's crystal-momentum
 label is exact by construction and needs no lookup.
+The plane-wave half (frame_generator, _eigenframes, integrate_basis) imports
+the band solver when it runs, so the split-step propagator and the grid
+oracle load neither central_equation nor potential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .central_equation import (_GAP_MIN, _K_BLOCK, TWO_PI, _coupling_block, _eigensystems,
-                               _phase_fix, solve_at)
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
-from .potential import FourierPotential
 from .semiclassical import _sample_steps
+
+if TYPE_CHECKING:
+    from .potential import FourierPotential
+
+TWO_PI = 2.0 * np.pi
 
 
 # --------------------------------------------------------------------------
@@ -87,6 +93,8 @@ def frame_generator(k: float, pot: FourierPotential, n: int, A: float,
     the full matrices; the adiabatic runs take their samples from the stacked
     _eigenframes pass, which is tested against it.
     """
+    from .central_equation import solve_at
+
     center = solve_at(k, A, pot, n)
     w = center.energies
     theta = center.vectors
@@ -110,6 +118,8 @@ def _eigenframes(k: float, pot: FourierPotential, n: int, E: float, ts):
     diagnostics, or AdiabaticReport's bound_rhs = hdot_norm / gap, is refused
     with ConfigError.
     """
+    from .central_equation import _GAP_MIN, _coupling_block, _eigensystems, _phase_fix
+
     with np.errstate(over="ignore"):   # _eigensystems refuses an infinite shift
         shifts = -E * np.asarray(ts, dtype=np.float64)
     blocks = []
@@ -172,6 +182,8 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     Returns (X, AdiabaticReport): X is the coefficient vector over the
     plane-wave index l at T.
     """
+    from .central_equation import _K_BLOCK, _coupling_block, _eigensystems
+
     samples, h = _sample_steps(T, dt, report_stride, "report_stride")
     nsteps = int(samples[-1])
     ts = samples * h

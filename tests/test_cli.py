@@ -424,6 +424,18 @@ def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_conduction_refuses_a_shift_too_large_for_the_k_grid(tmp_path, capsys):
+    # at 1e17 every label used to land on one reduced k, every shifted sum read 0.0,
+    # and the run exited 0
+    scn_obj = json.loads((SCENARIOS / "conduction_fillings.json").read_text())
+    scn_obj["dynamics"]["shift_internal"] = 1e17
+    out = tmp_path / "out"
+    assert main(["conduction", "--scenario", _write(tmp_path, scn_obj), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "too large for the k grid" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_waves, coefficients, message", [
     (0, None, "truncation half-width must be >= 1, got 0"),
     (1, [[-3, 0.25, 0.0], [3, 0.25, 0.0]], "truncation n=1 smaller than potential cutoff L=3"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from blochdyn import (
     band_derivatives,
     classify,
     effective_mass,
+    fillings,
     fractional_displacement,
     random_symmetric,
     reduce_to_zone,
@@ -19,7 +21,8 @@ from blochdyn import (
     solenoid_shift,
     velocity_sum,
 )
-from blochdyn.conduction import _folded_pass, _sums_and_labels
+from blochdyn.conduction import FillingResult, _folded_pass
+from blochdyn.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 WEAK = single_cosine(1.0, 0.25)
@@ -195,10 +198,10 @@ def test_one_pass_per_shift_equals_the_per_filling_calls():
     fractions = [0.5, 1.0, 0.0, 0.75, 0.25]
     for pot in [WEAK, SKEW] + [random_symmetric(1.0, rng) for _ in range(3)]:
         for band, n_k, shift in itertools.product((0, 1), (64, 65), (0.0, 0.37 * TWO_PI)):
-            grid = BandFilling(band, n_k, 0.0, shift)
             want = [(velocity_sum(f, pot, 8), classify(f, pot, 8), _inverse_mass_sum(f, pot, 8))
                     for f in (BandFilling(band, n_k, frac, shift) for frac in fractions)]
-            assert _sums_and_labels(grid, pot, 8, fractions) == want, (pot, band, n_k, shift)
+            got = fillings(pot, 8, band, n_k, shift, fractions)
+            assert got == [FillingResult(*w) for w in want], (pot, band, n_k, shift)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.37 * TWO_PI], ids=["unshifted", "shifted"])
@@ -227,17 +230,97 @@ def test_an_unshifted_filling_of_whole_mirror_pairs_sums_to_zero():
     for pot in (WEAK, SKEW, random_symmetric(1.0, rng)):
         for band, n_k in itertools.product((0, 1), (64, 65)):
             fractions = [count / n_k for count in range(n_k % 2, n_k + 1, 2)]
-            sums = _sums_and_labels(BandFilling(band, n_k, 0.0), pot, 8, fractions)
-            assert [total for total, _, _ in sums] == [0.0] * len(fractions), (pot, band, n_k)
+            sums = [r.velocity_sum for r in fillings(pot, 8, band, n_k, 0.0, fractions)]
+            assert sums == [0.0] * len(fractions), (pot, band, n_k)
 
 
 def test_one_pass_per_shift_rejects_what_a_filling_rejects():
-    grid = BandFilling(0, 64, 0.0)
     with pytest.raises(ValueError):
-        _sums_and_labels(grid, WEAK, 8, [0.5, 1.5])
+        fillings(WEAK, 8, 0, 64, 0.0, [0.5, 1.5])
     with pytest.raises(ValueError):
-        _sums_and_labels(BandFilling(17, 64, 0.0), WEAK, 8, [0.5])   # n = 8 has bands 0..16
-    assert _sums_and_labels(grid, WEAK, 8, []) == []
+        fillings(WEAK, 8, 17, 64, 0.0, [0.5])   # n = 8 has bands 0..16
+    # band and n_k are checked even when no fraction is asked for
+    with pytest.raises(ValueError):
+        fillings(WEAK, 8, 0, 32, 0.0, [])
+    with pytest.raises(ValueError):
+        fillings(WEAK, 8, -1, 64, 0.0, [])
+    assert fillings(WEAK, 8, 0, 64, 0.0, []) == []
+
+
+def _criterion_8_lattice(seed):
+    """The last of criterion 8's ten lattices, the one its trio is read on."""
+    rng = random.Random(seed)
+    for _ in range(10):
+        pot = random_symmetric(1.0, rng)
+        rng.uniform(-0.3, 0.3)      # the criterion's shift draw
+    return pot
+
+
+# (pot, n, n_k, shift, fractions): scenarios/conduction_fillings.json at both of the
+# CLI's shifts, and criterion 8's trio at seeds 12345 and 1
+ONE_PASS_CASES = [
+    (single_cosine(1.0, 0.25), 10, 256, 0.0, [0.0, 0.5, 1.0]),
+    (single_cosine(1.0, 0.25), 10, 256, 0.0006283185307179586, [0.0, 0.5, 1.0]),
+    (_criterion_8_lattice(12345), 10, 256, 0.0, [1.0, 0.5, 0.0]),
+    (_criterion_8_lattice(1), 10, 256, 0.0, [1.0, 0.5, 0.0]),
+]
+
+
+@pytest.mark.parametrize("pot, n, n_k, shift, fractions", ONE_PASS_CASES,
+                         ids=["shipped-unshifted", "shipped-shifted", "trio-12345", "trio-1"])
+def test_one_multi_fraction_call_is_the_per_fraction_calls_bitwise(pot, n, n_k, shift,
+                                                                   fractions):
+    together = fillings(pot, n, 0, n_k, shift, fractions)
+    assert together == [fillings(pot, n, 0, n_k, shift, [f])[0] for f in fractions]
+    # velocity_sum and classify are fillings at one fraction, field for field
+    for fraction, result in zip(fractions, together):
+        filling = BandFilling(0, n_k, fraction, shift)
+        assert velocity_sum(filling, pot, n) == result.velocity_sum
+        assert classify(filling, pot, n) == result.label
+
+
+# --------------------------------------------------------------------------
+# gauge shifts outside the zone
+
+
+@pytest.mark.parametrize("turns", [1, -3, 10 ** 8])
+def test_a_shift_and_its_reduction_give_the_same_fillings(turns):
+    # the shift is reduced to the zone once, before it moves the labels, so a shift
+    # many zones out rounds the way its in-zone image does instead of rounding
+    # every label on its own at the shift's scale
+    shift = 0.0006283185307179586 + turns * TWO_PI
+    reduced = reduce_to_zone(shift)
+    assert abs(reduced - 0.0006283185307179586) <= 2.0 * math.ulp(shift)
+    fractions = [0.0, 0.5, 1.0]
+    assert (fillings(WEAK, 10, 0, 256, shift, fractions)
+            == fillings(WEAK, 10, 0, 256, reduced, fractions))
+
+
+def test_an_in_zone_shift_reduces_to_itself():
+    # so every in-zone shift gives the bytes it gave before the shift was reduced
+    rng = np.random.default_rng(41)
+    for a in (1.0, 0.7, 2.0):
+        shifts = rng.uniform(-0.999, 1.0, 2000) * math.pi / a
+        for shift in shifts.tolist():
+            assert reduce_to_zone(shift, a) == shift
+
+
+@pytest.mark.parametrize("shift", [1e17, -1e17, 2.0 ** 40, math.inf, math.nan])
+def test_a_shift_too_large_for_the_k_grid_is_refused(shift):
+    # at 1e17 the float spacing is 16, more than two zones: all 256 labels used to
+    # land on one reduced k, and the filled band read 0.0 and "conductor"
+    with pytest.raises(ConfigError, match="too large for the k grid"):
+        fillings(WEAK, 10, 0, 256, shift, [0.5, 1.0])
+    with pytest.raises(ConfigError, match="too large for the k grid"):
+        velocity_sum(BandFilling(0, 256, 1.0, shift), WEAK, 10)
+
+
+def test_the_shift_bound_is_1e_4_of_the_grid_step():
+    # the largest accepted spacing is 1e-4·2π/(a·n_k): 2.45e-6 at a = 1, n_k = 256,
+    # which admits |shift| < 2^34 and refuses 2^34, whose spacing is 2^-18 = 3.8e-6
+    fillings(WEAK, 10, 0, 256, math.nextafter(2.0 ** 34, 0.0), [1.0])
+    with pytest.raises(ConfigError, match="too large for the k grid"):
+        fillings(WEAK, 10, 0, 256, 2.0 ** 34, [1.0])
 
 
 # --------------------------------------------------------------------------

@@ -13,12 +13,12 @@ import blochdyn
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# submodule -> the 48 names the package exports, written out here so that a
+# submodule -> the 49 names the package exports, written out here so that a
 # name dropped from the package's own table fails this file
 EXPORTS = {
     "central_equation": ["BandSolution", "band_derivatives", "band_sweep", "bloch_psi", "build",
                          "effective_mass", "group_velocity", "reduce_to_zone", "solve_at"],
-    "conduction": ["BandFilling", "classify", "velocity_sum"],
+    "conduction": ["BandFilling", "classify", "fillings", "velocity_sum"],
     "errors": ["BoundaryProximityError", "ConfigError", "DegeneratePointError",
                "EnergyDriftError", "InfiniteMassError", "PhysicsError"],
     "potential": ["FourierPotential", "random_symmetric", "single_cosine"],
@@ -64,14 +64,26 @@ def test_a_bands_run_loads_only_what_it_computes_with(tmp_path):
 
 
 @pytest.mark.parametrize("command, stem, output", [("cyclotron", "cyclotron", "trajectory.csv"),
-                                                   ("compare-eom", "compare_eom", "compare.csv")])
+                                                   ("compare-eom", "compare_eom", "compare.csv"),
+                                                   ("wavepacket", "wavepacket_free",
+                                                    "wavepacket.csv")])
 def test_a_planar_run_loads_no_band_solver(tmp_path, command, stem, output):
-    # only the band integrators use the band solver, and they import it when they run
+    # only the band integrators and the quantum module's plane-wave half use the band
+    # solver, and they import it when they run
     argv = [command, "--scenario", str(ROOT / "scenarios" / f"{stem}.json"), "--out", str(tmp_path)]
     loaded = _loaded_after(f"from blochdyn import cli\nassert cli.main({argv!r}) == 0")
     assert {"blochdyn.semiclassical", "numpy"} <= set(loaded)
     assert not {"blochdyn.central_equation", "blochdyn.potential"} & set(loaded)
     assert (tmp_path / output).is_file()
+
+
+def test_an_adiabatic_run_still_loads_the_band_solver(tmp_path):
+    # the plane-wave half of quantum imports it when it runs, not when quantum loads
+    argv = ["adiabatic", "--scenario", str(ROOT / "scenarios" / "adiabatic_si_probe.json"),
+            "--out", str(tmp_path)]
+    loaded = _loaded_after(f"from blochdyn import cli\nassert cli.main({argv!r}) == 0")
+    assert {"blochdyn.quantum", "blochdyn.central_equation", "blochdyn.potential"} <= set(loaded)
+    assert (tmp_path / "adiabatic.json").is_file()
 
 
 def test_criterion_8_loads_no_numpy_random(tmp_path):
@@ -95,7 +107,7 @@ def test_a_solenoid_run_loads_no_numpy(tmp_path):
 
 def test_every_export_is_its_submodule_object():
     names = [name for group in EXPORTS.values() for name in group]
-    assert len(names) == 48
+    assert len(names) == 49
     assert sorted(blochdyn.__all__) == sorted([*names, "__version__"])
     assert set(blochdyn.__all__) <= set(dir(blochdyn))
     for module, group in EXPORTS.items():
