@@ -43,6 +43,8 @@ def reduce_to_zone(k, a: float = 1.0):
     k = np.asarray(k, dtype=np.float64)
     m = np.ceil(k * a / TWO_PI - 0.5)
     out = k - TWO_PI * m / a
+    # k just above -π/a can round to m = -1 and then up past +π/a: fold it back
+    out = np.where(out > np.pi / a, out - TWO_PI / a, out)
     return out if out.ndim else float(out)
 
 

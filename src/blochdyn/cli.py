@@ -376,8 +376,9 @@ def _run_conduction(scn: dict, units: UnitSystem, out: Path) -> int:
     pot, dyn = _potential(scn), scn["dynamics"]
     band, n_k, n, shift = dyn["band"], dyn["n_k"], dyn["n_waves"], dyn["shift_internal"]
     fractions = dyn["fractions"]
-    unshifted = fillings(pot, n, band, n_k, 0.0, fractions)
+    # shifted first: a shift too large for the k grid is refused before any eigensolve
     shifted = fillings(pot, n, band, n_k, shift, fractions)
+    unshifted = fillings(pot, n, band, n_k, 0.0, fractions)
     entries = [{"fraction": frac, "velocity_sum_unshifted": base.velocity_sum,
                 "velocity_sum_shifted": moved.velocity_sum, "classification": base.label}
                for frac, base, moved in zip(fractions, unshifted, shifted)]

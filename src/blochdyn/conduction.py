@@ -116,11 +116,11 @@ def fillings(pot: FourierPotential, n: int, band: int, n_k: int, shift: float,
 
     The shift is reduced to the zone once, before it moves the labels, so a
     shift far outside the zone rounds the way its in-zone image does, and an
-    in-zone shift reduces to itself bitwise (bar -0.0, which becomes 0.0, and
-    the one float just above -π/a). That reduction is exact only to about one
-    float spacing of the shift, so a shift whose spacing exceeds 1e-4 of the
-    grid step Δk = 2π/(a·n_k) is refused with ConfigError: rounding, not the
-    shift, would decide where in the zone the labels land.
+    in-zone shift reduces to itself bitwise (bar -0.0, which becomes 0.0).
+    That reduction is exact only to about one float spacing of the shift, so
+    a shift whose spacing exceeds 1e-4 of the grid step Δk = 2π/(a·n_k) is
+    refused with ConfigError: rounding, not the shift, would decide where in
+    the zone the labels land.
     """
     grid = BandFilling(band, n_k, 0.0)
     _check_band(band, n)

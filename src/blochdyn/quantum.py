@@ -43,6 +43,8 @@ if TYPE_CHECKING:
     from .potential import FourierPotential
 
 TWO_PI = 2.0 * np.pi
+# split_step_free's margin, in packet widths, for its k-window and boundary guards
+_GUARD_SIGMAS = 5.0
 
 
 # --------------------------------------------------------------------------
@@ -289,8 +291,7 @@ class SplitStepResult:
 
 
 def split_step_free(psi0: GridState, E: float, T: float, dt: float,
-                    potential=None, sample_stride: int = 1,
-                    guard_sigmas: float = 5.0) -> SplitStepResult:
+                    potential=None, sample_stride: int = 1) -> SplitStepResult:
     """Strang propagation of iψ̇ = -½ψ'' + U(x)ψ with U = E·x (+ optional extra).
 
     With an extra potential every step has the length h = T/round(T/dt). With
@@ -301,9 +302,10 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     and dt sets only the sample grid and the global phase. The final ψ is
     multiplied by exp(iE²(h²T - Στ³)/24), so it is the h-step loop's state.
 
-    moments(ψ) gives (norm, ⟨x⟩, ⟨k⟩, σ_x, σ_k), the k moments from the power
-    spectrum. Those of ψ₀ are the t = 0 sample and bound the kick: the field
-    moves ⟨k⟩ from ⟨k⟩₀ to ⟨k⟩₀ - E·T, and if either end plus guard_sigmas·σ_k₀
+    moments(ψ) gives the sample (norm, ⟨x⟩, ⟨k⟩, σ_x) and the power spectrum
+    ⟨k⟩ is taken from. ψ₀'s are the t = 0 sample, and its spectrum gives σ_k₀,
+    which nothing later reads. They bound the kick: the field moves ⟨k⟩ from
+    ⟨k⟩₀ to ⟨k⟩₀ - E·T, and if either end plus _GUARD_SIGMAS·σ_k₀ (5 widths)
     reaches the grid's k window π/dx the run is refused with ConfigError before
     the first step (an extra potential's kick is not bounded). So is a grid
     step whose moment bound (N/dx)·(2π/dx)² overflows, before any moment is
@@ -313,7 +315,7 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
     run walks those sampled steps and holds only their times. Every step runs
     in place on one copy of ψ₀, with out= products and FFTs, so ψ₀ is left as
     it was and the final state is a new array. E·x is unbounded, so at each
-    sample a centroid within guard_sigmas·σ_x of either boundary aborts with
+    sample a centroid within _GUARD_SIGMAS·σ_x of either boundary aborts with
     BoundaryProximityError.
     """
     samples, h = _sample_steps(T, dt, sample_stride, "sample_stride")
@@ -335,15 +337,16 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
         mx2 = float(np.sum(w * x * x) * dx / tot)
         power = np.abs(np.fft.fft(p)) ** 2
         mk = float(np.sum(power * kgrid) / np.sum(power))
-        sk = float(np.sqrt(np.sum(power * (kgrid - mk) ** 2) / np.sum(power)))
-        return tot, mx, mk, np.sqrt(max(mx2 - mx * mx, 0.0)), sk
+        return (tot, mx, mk, np.sqrt(max(mx2 - mx * mx, 0.0))), power
 
     psi = psi0.psi.astype(np.complex128)     # a copy, the work array of every step
-    _, _, k_mean, _, k_sigma = sample = moments(psi)
-    k_reach = max(abs(k_mean), abs(k_mean - E * T)) + guard_sigmas * k_sigma
+    sample, power = moments(psi)
+    k_mean = sample[2]
+    k_sigma = float(np.sqrt(np.sum(power * (kgrid - k_mean) ** 2) / np.sum(power)))
+    k_reach = max(abs(k_mean), abs(k_mean - E * T)) + _GUARD_SIGMAS * k_sigma
     if not k_reach < np.pi / dx:
         raise ConfigError(
-            f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {guard_sigmas}σ_k "
+            f"<k> runs from {k_mean:.6g} to {k_mean - E * T:.6g}; with {_GUARD_SIGMAS}σ_k "
             f"it reaches {k_reach:.6g}, past the grid's k window π/dx = {np.pi / dx:.6g}")
     U = E * x if potential is None else E * x + np.asarray(potential(x), dtype=np.float64)
     # a sample interval of m steps is one Strang step of m·h when U = E·x alone, else
@@ -376,12 +379,12 @@ def split_step_free(psi0: GridState, E: float, T: float, dt: float,
                 np.multiply(kinetic, psi, out=psi)
                 np.fft.ifft(psi, out=psi)
                 np.multiply(half_kick, psi, out=psi)
-            sample = moments(psi)
-        tot, mx, mk, sig, _ = sample
+            sample, _ = moments(psi)
+        tot, mx, mk, sig = sample
         t = stop * h
-        if min(mx - x_lo, x_hi - mx) < guard_sigmas * sig:
+        if min(mx - x_lo, x_hi - mx) < _GUARD_SIGMAS * sig:
             raise BoundaryProximityError(
-                f"centroid {mx:.3f} within {guard_sigmas}σ (σ={sig:.3f}) of the "
+                f"centroid {mx:.3f} within {_GUARD_SIGMAS}σ (σ={sig:.3f}) of the "
                 f"domain boundary [{x_lo:.3f}, {x_hi:.3f}] at t={t:.6g}")
         rows.append((t, mx, mk, sig, tot))
         start = stop

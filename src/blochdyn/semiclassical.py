@@ -16,7 +16,8 @@ FUNDAMENTAL  dv/dt = -(ω_c/2) v×ẑ - (ω_c²/2) x - E, with x = x0 + ∫v
              (RK4 as one precomputed step matrix)
 LORENTZ      dv/dt = -v×B - E (RK4 as one precomputed step matrix)
 PERIODIC_E   k(t) = reduce(k0 - E t), v_g from the band dispersion
-PERIODIC_B   closed form: k(t) rotates at ω = B ε'(|k|)/|k| (isotropic band)
+PERIODIC_B   closed form: k(t) rotates at ω = B ε'(|k|)/|k| (isotropic band),
+             and x(t) is the exact integral of that rotation
 
 The two band integrators import the band solver when they run, so the
 planar equations load neither central_equation nor potential.
@@ -81,13 +82,6 @@ def _time_grid(T: float, dt: float):
     """(times, nsteps, h) of every fixed-step integrator: round(T/dt) steps of T/nsteps."""
     samples, h = _sample_steps(T, dt)
     return samples * h, int(samples[-1]), h
-
-
-def _trapezoid_integral(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y along axis 0 over the grid t, starting at 0."""
-    d = np.diff(t).reshape((-1,) + (1,) * (y.ndim - 1))
-    steps = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
-    return np.concatenate([np.zeros_like(steps[:1]), steps])
 
 
 def _rk4(f: Callable[[list], tuple], y0, T: float, dt: float):
@@ -282,7 +276,7 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     k_unred = k0 - E * times
     _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
     v = v[:, band]
-    x = _trapezoid_integral(v, times)
+    x = np.concatenate([[0.0], np.cumsum(np.diff(times) * (v[1:] + v[:-1]) / 2.0)])
     return Trajectory("PERIODIC_E", times, k_unred, x, v, inv_mass=inv_mass[:, band])
 
 
@@ -293,9 +287,11 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     The 1D band is extended isotropically, ε(k) = ε_band(reduce(|k|)), so v_g
     = ε'(ρ) k/ρ is parallel to k, ρ = |k| is conserved, and k0 rotates rigidly
     counter-clockwise at ω = B ε'(ρ)/ρ: near a band extremum the period is 2π m*/B,
-    not the free 2π/B. One band_derivatives call gives ε'(ρ); x(t) integrates
-    v_g from the origin. Below ρ = 1e-12, k stays put and v_g = 0; the
-    truncation is checked there too, though no band pass runs.
+    not the free 2π/B. One band_derivatives call gives ε'(ρ); x(t) is v_g's
+    exact integral from the origin, s·(sin(ωt)/ω·k0 + (1 - cos ωt)/ω·Jk0) with
+    s = ε'(ρ)/ρ and J the quarter turn, in sinc forms exact at ω = 0. Below
+    ρ = 1e-12, k stays put and v_g = 0; the truncation is checked there too,
+    though no band pass runs.
     """
     from .central_equation import _check_band, _coupling_block, band_derivatives, reduce_to_zone
 
@@ -308,8 +304,10 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     if rho >= 1e-12:
         _, v, _ = band_derivatives(reduce_to_zone(rho, pot.a), pot, n, band + 1)
         slope = v[0, band] / rho
-    c, s = np.cos(B * slope * times), np.sin(B * slope * times)
+    wt = B * slope * times
+    c, s = np.cos(wt), np.sin(wt)
     k = np.column_stack([c * k0[0] - s * k0[1], s * k0[0] + c * k0[1]])
-    v = slope * k
-    x = _trapezoid_integral(v, times)
-    return Trajectory("PERIODIC_B", times, k, x, v)
+    along = times * np.sinc(wt / np.pi)
+    across = 0.5 * wt * times * np.sinc(0.5 * wt / np.pi) ** 2
+    x = slope * (np.outer(along, k0) + np.outer(across, [-k0[1], k0[0]]))
+    return Trajectory("PERIODIC_B", times, k, x, slope * k)

@@ -239,7 +239,8 @@ def test_conduction_json_equals_the_per_filling_calls(tmp_path):
 def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
     # one band pass per gauge shift serves all three fractions: two passes over
     # the 256 states of the largest (full) filling, not one per fraction and shift.
-    # The unshifted pass solves each of its 128 mirror pairs once, at |k|
+    # The shifted pass runs first; the unshifted one solves each of its 128 mirror
+    # pairs once, at |k|
     calls = []
 
     def counted(*args):
@@ -250,7 +251,7 @@ def test_conduction_computes_each_velocity_sum_once(tmp_path, monkeypatch):
     scn = str(SCENARIOS / "conduction_fillings.json")
     assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
     assert len(calls) == 2
-    assert [len(ks) for ks, *_ in calls] == [128, 256]
+    assert [len(ks) for ks, *_ in calls] == [256, 128]
 
 
 def test_solenoid_json_values(tmp_path):
@@ -424,9 +425,16 @@ def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_conduction_refuses_a_shift_too_large_for_the_k_grid(tmp_path, capsys):
+def test_conduction_refuses_a_shift_too_large_for_the_k_grid(tmp_path, capsys, monkeypatch):
     # at 1e17 every label used to land on one reduced k, every shifted sum read 0.0,
-    # and the run exited 0
+    # and the run exited 0. The refusal comes before any band pass
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return band_derivatives(*args)
+
+    monkeypatch.setattr(conduction, "band_derivatives", counted)
     scn_obj = json.loads((SCENARIOS / "conduction_fillings.json").read_text())
     scn_obj["dynamics"]["shift_internal"] = 1e17
     out = tmp_path / "out"
@@ -434,6 +442,7 @@ def test_conduction_refuses_a_shift_too_large_for_the_k_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "too large for the k grid" in err
     assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_waves, coefficients, message", [

@@ -297,12 +297,18 @@ def test_a_shift_and_its_reduction_give_the_same_fillings(turns):
 
 
 def test_an_in_zone_shift_reduces_to_itself():
-    # so every in-zone shift gives the bytes it gave before the shift was reduced
+    # so every in-zone shift gives the bytes it gave before the shift was reduced.
+    # The float just above -π/a used to land above +π/a (3.1415926535897936 at
+    # a = 1), outside the zone; -π/a itself still lands on +π/a
     rng = np.random.default_rng(41)
     for a in (1.0, 0.7, 2.0):
-        shifts = rng.uniform(-0.999, 1.0, 2000) * math.pi / a
-        for shift in shifts.tolist():
+        edge = math.pi / a
+        shifts = [*(rng.uniform(-1.0, 1.0, 2000) * edge).tolist(),
+                  math.nextafter(-edge, 0.0), math.nextafter(edge, 0.0), edge]
+        for shift in shifts:
             assert reduce_to_zone(shift, a) == shift
+        np.testing.assert_array_equal(reduce_to_zone(np.array(shifts), a), shifts)
+        assert reduce_to_zone(-edge, a) == edge
 
 
 @pytest.mark.parametrize("shift", [1e17, -1e17, 2.0 ** 40, math.inf, math.nan])

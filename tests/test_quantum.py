@@ -690,7 +690,7 @@ def _zener_grid_bands(pot, cells, per_cell):
     return kappa, np.linalg.eigh(H)[1][:, :, 0]
 
 
-def test_zener_crossing_is_gauge_invariant():
+def test_zener_crossing_is_gauge_invariant(monkeypatch):
     """Scalar gauge (U = E·x on a grid) against vector gauge (A = -E t) over one crossing.
 
     V = 2·0.1·cos 2πx, E = 0.05 and T = π/E carry k0 = -π/2 once through the
@@ -728,8 +728,9 @@ def test_zener_crossing_is_gauge_invariant():
 
     psi0 = GridState(float(cells), psi)
     np.testing.assert_array_equal(psi0.x, x)     # the hand-built grid is the derived one
-    res = split_step_free(psi0, E, T, 0.04,
-                          potential=pot.evaluate, sample_stride=100, guard_sigmas=0.5)
+    # the split packet spreads to σ_x > 75, past 5 widths of the boundary
+    monkeypatch.setattr("blochdyn.quantum._GUARD_SIGMAS", 0.5)
+    res = split_step_free(psi0, E, T, 0.04, potential=pot.evaluate, sample_stride=100)
     assert res.sigma_x[-1] > 75.0              # the packet has split
     population, total = band_0(res.final.psi)
     scalar = population.sum() / total.sum()
@@ -769,7 +770,7 @@ def test_a_potential_whose_strang_phase_overflows_is_refused():
 
 
 @pytest.mark.parametrize("ldom, n", [(40.0, 64), (400.0, 4096), (37.3, 1000), (1.0, 7)])
-def test_grid_state_derives_its_grid(ldom, n):
+def test_grid_state_derives_its_grid(ldom, n, monkeypatch):
     # the points are gaussian_packet's -Ldom/2 + j·dx, bit for bit; no grid can be
     # passed, so none can disagree with Ldom
     packet = gaussian_packet(ldom, n, x0=0.0, k0=0.0, sigma=0.1 * ldom)
@@ -780,7 +781,9 @@ def test_grid_state_derives_its_grid(ldom, n):
         GridState(ldom, packet.psi, packet.x)
     with pytest.raises(TypeError):
         GridState(Ldom=ldom, psi=packet.psi, x=packet.x)
-    final = split_step_free(packet, 0.0, 0.1, 0.05, guard_sigmas=1.0).final
+    # σ = Ldom/10 puts ⟨k⟩ ± 5σ_k past the 7-point grid's k window
+    monkeypatch.setattr("blochdyn.quantum._GUARD_SIGMAS", 1.0)
+    final = split_step_free(packet, 0.0, 0.1, 0.05).final
     np.testing.assert_array_equal(final.x, packet.x)
 
 
