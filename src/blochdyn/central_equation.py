@@ -34,8 +34,11 @@ _DELTA_K_MASS = 1e-4
 _OVERLAP_MIN = 0.5
 _CURVATURE_MIN = 1e-12
 _GAP_MIN = 1e-10
-# k-points per stacked eigh call; bounds the memory of a long sweep
-_K_BLOCK = 64
+# k-points per stacked eigh call; bounds the memory of a long sweep. One block
+# holds 32 Hamiltonians and their eigenvectors, 226 KB of float64 at n = 10.
+# eigh factors each matrix on its own, so the size moves no output bit. Each
+# call has a fixed cost: per matrix, 32 runs a few % slower than 64, 16 about 10 %
+_K_BLOCK = 32
 
 
 def reduce_to_zone(k, a: float = 1.0):
@@ -241,7 +244,7 @@ def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
     out = np.empty((3, ks.size, n_bands))
     own = np.arange(n_bands)
     for cut, energies, vecs, kappa in _eigensystems(ks, 0.0, _coupling_block(pot, n), pot.a):
-        # coupling[:, j, b] = ⟨j|κ|b⟩
+        # coupling[:, j, b] = ⟨j|κ|b⟩; conj() of a real block returns the block itself
         coupling = vecs.conj().transpose(0, 2, 1) @ (kappa[:, :, None] * vecs[:, :, :n_bands])
         weight = np.abs(coupling) ** 2
         weight[:, own, own] = 0.0  # j = b is the velocity, not a coupling

@@ -169,10 +169,11 @@ def integrate_basis(k: float, pot: FourierPotential, n: int, E: float,
     A(t) = -E t. Each step applies Θ exp(-iΛ dt) Θ† of the midpoint
     Hamiltonian, so the update is unitary to roundoff and integrator drift
     cannot masquerade as nonadiabaticity. The midpoint shifts A = -E(j + ½)dt
-    are formed one _K_BLOCK block at a time, so memory follows the block and
-    the samples, not nsteps. Each block is one _eigensystems call on the
-    coupling block that the run forms once, before its block loop, with no
-    phase fix, which the product does not need. Per block, U = Θ·diag(e^{-iλh})
+    are formed one _K_BLOCK block of 32 steps at a time, so memory follows the
+    block and the samples, not nsteps: at n = 10 a block's U and Θ† work
+    arrays hold 2·32·21² complex, 452 KB. Each block is one _eigensystems
+    call on the coupling block that the run forms once, before its block
+    loop, with no phase fix, which the product does not need. Per block, U = Θ·diag(e^{-iλh})
     is formed once into a reused work array and Θ† is the transposed view of
     one complex copy of Θ, conjugated in place only when eigh returns complex
     vectors (on a real lattice Θ is real and Θ† = Θᵀ), so step j is

@@ -291,7 +291,9 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     exact integral from the origin, s·(sin(ωt)/ω·k0 + (1 - cos ωt)/ω·Jk0) with
     s = ε'(ρ)/ρ and J the quarter turn, in sinc forms exact at ω = 0. Below
     ρ = 1e-12, k stays put and v_g = 0; the truncation is checked there too,
-    though no band pass runs.
+    though no band pass runs. A B that is not finite, or a rotation whose
+    largest term ½ωt² leaves float range, is refused with ConfigError before
+    k or x is formed.
     """
     from .central_equation import _check_band, _coupling_block, band_derivatives, reduce_to_zone
 
@@ -303,7 +305,11 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     slope = 0.0
     if rho >= 1e-12:
         _, v, _ = band_derivatives(reduce_to_zone(rho, pot.a), pot, n, band + 1)
-        slope = v[0, band] / rho
+        slope = float(v[0, band]) / rho
+    # on Python floats a product past float range is inf, with no warning
+    B, t_end = float(B), float(times[-1])
+    if not np.isfinite(0.5 * (B * slope * t_end) * t_end):
+        raise ConfigError(f"PERIODIC_B rotation leaves float range (B={B!r}, T={T!r}, dt={dt!r})")
     wt = B * slope * times
     c, s = np.cos(wt), np.sin(wt)
     k = np.column_stack([c * k0[0] - s * k0[1], s * k0[0] + c * k0[1]])

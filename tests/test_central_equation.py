@@ -25,6 +25,7 @@ from blochdyn import (
 from blochdyn.central_equation import (
     _DELTA_K_MASS,
     _DELTA_K_VELOCITY,
+    _K_BLOCK,
     _coupling_block,
     _eigensystems,
     _hamiltonians,
@@ -440,11 +441,40 @@ def test_one_stacked_eigensolve_per_pass(eigh_stacks):
         assert eigh_stacks == [3]
     eigh_stacks.clear()
     band_derivatives(np.linspace(-math.pi, math.pi, 130), WEAK, 10, 3)
-    assert len(eigh_stacks) == 3 and sum(eigh_stacks) == 130
+    assert len(eigh_stacks) == math.ceil(130 / _K_BLOCK) and sum(eigh_stacks) == 130
     # _eigensystems is the package's only plane-wave eigensolve
     sites = [line for path in SRC.glob("*.py") for line in path.read_text().splitlines()
              if "linalg.eigh(" in line]
     assert len(sites) == 1
+
+
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+def test_the_block_size_moves_no_bit_of_band_derivatives(monkeypatch, pot):
+    # eigh factors each matrix of a stack on its own, and every later step is per k;
+    # 74 k end in a partial block at each size and skip k = 0, where bands 1 and 2 meet
+    ks = np.linspace(-math.pi, math.pi, 74)
+    runs = []
+    for size in (1, 7, _K_BLOCK):
+        monkeypatch.setattr("blochdyn.central_equation._K_BLOCK", size)
+        runs.append(band_derivatives(ks, pot, 10, 3))
+    for run in runs[1:]:
+        for got, expect in zip(run, runs[0], strict=True):
+            assert np.array_equal(got, expect)
+
+
+def test_a_band_pass_holds_one_block_of_eigensystems_at_a_time():
+    # criterion 7's pass: k = -E·t over 2.2 Bloch periods of 4096 steps, one band,
+    # n = 10. Its three (9012, 1) outputs are 211 KiB; each block adds about
+    # 12 KiB per k, mostly its Hamiltonians and eigenvectors at 3.4 KiB each.
+    # The peak read 987 KiB in blocks of 64 k and 603 KiB in blocks of 32
+    ks = reduce_to_zone(-TWO_PI / 4096 * np.arange(9012))
+    tracemalloc.start()
+    try:
+        band_derivatives(ks, WEAK, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 * 1024, f"traced peak {peak / 1024:.0f} KiB"
 
 
 @pytest.mark.parametrize("call, band", [

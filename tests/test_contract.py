@@ -1,9 +1,12 @@
 """tools/contract.py: the run plan and how byte differences are reported."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from blochdyn.central_equation import _K_BLOCK
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "contract.py"
@@ -17,14 +20,30 @@ CSV = "# a note\nk,energy,label\n0.5,1.25,a\n1.5,2.0,b\n"
 def test_the_plan_runs_every_shipped_scenario_three_validate_seeds_and_five_band_sweeps(tmp_path):
     plan = contract.runs(tmp_path)
     names = [name for name, _ in plan]
-    assert len(names) == len(set(names)) == 8 + 3 + 10
+    assert len(names) == len(set(names)) == 8 + 3 + 10 + 1
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"band-sweep-{seed}-{kind}.json"
-        for seed in range(1, 6) for kind in ("bands", "conduction"))
+        [f"band-sweep-{seed}-{kind}.json"
+         for seed in range(1, 6) for kind in ("bands", "conduction")]
+        + ["adiabatic-sweep-ragged.json"])
     assert ("validate-12345", ["validate", "--seed", "12345"]) in plan
     assert ("validate-7", ["validate", "--seed", "7"]) in plan
     assert [(name, argv[0], argv[2]) for name, argv in plan[:len(contract.SHIPPED)]] == [
         (stem, cmd, str(ROOT / "scenarios" / f"{stem}.json")) for cmd, stem in contract.SHIPPED]
+
+
+def test_the_ragged_sweep_ends_in_a_partial_block_and_samples_off_block_edges(tmp_path):
+    # the shipped sweep, 65 536 steps at stride 1024, is a multiple of every block size
+    plan = dict(contract.runs(tmp_path))
+    path = tmp_path / "adiabatic-sweep-ragged.json"
+    assert plan["adiabatic-sweep-ragged"] == ["adiabatic", "--scenario", str(path)]
+    ragged = json.loads(path.read_text())
+    shipped = json.loads((ROOT / "scenarios" / "adiabatic_sweep.json").read_text())
+    dyn = ragged["dynamics"]
+    assert round(dyn["T_internal"] / dyn["dt_internal"]) == 5003
+    assert ragged["output"]["sample_stride"] == 997
+    assert {**ragged, "dynamics": shipped["dynamics"], "output": shipped["output"]} == shipped
+    assert {**dyn, "dt_internal": shipped["dynamics"]["dt_internal"]} == shipped["dynamics"]
+    assert 5003 % _K_BLOCK and all(step % _K_BLOCK for step in range(997, 5003, 997))
 
 
 def test_every_run_is_a_fresh_python_w_error_process_with_one_blas_thread(tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from blochdyn import (
     single_cosine,
     split_step_free,
 )
-from blochdyn.central_equation import _coupling_block, _eigensystems, solve_at
+from blochdyn.central_equation import _K_BLOCK, _coupling_block, _eigensystems, solve_at
 from blochdyn.quantum import AdiabaticReport, _eigenframes
 from blochdyn.semiclassical import _time_grid
 
@@ -156,7 +156,7 @@ def test_the_coupling_block_is_formed_once_per_pass(monkeypatch, nsteps):
 
     # integrate_basis imports the band solver's names when it runs, so this one patch reaches it
     monkeypatch.setattr("blochdyn.central_equation._coupling_block", counted)
-    # one sample pass, and one step pass over nsteps / 64 stacked blocks of midpoints
+    # one sample pass, and one step pass over nsteps / _K_BLOCK stacked blocks of midpoints
     _, report = integrate_basis(0.3, WEAK, 4, 0.05, nsteps * 0.001, 0.001, report_stride=512)
     assert report.t.size == nsteps // 512 + 1
     assert formed == [4, 4]
@@ -264,7 +264,7 @@ def _compare_with_reference(args):
 
 REAL_RUNS = {
     "real": (-0.75 * math.pi, WEAK, 10, 0.05, 3.0, 3.0 / 320, 40),
-    # 150 steps: two full blocks and a partial one; stride 7 straddles each boundary
+    # 150 steps: full blocks and a partial one; stride 7 straddles each boundary
     "partial-blocks": (0.4, WEAK, 10, 0.05, 1.5, 0.01, 7),
     # 128 steps at stride 64: each sample falls on a block's last step
     "sample-at-block-end": (0.4, WEAK, 10, 0.05, 1.28, 0.01, 64),
@@ -375,6 +375,39 @@ def test_the_midpoint_shifts_are_held_one_block_at_a_time():
     assert grown < 32 * 1024, f"traced peak grew by {grown / 1024:.1f} KB"
 
 
+@pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
+def test_the_block_size_moves_no_bit_of_the_basis_run(monkeypatch, pot):
+    # 101 steps end in a partial block at every size but 1, and stride 9 samples
+    # steps inside blocks, across block edges and on one (63 at size 7)
+    runs = []
+    for size in (1, 7, _K_BLOCK):
+        monkeypatch.setattr("blochdyn.central_equation._K_BLOCK", size)
+        runs.append((*integrate_basis(0.4, pot, 10, 0.05, 1.01, 0.01, report_stride=9),
+                     _eigenframes(0.4, pot, 10, -0.3, 0.05 * np.arange(101))))
+    X, report, frames = runs[0]
+    assert report.t.size == 13
+    for got_X, got_report, got_frames in runs[1:]:
+        assert np.array_equal(got_X, X)
+        for field in dataclasses.fields(AdiabaticReport):
+            assert np.array_equal(getattr(got_report, field.name),
+                                  getattr(report, field.name)), field.name
+        for got, expect in zip(got_frames, frames, strict=True):
+            assert np.array_equal(got, expect)
+
+
+def test_a_basis_run_holds_one_block_of_step_operators():
+    # n = 10: per step, a block holds U and Θ† (13.8 KiB of complex) and the
+    # Hamiltonian and eigenvectors (6.9 KiB of float). Over 4096 steps the peak
+    # read 1597 KiB in blocks of 64 steps and 809 KiB in blocks of 32
+    tracemalloc.start()
+    try:
+        integrate_basis(0.3, WEAK, 10, 0.05, 4.096, 0.001, report_stride=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, f"traced peak {peak / 1024:.0f} KiB"
+
+
 # --------------------------------------------------------------------------
 # eigenframe diagnostics
 
@@ -382,7 +415,7 @@ def test_the_midpoint_shifts_are_held_one_block_at_a_time():
 @pytest.mark.parametrize("pot", [WEAK, SKEW], ids=["real", "complex"])
 @pytest.mark.parametrize("E", [0.05, -0.3, 0.0, 1e-4])
 def test_eigenframes_equal_the_per_sample_reference(pot, E):
-    # 150 times: two full stacked blocks and a partial one
+    # 150 times: full stacked blocks and a partial one
     ts = 0.05 * np.arange(150)
     grounds, *columns = _eigenframes(0.4, pot, 10, E, ts)
     rows = [_sample_reference(0.4, pot, 10, E, float(t)) for t in ts]

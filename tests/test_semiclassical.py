@@ -366,6 +366,19 @@ def test_periodic_B_closed_form_holds_as_the_field_vanishes(B):
                                rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("k0, B", [([2.0, 1.0], 1e308), ([2.0, 1.0], math.inf),
+                                   ([2.0, 1.0], math.nan), ([2.0, 1.0], 1e306),
+                                   ([0.0, 0.0], math.inf)],
+                         ids=["1e308", "inf", "nan", "half-wt2-overflows", "origin-inf"])
+def test_periodic_B_refuses_a_rotation_past_float_range(k0, B):
+    # at 1e306, ωT is finite and ½ωT² is not; at the origin s = 0 and B·s is NaN.
+    # Refused before k or x is formed, so no overflow warning (an error under
+    # this suite's filterwarnings) is raised first
+    with pytest.raises(ConfigError, match=re.escape(
+            f"PERIODIC_B rotation leaves float range (B={B!r}, T=20.0, dt=0.02)")):
+        evolve_periodic_B(k0, 0, single_cosine(1.0, 0.3), 10, B, 20.0, 0.02)
+
+
 @pytest.mark.parametrize("n, message", [(0, "truncation half-width must be >= 1, got 0"),
                                         (2, "smaller than potential cutoff L=3")])
 @pytest.mark.parametrize("k0", [[0.0, 0.0], [1e-13, 0.0], [0.5, 0.0]],

@@ -9,7 +9,10 @@ tree and this working tree on the same inputs, each run a fresh
 - the 8 shipped scenarios, from this tree's scenarios/;
 - ``validate`` at --seed 12345, 1 and 7;
 - the bands and conduction scenarios of band-sweep seeds 1-5, drawn by
-  bench/workloads.py, which is imported and only read.
+  bench/workloads.py, which is imported and only read;
+- a ragged sweep: adiabatic_sweep.json at 5003 steps and sample_stride 997,
+  so the last eigensolve block is partial and no sample falls on a block
+  edge, which no shipped run (65 536 steps, stride 1024) reaches.
 
 It then compares every output file, stdout and the exit code. Where bytes
 differ, it prints each changed CSV column, JSON key or stdout line with its
@@ -41,13 +44,14 @@ SHIPPED = (
 )
 VALIDATE_SEEDS = (12345, 1, 7)
 BAND_SWEEP_SEEDS = (1, 2, 3, 4, 5)
+RAGGED_STEPS, RAGGED_STRIDE = 5003, 997
 
 # a decimal number as the CLI prints it, inside text
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
 def runs(inputs: Path) -> list[tuple[str, list[str]]]:
-    """(name, blochdyn argv without --out) of every run, band-sweep inputs written to inputs."""
+    """(name, blochdyn argv without --out) of every run; generated scenarios go to inputs."""
     sys.path.insert(0, str(ROOT / "bench"))
     sys.dont_write_bytecode = True      # bench/ is read, never written
     import workloads
@@ -60,6 +64,12 @@ def runs(inputs: Path) -> list[tuple[str, list[str]]]:
             path = inputs / f"band-sweep-{seed}-{file}"
             path.write_text(text)
             out.append((path.stem, [Path(file).stem, "--scenario", str(path)]))
+    ragged = json.loads((ROOT / "scenarios" / "adiabatic_sweep.json").read_text())
+    ragged["dynamics"]["dt_internal"] = ragged["dynamics"]["T_internal"] / RAGGED_STEPS
+    ragged["output"]["sample_stride"] = RAGGED_STRIDE
+    path = inputs / "adiabatic-sweep-ragged.json"
+    path.write_text(json.dumps(ragged, indent=2))
+    out.append((path.stem, ["adiabatic", "--scenario", str(path)]))
     return out
 
 
