@@ -6,8 +6,10 @@ physics error during a run, 4 validation failure. Outputs are deterministic: flo
 repr round-tripping in JSON, so identical scenarios give identical bytes.
 
 Each subcommand imports its compute module, and numpy, when it runs: --help,
---version and a scenario the schema rejects return before numpy is loaded, and
-solenoid, two lines of scalar arithmetic in units, never loads it.
+--version and a scenario the schema rejects return before numpy is loaded.
+Three subcommands never load it: solenoid, two lines of scalar arithmetic in
+units, and cyclotron and compare-eom, which step the planar equations on
+Python floats in planar.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -305,33 +308,28 @@ def _planar(scn: dict, evolve):
 
 
 def _run_cyclotron(scn: dict, units: UnitSystem, out: Path) -> int:
-    import numpy as np
+    from .planar import norm, planar_rows
 
-    from .semiclassical import evolve_fundamental, evolve_lorentz
-
-    evolve = {"fundamental": evolve_fundamental,
-              "lorentz": evolve_lorentz}[scn["dynamics"]["equation"]]
-    traj = _planar(scn, evolve)
-    rows = zip(traj.times, traj.k[:, 0], traj.k[:, 1], traj.x[:, 0], traj.x[:, 1],
-               traj.v_g[:, 0], traj.v_g[:, 1], np.linalg.norm(traj.x, axis=1))
-    _write_csv(out / "trajectory.csv", f"equation: {traj.equation_tag}",
-               ["t", "kx", "ky", "x", "y", "vx", "vy", "radius"], rows)
+    tag = scn["dynamics"]["equation"].upper()
+    times, ys = _planar(scn, partial(planar_rows, tag))
+    x, y, vx, vy = (ys[i::4] for i in range(4))
+    _write_csv(out / "trajectory.csv", f"equation: {tag}",
+               ["t", "kx", "ky", "x", "y", "vx", "vy", "radius"],
+               zip(times, vx, vy, x, y, vx, vy, map(norm, x, y)))
     return 0
 
 
 def _run_compare_eom(scn: dict, units: UnitSystem, out: Path) -> int:
-    from .semiclassical import compare_fundamental_lorentz
+    from .planar import compare
 
-    rep = _planar(scn, compare_fundamental_lorentz)
-    f, lz = rep.fundamental, rep.lorentz
-    rows = zip(f.times, f.x[:, 0], f.x[:, 1], lz.x[:, 0], lz.x[:, 1], f.v_g[:, 0], f.v_g[:, 1],
-               lz.v_g[:, 0], lz.v_g[:, 1], rep.position_divergence, rep.velocity_divergence)
+    times, fund, lor, dx, dv = _planar(scn, compare)
+    rows = zip(times, fund[0::4], fund[1::4], lor[0::4], lor[1::4], fund[2::4], fund[3::4],
+               lor[2::4], lor[3::4], dx, dv)
     _write_csv(out / "compare.csv", "equations: FUNDAMENTAL vs LORENTZ",
                ["t", "x_fund", "y_fund", "x_lor", "y_lor", "vx_fund", "vy_fund",
                 "vx_lor", "vy_lor", "dx_norm", "dv_norm"], rows)
     _write_json(out / "compare.json", {
-        "version": 1, "max_position_divergence": rep.max_position_divergence,
-        "max_velocity_divergence": rep.max_velocity_divergence})
+        "version": 1, "max_position_divergence": max(dx), "max_velocity_divergence": max(dv)})
     return 0
 
 

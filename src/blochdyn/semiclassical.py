@@ -1,8 +1,9 @@
 """Wavepacket equations of motion: closed forms where they exist, else RK4.
 
-The two planar equations are linear with constant coefficients, so their RK4
-step is one precomputed affine map; evolve_general_V runs RK4 stage by stage.
-Every planar vector has exactly two components; any other shape is a ConfigError.
+FUNDAMENTAL and LORENTZ step in planar, on Python floats and without numpy,
+and their integrators here wrap planar's rows into Trajectory arrays.
+evolve_general_V takes the same RK4 step, planar.rk4_step, stage by stage.
+Every planar vector is two real numbers; anything else is a ConfigError.
 
 Internal units throughout (ħ = m = e = 1): a uniform electric field E enters
 accelerations as -E, a magnetic field B ẑ gives the cyclotron frequency
@@ -13,14 +14,16 @@ Equation tags
 FREE_E       closed form k(t) = k0 - E t, x by elementary integration
 GENERAL_V    dv/dt = +V'(x) for an electrical potential V (force = eV')
 FUNDAMENTAL  dv/dt = -(ω_c/2) v×ẑ - (ω_c²/2) x - E, with x = x0 + ∫v
-             (RK4 as one precomputed step matrix)
-LORENTZ      dv/dt = -v×B - E (RK4 as one precomputed step matrix)
+             (RK4 as one affine step map, in planar)
+LORENTZ      dv/dt = -v×B - E (RK4 as one affine step map, in planar)
 PERIODIC_E   k(t) = reduce(k0 - E t), v_g from the band dispersion
 PERIODIC_B   closed form: k(t) rotates at ω = B ε'(|k|)/|k| (isotropic band),
              and x(t) is the exact integral of that rotation
 
-The two band integrators import the band solver when they run, so the
-planar equations load neither central_equation nor potential.
+The two band integrators import the band solver when they run, so this
+module loads neither central_equation nor potential; the cyclotron and
+compare-eom subcommands call planar directly and load neither this module nor
+numpy.
 """
 
 from __future__ import annotations
@@ -31,14 +34,10 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigError, EnergyDriftError
+from .planar import compare, planar_rows, real, rk4_step, step_count, vector
 
 if TYPE_CHECKING:
     from .potential import FourierPotential
-
-# step count past which _sample_steps refuses a (T, dt) pair as bad input
-_MAX_STEPS = 2 ** 31
-# planar RK4 steps taken per numpy product
-_STEP_CHUNK = 256
 
 
 @dataclass
@@ -64,18 +63,13 @@ def _sample_steps(T: float, dt: float, stride=1, name: str = "stride"):
     the sampled step indices, every stride-th and the last, so a propagator holds
     the times samples·h and never the whole step grid. A stride that is not an
     integer >= 1 (a numpy integer will do, a bool will not) is a ConfigError, as
-    are dt <= 0, T < dt and more than _MAX_STEPS steps.
+    is any (T, dt) that planar.step_count refuses.
     """
-    if not (dt > 0.0 and T >= dt):
-        raise ConfigError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
-    ratio = T / dt
-    if not ratio <= _MAX_STEPS:
-        raise ConfigError(f"T/dt = {ratio!r} steps exceeds the bound {_MAX_STEPS}")
+    nsteps, h = step_count(T, dt)
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {stride!r}")
-    nsteps = max(1, int(round(ratio)))
     # a stride past nsteps samples as nsteps does, and keeps the array int64
-    return np.append(np.arange(0, nsteps, min(int(stride), nsteps)), nsteps), T / nsteps
+    return np.append(np.arange(0, nsteps, min(int(stride), nsteps)), nsteps), h
 
 
 def _time_grid(T: float, dt: float):
@@ -85,23 +79,15 @@ def _time_grid(T: float, dt: float):
 
 
 def _rk4(f: Callable[[list], tuple], y0, T: float, dt: float):
-    """Classic RK4 on a state held as a list of Python floats; f returns a sequence.
-
-    Plain floats round as numpy float64 does, and the operation order is that
-    of the array form, so ys is bit-identical to it, without the per-step
-    array overhead.
+    """Classic RK4 by planar.rk4_step on a state held as a list of Python floats;
+    f returns a sequence. ys is bit-identical to the array form, without the
+    per-step array overhead.
     """
     times, nsteps, h = _time_grid(T, dt)
-    half, sixth = 0.5 * h, h / 6.0
     y = [float(v) for v in y0]
     rows = [y]
     for _ in range(nsteps):
-        k1 = f(y)
-        k2 = f([yi + half * ki for yi, ki in zip(y, k1)])
-        k3 = f([yi + half * ki for yi, ki in zip(y, k2)])
-        k4 = f([yi + h * ki for yi, ki in zip(y, k3)])
-        y = [yi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        y = rk4_step(f, y, h)
         rows.append(y)
     return times, np.array(rows)
 
@@ -145,50 +131,12 @@ def evolve_general_V(k0: float, x0: float, V: Callable, T: float, dt: float, dV:
     return Trajectory("GENERAL_V", times, v.copy(), x, v)
 
 
-def _planar(vec, name):
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (2,):
-        raise ConfigError(f"{name} must have 2 components, got {vec!r}")
-    return v
-
-
-def _evolve_planar(tag: str, system, v0, v_name: str, x0, E, B: float, T: float,
-                   dt: float) -> Trajectory:
-    """RK4 on y = (x, y, vx, vy) for ẏ = M y + f, with (M, f) = system(ω_c, E).
-
-    M and f are constant, so one RK4 step is exactly the affine map y -> R y + r,
-    R = I + hM(I + hM/2(I + hM/3(I + hM/4))), r = h(I + hM/2(I + hM/3(I + hM/4)))f,
-    and _STEP_CHUNK steps at a time come from one product with the stacked
-    powers R^j and partial sums Σ_{i<j} R^i r, j <= _STEP_CHUNK. A step map or
-    trajectory that overflows float range is refused with ConfigError.
-    """
-    v0 = _planar(v0, v_name)
-    x0 = _planar(x0, "x0")
-    Ev = _planar(E, "E")
-    wc = float(B)
-    times, nsteps, h = _time_grid(T, dt)
-    M, f = system(wc, Ev)
-    eye = np.eye(4)
-    hM = h * M
-    ys = np.empty((nsteps + 1, 4))
-    ys[0] = np.concatenate([x0, v0])
-    with np.errstate(all="ignore"):
-        series = eye + hM / 2.0 @ (eye + hM / 3.0 @ (eye + hM / 4.0))
-        step, offset = eye + hM @ series, h * series @ f
-        # powers[j] = R^j and sums[j] = Σ_{i<j} R^i r, filled by doubling
-        powers, sums = eye[None], np.zeros((1, 4))
-        while powers.shape[0] <= _STEP_CHUNK:
-            top, top_sum = step @ powers[-1], step @ sums[-1] + offset
-            powers = np.concatenate([powers, top @ powers])
-            sums = np.concatenate([sums, sums @ top.T + top_sum])
-        for lo in range(0, nsteps, _STEP_CHUNK):
-            m = min(_STEP_CHUNK, nsteps - lo)
-            ys[lo + 1:lo + m + 1] = powers[1:m + 1] @ ys[lo] + sums[1:m + 1]
-    if not np.isfinite(ys).all():
-        raise ConfigError(f"{tag} trajectory leaves float range (B={wc!r}, E={E!r}, "
-                          f"T={T!r}, dt={dt!r})")
+def _trajectory(tag: str, times, ys) -> Trajectory:
+    """A planar run's times and rows (planar.planar_rows) as a Trajectory, on their
+    buffers; k and v_g coincide."""
+    ys = np.frombuffer(ys).reshape(-1, 4)
     v = ys[:, 2:4]
-    return Trajectory(tag, times, v.copy(), ys[:, 0:2], v)
+    return Trajectory(tag, np.frombuffer(times), v.copy(), ys[:, 0:2], v)
 
 
 def evolve_fundamental(k0, x0, E, B: float, T: float, dt: float) -> Trajectory:
@@ -196,29 +144,15 @@ def evolve_fundamental(k0, x0, E, B: float, T: float, dt: float) -> Trajectory:
 
     The position enters the equation itself, so the coordinate origin is
     physical: circular orbits require it at the orbit center. k(t) and
-    v_g(t) coincide in internal units.
+    v_g(t) coincide in internal units. B = 0, and a step map or trajectory
+    that leaves float range, are refused with ConfigError (planar.planar_rows).
     """
-    if B == 0.0:
-        raise ConfigError("B must be nonzero; use evolve_free_E for the field-free case")
-    return _evolve_planar("FUNDAMENTAL", _fundamental_system, k0, "k0", x0, E, B, T, dt)
-
-
-def _fundamental_system(wc, E):
-    return (np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
-                      [-0.5 * wc * wc, 0.0, 0.0, -0.5 * wc],
-                      [0.0, -0.5 * wc * wc, 0.5 * wc, 0.0]]),
-            np.array([0.0, 0.0, -E[0], -E[1]]))
+    return _trajectory("FUNDAMENTAL", *planar_rows("FUNDAMENTAL", k0, x0, E, B, T, dt))
 
 
 def evolve_lorentz(v0, x0, E, B: float, T: float, dt: float) -> Trajectory:
     """Classical Lorentz force: dv/dt = -v×B - E (planar, B along ẑ)."""
-    return _evolve_planar("LORENTZ", _lorentz_system, v0, "v0", x0, E, B, T, dt)
-
-
-def _lorentz_system(wc, E):
-    return (np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
-                      [0.0, 0.0, 0.0, -wc], [0.0, 0.0, wc, 0.0]]),
-            np.array([0.0, 0.0, -E[0], -E[1]]))
+    return _trajectory("LORENTZ", *planar_rows("LORENTZ", v0, x0, E, B, T, dt))
 
 
 @dataclass(frozen=True)
@@ -249,15 +183,10 @@ def compare_fundamental_lorentz(k0, x0, E, B: float, T: float, dt: float) -> Div
     separate without bound. A norm that overflows float range is refused with
     ConfigError.
     """
-    fund = evolve_fundamental(k0, x0, E, B, T, dt)
-    lor = evolve_lorentz(k0, x0, E, B, T, dt)
-    with np.errstate(all="ignore"):
-        dx = np.linalg.norm(fund.x - lor.x, axis=1)
-        dv = np.linalg.norm(fund.v_g - lor.v_g, axis=1)
-    if not (np.isfinite(dx).all() and np.isfinite(dv).all()):
-        raise ConfigError(f"the divergence of the planar equations leaves float range "
-                          f"(B={B!r}, E={E!r}, T={T!r})")
-    return DivergenceReport(fund, lor, dx, dv)
+    times, fund, lor, dx, dv = compare(k0, x0, E, B, T, dt)
+    return DivergenceReport(_trajectory("FUNDAMENTAL", times, fund),
+                            _trajectory("LORENTZ", times, lor), np.frombuffer(dx),
+                            np.frombuffer(dv))
 
 
 def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
@@ -291,13 +220,14 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     exact integral from the origin, s·(sin(ωt)/ω·k0 + (1 - cos ωt)/ω·Jk0) with
     s = ε'(ρ)/ρ and J the quarter turn, in sinc forms exact at ω = 0. Below
     ρ = 1e-12, k stays put and v_g = 0; the truncation is checked there too,
-    though no band pass runs. A B that is not finite, or a rotation whose
-    largest term ½ωt² leaves float range, is refused with ConfigError before
-    k or x is formed.
+    though no band pass runs. A B that is not a real number or lies past
+    float range (the int 10**400) is refused with ConfigError before the band
+    pass; a B that is not finite, or a rotation whose largest term ½ωt²
+    leaves float range, is refused with ConfigError before k or x is formed.
     """
     from .central_equation import _check_band, _coupling_block, band_derivatives, reduce_to_zone
 
-    k0 = _planar(k0, "k0")
+    k0, B = vector(k0, "k0"), real(B, "B")
     _check_band(band, n)
     _coupling_block(pot, n)
     times, _, _ = _time_grid(T, dt)
@@ -307,7 +237,7 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
         _, v, _ = band_derivatives(reduce_to_zone(rho, pot.a), pot, n, band + 1)
         slope = float(v[0, band]) / rho
     # on Python floats a product past float range is inf, with no warning
-    B, t_end = float(B), float(times[-1])
+    t_end = float(times[-1])
     if not np.isfinite(0.5 * (B * slope * t_end) * t_end):
         raise ConfigError(f"PERIODIC_B rotation leaves float range (B={B!r}, T={T!r}, dt={dt!r})")
     wt = B * slope * times

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from blochdyn import (BandFilling, ConfigError, FourierPotential, UnitSystem, acceptance,
-                      band_derivatives, band_sweep, classify, cli, conduction,
-                      evolve_fundamental, evolve_lorentz, gaussian_packet, random_symmetric,
-                      single_cosine, split_step_free, velocity_sum)
+                      band_derivatives, band_sweep, classify, cli, compare_fundamental_lorentz,
+                      conduction, evolve_fundamental, evolve_lorentz, evolve_periodic_B,
+                      gaussian_packet, random_symmetric, single_cosine, split_step_free,
+                      velocity_sum)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
 from blochdyn.semiclassical import _time_grid
@@ -161,6 +162,41 @@ def test_compare_eom_reports_divergence(tmp_path):
     assert rep["max_velocity_divergence"] == pytest.approx(
         1.7320507980397548, rel=1e-9)
     assert (tmp_path / "compare.csv").exists()
+
+
+def _csv_values(path):
+    return [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[2:]]
+
+
+@pytest.mark.parametrize("equation", ["fundamental", "lorentz"])
+def test_cyclotron_writes_the_library_trajectory_bit_for_bit(tmp_path, equation):
+    # the subcommand writes planar's rows without numpy; the library wraps the same
+    # rows into arrays, and the radius is numpy's 2-norm of x
+    scn_obj = json.loads((SCENARIOS / "cyclotron.json").read_text())
+    scn_obj["field"]["E_internal"] = [0.3, -0.1]
+    scn_obj["dynamics"]["equation"] = equation
+    assert main(["cyclotron", "--scenario", _write(tmp_path, scn_obj),
+                 "--out", str(tmp_path)]) == 0
+    dyn = scn_obj["dynamics"]
+    traj = {"fundamental": evolve_fundamental, "lorentz": evolve_lorentz}[equation](
+        dyn["k0_internal"], dyn["x0_internal"], [0.3, -0.1], 1.0, dyn["T_internal"],
+        dyn["dt_internal"])
+    want = np.column_stack([traj.times, traj.k, traj.x, traj.v_g,
+                            np.linalg.norm(traj.x, axis=1)])
+    np.testing.assert_array_equal(_csv_values(tmp_path / "trajectory.csv"), want)
+
+
+def test_compare_eom_writes_the_library_report_bit_for_bit(tmp_path):
+    scn = str(SCENARIOS / "compare_eom.json")
+    assert main(["compare-eom", "--scenario", scn, "--out", str(tmp_path)]) == 0
+    rep = compare_fundamental_lorentz([1.0, 0.0], [0.0, -1.0], [1.0, 0.0], 1.0, 10.0, 1e-3)
+    f, lz = rep.fundamental, rep.lorentz
+    want = np.column_stack([f.times, f.x, lz.x, f.v_g, lz.v_g, rep.position_divergence,
+                            rep.velocity_divergence])
+    np.testing.assert_array_equal(_csv_values(tmp_path / "compare.csv"), want)
+    assert json.loads((tmp_path / "compare.json").read_text()) == {
+        "version": 1, "max_position_divergence": rep.max_position_divergence,
+        "max_velocity_divergence": rep.max_velocity_divergence}
 
 
 def test_adiabatic_probe_json(tmp_path):
@@ -496,10 +532,18 @@ def test_a_size_no_machine_can_allocate_exits_2(tmp_path, capsys, stem, command,
     lambda: evolve_lorentz([1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1.0, 0.1),
     lambda: evolve_lorentz([0.7], [0.3, 0.0], [0.0, 0.0], 1.0, 1.0, 0.1),
     lambda: evolve_fundamental([0.7, 0.0], 0.3, [0.0, 0.0], 1.0, 1.0, 0.1),
+    # a component that is an array (float() of it only warns on numpy 2.0), and a
+    # vector that is a string
+    lambda: evolve_fundamental(np.ones((2, 1)), [0.0, 0.0], [0.0, 0.0], 1.0, 1.0, 0.1),
+    lambda: compare_fundamental_lorentz([0.7, 0.0], np.ones((2, 1)), [0.0, 0.0], 1.0, 1.0, 0.1),
+    lambda: evolve_lorentz([0.7, 0.0], [0.0, 0.0], "ab", 1.0, 1.0, 0.1),
+    lambda: evolve_periodic_B("ab", 0, single_cosine(1.0, 0.3), 4, 1.0, 1.0, 0.1),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
         "band_sweep", "band_sweep_no_bands", "band_derivatives", "potential", "filling",
         "fundamental", "split_step", "packet_k0_past_k_window",
-        "lorentz_three_components", "lorentz_one_component", "fundamental_scalar_x0"])
+        "lorentz_three_components", "lorentz_one_component", "fundamental_scalar_x0",
+        "fundamental_array_component", "compare_array_component", "lorentz_string_E",
+        "periodic_B_string_k0"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

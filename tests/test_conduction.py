@@ -157,6 +157,25 @@ def test_shifted_half_filling_is_a_conductor():
     assert classify(f, single_cosine(1.0, 0.05), 10) == "conductor"
 
 
+@pytest.mark.parametrize("factor, label", [(0.5, "insulator"), (2.0, "conductor")])
+def test_the_conductor_threshold_is_1e_8_per_k_point(monkeypatch, factor, label):
+    # a state's response Σ m/m* is a conductor's once a further shift of 1e-4·2π/a
+    # would move the velocity sum by more than 1e-8·n_k; the pass is replaced by one
+    # whose occupied states sum to factor times that threshold
+    n_k, a = 256, 2.0
+    threshold = 1e-8 * n_k / (1e-4 * TWO_PI / a)
+
+    def one_state_responds(ks, pot, n, band):
+        inv_mass = np.zeros(len(ks))
+        inv_mass[0] = factor * threshold
+        return np.zeros(len(ks)), inv_mass
+
+    monkeypatch.setattr("blochdyn.conduction._folded_pass", one_state_responds)
+    result, = fillings(single_cosine(a, 0.25), 8, 0, n_k, 0.0, [0.5])
+    assert result.response == factor * threshold
+    assert result.label == label
+
+
 def _probe_label(filling, pot, n):
     """Finite-difference reference: does a further shift of 1e-4·2π/a move the sum?"""
     probed = BandFilling(filling.band, filling.n_k, filling.fraction,

@@ -455,6 +455,19 @@ def test_si_field_diagnostics_frozen():
     assert not dataclasses.replace(rep, hdot_norm=0.5 * rep.comm_norm).chain_holds()
 
 
+@pytest.mark.parametrize("link", ["gap-omega", "commutator-drive"])
+def test_a_chain_broken_by_one_part_in_a_million_does_not_hold(link):
+    # two samples, each with gap·Ω̄* = 0.5 <= ‖[Ω̄, Λ]‖ = 1 <= ‖Ḣ‖ = 2; one link
+    # of the second is then broken by 1e-6 relative, far above the 1e-9·‖Ḣ‖ slack
+    ones = np.ones(2)
+    rep = AdiabaticReport(t=np.array([0.0, 1.0]), gap=0.5 * ones, hdot_norm=2.0 * ones,
+                          omega_bar_star=ones, fidelity=np.full(2, np.nan), comm_norm=ones)
+    assert rep.chain_holds()
+    broken = {"gap-omega": {"omega_bar_star": np.array([1.0, 2.0 * (1.0 + 1e-6)])},
+              "commutator-drive": {"comm_norm": np.array([1.0, 2.0 * (1.0 + 1e-6)])}}[link]
+    assert not dataclasses.replace(rep, **broken).chain_holds()
+
+
 def test_bound_rhs_is_derived_from_the_drive_and_the_gap():
     # criterion 6's SI probe: the bound is hdot_norm / gap, bit for bit
     units = UnitSystem(1e-10)

@@ -379,6 +379,18 @@ def test_periodic_B_refuses_a_rotation_past_float_range(k0, B):
         evolve_periodic_B(k0, 0, single_cosine(1.0, 0.3), 10, B, 20.0, 0.02)
 
 
+@pytest.mark.parametrize("evolve", [
+    lambda B: evolve_fundamental([1.0, 0.0], [0.0, -1.0], [0.0, 0.0], B, 1.0, 0.1),
+    lambda B: evolve_lorentz([1.0, 0.0], [0.0, -1.0], [0.0, 0.0], B, 1.0, 0.1),
+    lambda B: evolve_periodic_B([0.3, 0.1], 0, single_cosine(1.0, 0.3), 4, B, 1.0, 0.1),
+], ids=["fundamental", "lorentz", "periodic_B"])
+def test_a_field_past_float_range_is_a_config_error(evolve):
+    # a Python int converts to float only within float range, so 10**400 is bad
+    # input, refused as such
+    with pytest.raises(ConfigError, match="B lies past float range"):
+        evolve(10 ** 400)
+
+
 @pytest.mark.parametrize("n, message", [(0, "truncation half-width must be >= 1, got 0"),
                                         (2, "smaller than potential cutoff L=3")])
 @pytest.mark.parametrize("k0", [[0.0, 0.0], [1e-13, 0.0], [0.5, 0.0]],
@@ -462,8 +474,8 @@ def _lorentz_generator(wc, E):
 # (integrator, the generator G of d(x, y, vx, vy, 1)/dt = G·(...)), written here
 # independently of the package's own matrices
 PLANAR = [(evolve_fundamental, _fundamental_generator), (evolve_lorentz, _lorentz_generator)]
-# (v0, x0, E, B, T, dt): 600 steps with E != 0; B < 0 over 2000 steps (7
-# full chunks of 256 and a partial one); a larger E, off the orbit centre
+# (v0, x0, E, B, T, dt): 600 steps with E != 0; B < 0 over 2000 steps; a larger
+# E, off the orbit centre
 PLANAR_RUNS = [
     ([0.7, -0.2], [0.3, 0.1], [0.05, -0.02], 1.3, 6.0, 0.01),
     ([1.0, 0.0], [0.0, -1.0], [0.0, 0.0], -0.8, 40.0, 0.02),
