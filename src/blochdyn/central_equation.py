@@ -268,7 +268,8 @@ def band_sweep(pot: FourierPotential, n: int, k_points: int, n_bands: int,
 
     energy_eV and velocity_SI are the SI values of one internal unit; the
     mass ratio m*/m_e is dimensionless and inf where the curvature vanishes.
-    Rows are ordered by (k, band).
+    Rows are ordered by (k, band), and hold Python numbers: each column is one
+    .tolist() of a flat array, so the CLI's %-formatting meets no numpy scalar.
     """
     if k_points < 1:
         raise ConfigError(f"k_points must be >= 1, got {k_points!r}")
@@ -279,6 +280,6 @@ def band_sweep(pot: FourierPotential, n: int, k_points: int, n_bands: int,
     energies, velocity, inv_mass = band_derivatives(ks, pot, n, n_bands)
     m_star = np.divide(1.0, inv_mass, out=np.full_like(inv_mass, np.inf),
                        where=np.abs(inv_mass) >= _CURVATURE_MIN)
-    return [(float(k), b, energies[i, b] * energy_eV, velocity[i, b] * velocity_SI,
-             m_star[i, b])
-            for i, k in enumerate(ks) for b in range(n_bands)]
+    return list(zip(np.repeat(ks, n_bands).tolist(), list(range(n_bands)) * k_points,
+                    (energies * energy_eV).ravel().tolist(),
+                    (velocity * velocity_SI).ravel().tolist(), m_star.ravel().tolist()))

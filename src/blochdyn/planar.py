@@ -19,6 +19,10 @@ does.
 
 semiclassical wraps these rows into Trajectory arrays without a copy, and
 the cyclotron and compare-eom subcommands write them as they are.
+
+step_count is the one step grid of the package: every fixed-step integrator,
+here, in semiclassical and in quantum, takes its round(T/dt) steps of
+h = T/nsteps from it, and so refuses the same bad (T, dt).
 """
 
 from __future__ import annotations
@@ -37,15 +41,21 @@ _MAX_STEPS = 2 ** 31
 def step_count(T: float, dt: float) -> tuple[int, float]:
     """(nsteps, h) of every fixed-step integrator: round(T/dt) steps of h = T/nsteps.
 
-    dt <= 0, T < dt and more than _MAX_STEPS steps are a ConfigError.
+    T and dt must pass real: one that is not a real number or lies past float
+    range (the int 10**400) is a ConfigError. So are dt <= 0, T < dt and more
+    than _MAX_STEPS steps, counted on Python floats, where a ratio past float
+    range is inf and not a numpy overflow warning. The step count and h are
+    formed in T's and dt's own arithmetic, so a numpy float32 T is counted
+    in float32; h is returned as a Python float whatever their type.
     """
+    t, step = real(T, "T"), real(dt, "dt")
     if not (dt > 0.0 and T >= dt):
         raise ConfigError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
-    ratio = T / dt
+    ratio = t / step
     if not ratio <= _MAX_STEPS:
         raise ConfigError(f"T/dt = {ratio!r} steps exceeds the bound {_MAX_STEPS}")
-    nsteps = max(1, int(round(ratio)))
-    return nsteps, T / nsteps
+    nsteps = max(1, int(round(T / dt)))
+    return nsteps, float(T / nsteps)
 
 
 def rk4_step(f: Callable[[list], tuple], y: list, h: float) -> list:
@@ -122,7 +132,6 @@ def planar_rows(tag: str, v0, x0, E, B: float, T: float, dt: float) -> tuple[arr
     Ev = vector(E, "E")
     wc = real(B, "B")
     nsteps, h = step_count(T, dt)
-    h = float(h)    # a numpy T makes h a numpy float, whose overflow warns, not inf
     unit = [[float(i == j) for i in range(4)] for j in range(4)]
     # row i of R, then r_i: R's columns are the unforced step from the unit vectors
     step = list(zip(*(rk4_step(make(wc, [0.0, 0.0]), e, h) for e in unit),

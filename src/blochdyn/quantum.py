@@ -11,10 +11,11 @@ The split-step propagator is Strang-ordered and second order in dt. In a
 uniform field alone, U = E·x, a Strang step is exact up to a global phase at
 any length, so it takes one step per sample interval and restores the phase
 of the dt-step loop at the end. Both propagators walk the sampled steps of
-semiclassical._sample_steps (a stride is an integer >= 1) and hold only their
-times, never the step grid: the basis integrator forms each block's midpoint
-shifts in its block loop, and the split-step propagator runs every step in
-place on one copy of the state.
+_sample_steps, every stride-th step of planar.step_count's grid and the last
+(a stride is an integer >= 1), and hold only their times, never the step
+grid: the basis integrator forms each block's midpoint shifts in its block
+loop, and the split-step propagator runs every step in place on one copy of
+the state.
 The grid oracle diagonalizes the real-space Hamiltonian with a spectral
 kinetic circulant, folded by Bloch's theorem into one small block per
 commensurate k. Each block's kinetic part comes straight from the spectral
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BoundaryProximityError, ConfigError, DegeneratePointError
-from .semiclassical import _sample_steps
+from .planar import step_count
 
 if TYPE_CHECKING:
     from .potential import FourierPotential
@@ -45,6 +46,20 @@ if TYPE_CHECKING:
 TWO_PI = 2.0 * np.pi
 # split_step_free's margin, in packet widths, for its k-window and boundary guards
 _GUARD_SIGMAS = 5.0
+
+
+def _sample_steps(T: float, dt: float, stride, name: str):
+    """(samples, h) of round(T/dt) steps of h = T/nsteps (planar.step_count):
+    samples is the int array of the sampled step indices, every stride-th and
+    the last, so a propagator holds the times samples·h and never the whole step
+    grid. A stride that is not an integer >= 1 (a numpy integer will do, a bool
+    will not) is a ConfigError, as is any (T, dt) that step_count refuses.
+    """
+    nsteps, h = step_count(T, dt)
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {stride!r}")
+    # a stride past nsteps samples as nsteps does, and keeps the array int64
+    return np.append(np.arange(0, nsteps, min(int(stride), nsteps)), nsteps), h
 
 
 # --------------------------------------------------------------------------

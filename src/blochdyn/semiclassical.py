@@ -2,7 +2,9 @@
 
 FUNDAMENTAL and LORENTZ step in planar, on Python floats and without numpy,
 and their integrators here wrap planar's rows into Trajectory arrays.
-evolve_general_V takes the same RK4 step, planar.rk4_step, stage by stage.
+evolve_general_V takes the same RK4 step, planar.rk4_step, stage by stage,
+and holds its rows in a flat array as planar does. Every integrator here runs
+on planar.step_count's grid of round(T/dt) steps, as quantum's propagators do.
 Every planar vector is two real numbers; anything else is a ConfigError.
 
 Internal units throughout (ħ = m = e = 1): a uniform electric field E enters
@@ -28,6 +30,7 @@ numpy.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -58,38 +61,26 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
-def _sample_steps(T: float, dt: float, stride=1, name: str = "stride"):
-    """(samples, h) of round(T/dt) steps of h = T/nsteps: samples is the int array of
-    the sampled step indices, every stride-th and the last, so a propagator holds
-    the times samples·h and never the whole step grid. A stride that is not an
-    integer >= 1 (a numpy integer will do, a bool will not) is a ConfigError, as
-    is any (T, dt) that planar.step_count refuses.
-    """
-    nsteps, h = step_count(T, dt)
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {stride!r}")
-    # a stride past nsteps samples as nsteps does, and keeps the array int64
-    return np.append(np.arange(0, nsteps, min(int(stride), nsteps)), nsteps), h
-
-
 def _time_grid(T: float, dt: float):
-    """(times, nsteps, h) of every fixed-step integrator: round(T/dt) steps of T/nsteps."""
-    samples, h = _sample_steps(T, dt)
-    return samples * h, int(samples[-1]), h
+    """(times, nsteps, h) of every fixed-step integrator: round(T/dt) steps of
+    h = T/nsteps (planar.step_count), sampled at every step."""
+    nsteps, h = step_count(T, dt)
+    return np.arange(nsteps + 1) * h, nsteps, h
 
 
 def _rk4(f: Callable[[list], tuple], y0, T: float, dt: float):
     """Classic RK4 by planar.rk4_step on a state held as a list of Python floats;
     f returns a sequence. ys is bit-identical to the array form, without the
-    per-step array overhead.
+    per-step array overhead: its rows are held one after another in a flat
+    float64 array.array, as planar_rows holds its own, and wrapped without a copy.
     """
     times, nsteps, h = _time_grid(T, dt)
     y = [float(v) for v in y0]
-    rows = [y]
+    rows = array("d", y)
     for _ in range(nsteps):
         y = rk4_step(f, y, h)
-        rows.append(y)
-    return times, np.array(rows)
+        rows.extend(y)
+    return times, np.frombuffer(rows).reshape(-1, len(y))
 
 
 def evolve_free_E(k0: float, E: float, T: float, dt: float, x0: float = 0.0) -> Trajectory:

@@ -4,9 +4,11 @@ Each case prints one PASS/FAIL line plus the measured numbers, so the pytest
 output doubles as the acceptance report.
 """
 
+import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from blochdyn import acceptance, conduction
@@ -24,14 +26,57 @@ SHORT = ("free-packet", "cyclotron", "crossed-field", "band-oracle", "weak-gap",
          "mass-dynamics", "conduction", "solenoid", "integrators")
 
 
+# each criterion's work at SEED, counted at numpy's solvers: (name, n) -> (calls, items).
+# For eigh and eigvalsh n is the matrix order and items the matrices (the product of
+# the leading dimensions); for fft and ifft n is the transform length and items the
+# transforms. Counts move with the algorithm, never with the host's speed
+WORK = {
+    1: {("fft", 4096): (401, 401), ("ifft", 4096): (200, 200)},
+    2: {},
+    3: {},
+    4: {("eigh", 21): (5, 117), ("eigvalsh", 128): (16, 16), ("ifft", 128): (1, 16)},
+    5: {("eigh", 21): (3, 3)},
+    6: {("eigh", 21): (2565, 81991)},
+    7: {("eigh", 21): (282, 9012)},
+    8: {("eigh", 21): (88, 2816)},
+    9: {},
+    10: {("eigh", 21): (314, 10003), ("fft", 1024): (10610, 10610),
+         ("ifft", 1024): (10600, 10600)},
+}
+
+
+def _counting(monkeypatch):
+    """Wrap numpy's eigensolvers and FFTs so that each call adds to the returned table."""
+    work = {}
+
+    def count(module, name, matrix):
+        solver = getattr(module, name)
+
+        def counted(a, *args, **kwargs):
+            shape = np.shape(a)
+            n = shape[-1] if matrix else shape[kwargs.get("axis", -1)]
+            calls, items = work.get((name, n), (0, 0))
+            work[(name, n)] = (calls + 1, items + math.prod(shape) // (n * n if matrix else n))
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name, matrix in ((np.linalg, "eigh", True), (np.linalg, "eigvalsh", True),
+                                 (np.fft, "fft", False), (np.fft, "ifft", False)):
+        count(module, name, matrix)
+    return work
+
+
 @pytest.mark.parametrize("cid,name", [(cid, name) for cid, name, *_ in CRITERIA],
                          ids=[f"{cid:02d}-{short}" for (cid, *_), short in zip(CRITERIA, SHORT)])
-def test_criterion(cid, name):
+def test_criterion(cid, name, monkeypatch):
+    work = _counting(monkeypatch)
     [result] = run_all(SEED, only=[cid])
     print(f"[{'PASS' if result.passed else 'FAIL'}] criterion {cid}: {name}")
     print(f"       {result.detail}")
     assert (result.cid, result.name) == (cid, name)
     assert result.passed, f"criterion {cid} ({name}): {result.detail}"
+    assert work == WORK[cid]
 
 
 def test_criterion_8_makes_each_band_pass_once(monkeypatch):

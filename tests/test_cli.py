@@ -13,9 +13,9 @@ import pytest
 
 from blochdyn import (BandFilling, ConfigError, FourierPotential, UnitSystem, acceptance,
                       band_derivatives, band_sweep, classify, cli, compare_fundamental_lorentz,
-                      conduction, evolve_fundamental, evolve_lorentz, evolve_periodic_B,
-                      gaussian_packet, random_symmetric, single_cosine, split_step_free,
-                      velocity_sum)
+                      conduction, evolve_fundamental, evolve_general_V, evolve_lorentz,
+                      evolve_periodic_B, gaussian_packet, integrate_basis, random_symmetric,
+                      single_cosine, split_step_free, velocity_sum)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
 from blochdyn.semiclassical import _time_grid
@@ -124,12 +124,19 @@ def test_bands_degenerate_points(tmp_path, coefficients, code):
 
 
 def test_wavepacket_norm_column(tmp_path):
-    scn = str(SCENARIOS / "wavepacket_free.json")
-    assert main(["wavepacket", "--scenario", scn, "--out", str(tmp_path)]) == 0
-    table = np.loadtxt(tmp_path / "wavepacket.csv", delimiter=",", skiprows=2,
-                       ndmin=2)
-    np.testing.assert_allclose(table[:, 4], 1.0, atol=1e-10)
-    assert table[0, 0] == 0.0
+    # the shipped run, and 10^7 steps of h sampled at both ends: one Strang step,
+    # and two rows ending at t = 20
+    scn_obj = json.loads((SCENARIOS / "wavepacket_free.json").read_text())
+    scn_obj["dynamics"]["dt_internal"] = 2e-6
+    scn_obj["output"]["sample_stride"] = 10 ** 7
+    wide = _write(tmp_path, scn_obj, "wide-stride.json")
+    for scn, rows in ((str(SCENARIOS / "wavepacket_free.json"), 201), (wide, 2)):
+        out = tmp_path / Path(scn).stem
+        assert main(["wavepacket", "--scenario", scn, "--out", str(out)]) == 0
+        table = np.loadtxt(out / "wavepacket.csv", delimiter=",", skiprows=2, ndmin=2)
+        np.testing.assert_allclose(table[:, 4], 1.0, atol=1e-10)
+        assert table.shape[0] == rows
+        assert (table[0, 0], table[-1, 0]) == (0.0, 20.0)
 
 
 def test_cyclotron_writes_tagged_trajectory(tmp_path):
@@ -538,12 +545,18 @@ def test_a_size_no_machine_can_allocate_exits_2(tmp_path, capsys, stem, command,
     lambda: compare_fundamental_lorentz([0.7, 0.0], np.ones((2, 1)), [0.0, 0.0], 1.0, 1.0, 0.1),
     lambda: evolve_lorentz([0.7, 0.0], [0.0, 0.0], "ab", 1.0, 1.0, 0.1),
     lambda: evolve_periodic_B("ab", 0, single_cosine(1.0, 0.3), 4, 1.0, 1.0, 0.1),
+    # a run length past float range, refused before T / dt is formed
+    lambda: evolve_lorentz([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0, 10 ** 400, 1.0),
+    lambda: evolve_general_V(0.1, 0.0, np.zeros_like, 10 ** 400, 1.0, lambda x: 0.0),
+    lambda: split_step_free(gaussian_packet(400.0, 256, 0.0, 1.0, 10.0), 0.0, 10 ** 400, 1.0),
+    lambda: integrate_basis(0.3, single_cosine(1.0, 0.3), 2, 0.05, 10 ** 400, 1.0),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
         "band_sweep", "band_sweep_no_bands", "band_derivatives", "potential", "filling",
         "fundamental", "split_step", "packet_k0_past_k_window",
         "lorentz_three_components", "lorentz_one_component", "fundamental_scalar_x0",
         "fundamental_array_component", "compare_array_component", "lorentz_string_E",
-        "periodic_B_string_k0"])
+        "periodic_B_string_k0", "lorentz_T_past_float_range", "general_V_T_past_float_range",
+        "split_step_T_past_float_range", "basis_T_past_float_range"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

@@ -70,15 +70,14 @@ def test_a_bands_run_loads_only_what_it_computes_with(tmp_path):
 def test_a_planar_run_loads_no_band_solver(tmp_path, command, stem, output):
     # only the band integrators and the quantum module's plane-wave half use the band
     # solver, and they import it when they run. The planar equations step on Python
-    # floats in planar, so cyclotron and compare-eom load neither numpy nor semiclassical
+    # floats in planar, so cyclotron and compare-eom load neither numpy nor semiclassical;
+    # the split-step propagator takes its step grid from planar, not from semiclassical
     argv = [command, "--scenario", str(ROOT / "scenarios" / f"{stem}.json"), "--out", str(tmp_path)]
     loaded = set(_loaded_after(f"from blochdyn import cli\nassert cli.main({argv!r}) == 0"))
-    assert not {"blochdyn.central_equation", "blochdyn.potential"} & loaded
-    if command == "wavepacket":
-        assert {"blochdyn.semiclassical", "numpy"} <= loaded
-    else:
-        assert "blochdyn.planar" in loaded
-        assert not {"blochdyn.semiclassical", "numpy"} & loaded
+    assert not {"blochdyn.central_equation", "blochdyn.potential",
+                "blochdyn.semiclassical"} & loaded
+    assert "blochdyn.planar" in loaded
+    assert ("numpy" in loaded) == (command == "wavepacket")
     assert (tmp_path / output).is_file()
 
 
@@ -88,6 +87,7 @@ def test_an_adiabatic_run_still_loads_the_band_solver(tmp_path):
             "--out", str(tmp_path)]
     loaded = _loaded_after(f"from blochdyn import cli\nassert cli.main({argv!r}) == 0")
     assert {"blochdyn.quantum", "blochdyn.central_equation", "blochdyn.potential"} <= set(loaded)
+    assert "blochdyn.semiclassical" not in loaded
     assert (tmp_path / "adiabatic.json").is_file()
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,31 @@ def test_time_grid_rounding():
         _time_grid(1.0, 2.0)
     with pytest.raises(ValueError):
         _time_grid(1.0, 0.0)
+    # a float32 T: the count and h are formed in float32, and h comes back a Python
+    # float. At 857.4185 and dt 1e-3 the float32 ratio rounds to 857418, the float64 one
+    # to 857419
+    for T, dt, steps in ((0.3, 0.1, 3), (857.4185180664062, 1e-3, 857418), (7.77, 0.07, 111)):
+        T32 = np.float32(T)
+        _, nsteps, h = _time_grid(T32, dt)
+        assert nsteps == steps
+        assert type(h) is float and h == T32 / nsteps
+    # a ratio past float32 range is counted on Python floats: no numpy overflow warning
+    with pytest.raises(ConfigError, match="exceeds the bound"):
+        _time_grid(np.float32(3e38), 1e-3)
+
+
+def test_rk4_holds_its_rows_in_a_flat_array():
+    # the kept arrays are 32 bytes a step (rows, times, k); a list of float lists peaked at 200
+    def traced_peak(nsteps):
+        tracemalloc.start()
+        try:
+            evolve_general_V(0.5, 0.0, np.zeros_like, 1.0, 1.0 / nsteps, lambda x: 0.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_step = (traced_peak(6_000) - traced_peak(1_000)) / 5_000
+    assert per_step < 64, f"traced peak grew by {per_step:.0f} B a step"
 
 
 def _array_rk4(f, y0, T, dt):
