@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .central_equation import band_derivatives, solve_at
-from .conduction import BandFilling, fillings, velocity_sum
+from .conduction import fillings
 from .errors import ConfigError
 from .potential import FourierPotential, random_symmetric, single_cosine
 from .quantum import (
@@ -231,16 +231,15 @@ def criterion_8_conduction(seed: int = 12345) -> list[tuple[bool, str]]:
     for _ in range(10):
         pot = random_symmetric(1.0, rng)
         shift = rng.uniform(-0.3, 0.3) * TWO_PI
-        filling = BandFilling(band=0, n_k=n_k, fraction=1.0, shift=shift)
-        worst_filled = max(worst_filled, abs(velocity_sum(filling, pot, 10)))
+        filled, = fillings(pot, 10, 0, n_k, shift, [1.0])
+        worst_filled = max(worst_filled, abs(filled.velocity_sum))
 
     # one unshifted band pass on the last potential labels the full, half and
     # empty fillings and gives the half-filled sum and Σ m/m* for the linear response
     full, half, empty = fillings(pot, 10, 0, n_k, 0.0, (1.0, 0.5, 0.0))
     labels = (full.label, half.label, empty.label)
     shift = 1e-4 * TWO_PI
-    shifted = BandFilling(band=0, n_k=n_k, fraction=0.5, shift=shift)
-    net = velocity_sum(shifted, pot, 10) - half.velocity_sum
+    net = fillings(pot, 10, 0, n_k, shift, [0.5])[0].velocity_sum - half.velocity_sum
     response = shift * half.response
     resp_rel = abs(net - response) / abs(response)
 

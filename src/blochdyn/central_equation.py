@@ -42,8 +42,10 @@ _K_BLOCK = 32
 
 
 def reduce_to_zone(k, a: float = 1.0):
-    """Map k into (-π/a, π/a]; ties at ±π/a land on +π/a."""
+    """Map k into (-π/a, π/a]; ties at ±π/a land on +π/a. A k not finite is a ConfigError."""
     k = np.asarray(k, dtype=np.float64)
+    if not np.isfinite(k).all():
+        raise ConfigError(f"k must be finite, got {float(k[~np.isfinite(k)][0])!r}")
     m = np.ceil(k * a / TWO_PI - 0.5)
     out = k - TWO_PI * m / a
     # k just above -π/a can round to m = -1 and then up past +π/a: fold it back
@@ -236,7 +238,7 @@ def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
     sum rule 1 + 2 Σ_{j≠b} |⟨j|κ|b⟩|²/(E_b − E_j): exact derivatives of the
     truncated bands. A band within _GAP_MIN of a band κ couples it to has no
     curvature and raises DegeneratePointError; uncoupled crossings (the empty
-    lattice's) add nothing.
+    lattice's) add nothing. A band energy or gap past float range is a ConfigError.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.float64))
     if not 0 <= n_bands <= 2 * n + 1:
@@ -248,7 +250,10 @@ def band_derivatives(ks, pot: FourierPotential, n: int, n_bands: int):
         coupling = vecs.conj().transpose(0, 2, 1) @ (kappa[:, :, None] * vecs[:, :, :n_bands])
         weight = np.abs(coupling) ** 2
         weight[:, own, own] = 0.0  # j = b is the velocity, not a coupling
-        gaps = energies[:, None, :n_bands] - energies[:, :, None]
+        with np.errstate(over="ignore", invalid="ignore"):   # each energy j meets band 0
+            gaps = energies[:, None, :n_bands] - energies[:, :, None]
+        if not np.isfinite(gaps).all():
+            raise ConfigError("a band energy or gap lies past float range: lattice too strong")
         close = np.abs(gaps) <= _GAP_MIN
         coupled_close = np.argwhere(close & (weight > 0.0))
         if coupled_close.size:
@@ -280,6 +285,9 @@ def band_sweep(pot: FourierPotential, n: int, k_points: int, n_bands: int,
     energies, velocity, inv_mass = band_derivatives(ks, pot, n, n_bands)
     m_star = np.divide(1.0, inv_mass, out=np.full_like(inv_mass, np.inf),
                        where=np.abs(inv_mass) >= _CURVATURE_MIN)
+    with np.errstate(over="ignore"):   # a finite internal value can overflow in SI
+        energy, v_g = energies * energy_eV, velocity * velocity_SI
+    if not (np.isfinite(energy).all() and np.isfinite(v_g).all()):
+        raise ConfigError("a band energy or velocity overflows on conversion to SI units")
     return list(zip(np.repeat(ks, n_bands).tolist(), list(range(n_bands)) * k_points,
-                    (energies * energy_eV).ravel().tolist(),
-                    (velocity * velocity_SI).ravel().tolist(), m_star.ravel().tolist()))
+                    energy.ravel().tolist(), v_g.ravel().tolist(), m_star.ravel().tolist()))

@@ -9,11 +9,10 @@ the rate at which a further shift moves the velocity sum (the Drude weight
 of Kohn's insulator criterion), in the same band pass as the velocity sum.
 The occupied states of every fraction of one band are prefixes of one |k|
 order, so one band pass per gauge shift, over the largest fraction's states,
-serves every fraction: fillings makes that pass and returns each fraction's
-velocity sum, label and Σ m/m* by name, and velocity_sum and classify are
-fillings at a single fraction. The pass reduces the shift to the zone before
-it moves the labels, and refuses a shift too large for its float spacing to
-place it on the k grid.
+serves every fraction: fillings, the module's one entry point, makes that
+pass and returns each fraction's velocity sum, label and Σ m/m* by name. The
+pass reduces the shift to the zone before it moves the labels, and refuses a
+shift too large for its float spacing to place it on the k grid.
 
 Time reversal makes each pass solve every |k| once. On a Hermitian lattice,
 real or complex, H(-k) is the conjugate of H(k) with the plane waves
@@ -39,7 +38,7 @@ from .potential import FourierPotential
 
 @dataclass(frozen=True)
 class BandFilling:
-    """Occupation of one band on a uniform k grid over [-π/a, π/a).
+    """Occupation of one band on a uniform k grid over [-π/a, π/a), before any shift.
 
     The lattice constant a is the potential's, so the grid methods take it
     as an argument. The grid is midpoint-offset, k_i = -π/a + (i + ½)Δk, which
@@ -55,7 +54,6 @@ class BandFilling:
     band: int
     n_k: int
     fraction: float
-    shift: float = 0.0
 
     def __post_init__(self):
         if self.band < 0:
@@ -95,9 +93,10 @@ def _folded_pass(ks: np.ndarray, pot: FourierPotential, n: int, band: int):
 class FillingResult:
     """One fraction's share of a fillings pass.
 
-    velocity_sum is velocity_sum's value, label is classify's, and response is
-    the signed Σ m/m* of the occupied states at the pass's shift, the rate at
-    which a further shift moves velocity_sum.
+    velocity_sum is the total group velocity of the occupied states, and
+    response their signed Σ m/m*, the rate at which a further shift moves
+    velocity_sum. label is "conductor" when a further shift of 1e-4·2π/a would
+    move velocity_sum by more than 1e-8·n_k, else "insulator".
     """
 
     velocity_sum: float
@@ -107,12 +106,13 @@ class FillingResult:
 
 def fillings(pot: FourierPotential, n: int, band: int, n_k: int, shift: float,
              fractions) -> list[FillingResult]:
-    """velocity_sum, classify and Σ m/m* of band at each of fractions, from one band pass.
+    """Velocity sum, label and Σ m/m* of band at each of fractions, from one band pass.
 
-    Every fraction's filling is BandFilling(band, n_k, fraction, shift), on the
-    k grid of pot's lattice constant. Each fraction's occupied states are a
-    prefix of the largest one's, so each sum is math.fsum over its own prefix
-    of the one pass, which _folded_pass makes at the distinct |k|.
+    Every fraction's filling is BandFilling(band, n_k, fraction) on the k grid
+    of pot's lattice constant, and each occupied label k contributes the exact
+    band derivatives at reduce(k + reduce(shift)). Each fraction's occupied
+    states are a prefix of the largest one's, so each sum is math.fsum over its
+    own prefix of the one pass, which _folded_pass makes at the distinct |k|.
 
     The shift is reduced to the zone once, before it moves the labels, so a
     shift far outside the zone rounds the way its in-zone image does, and an
@@ -142,26 +142,3 @@ def fillings(pot: FourierPotential, n: int, band: int, n_k: int, shift: float,
                                  "conductor" if moved else "insulator", response))
     return out
 
-
-def velocity_sum(filling: BandFilling, pot: FourierPotential, n: int) -> float:
-    """Total group velocity of the occupied, shift-transported states.
-
-    Each occupied label k contributes the band velocity at
-    reduce(k + reduce(shift)). Velocities come from the eigenvector
-    expectation of the plane-wave momenta (the exact band derivative);
-    accumulation uses exact summation so the result is independent of
-    evaluation order.
-    """
-    return fillings(pot, n, filling.band, filling.n_k, filling.shift,
-                    [filling.fraction])[0].velocity_sum
-
-
-def classify(filling: BandFilling, pot: FourierPotential, n: int) -> str:
-    """"conductor" when a small shift would move the velocity sum, else "insulator".
-
-    The rate is Σ m/m* of the same occupied states at the filling's shift (k·p
-    inverse masses). A conductor's sum would move by more than 1e-8·n_k under
-    a further shift of 1e-4 of a reciprocal lattice vector.
-    """
-    return fillings(pot, n, filling.band, filling.n_k, filling.shift,
-                    [filling.fraction])[0].label

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from array import array
 from typing import Callable
 
@@ -86,12 +87,15 @@ def real(value, name: str) -> float:
 
 
 def vector(vec, name: str) -> list[float]:
-    """A planar vector as two Python floats; anything else is a ConfigError."""
+    """A planar vector as two finite Python floats; anything else is a ConfigError."""
     try:
         a, b = vec
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must have 2 components, got {vec!r}") from None
-    return [real(a, f"{name}[0]"), real(b, f"{name}[1]")]
+    out = [real(a, f"{name}[0]"), real(b, f"{name}[1]")]
+    if not all(map(math.isfinite, out)):
+        raise ConfigError(f"{name} must be finite, got {vec!r}")
+    return out
 
 
 def norm(a: float, b: float) -> float:
@@ -127,22 +131,26 @@ def planar_rows(tag: str, v0, x0, E, B: float, T: float, dt: float) -> tuple[arr
     make, v_name = _EQUATIONS[tag]
     if tag == "FUNDAMENTAL" and B == 0.0:
         raise ConfigError("B must be nonzero; use evolve_free_E for the field-free case")
-    v = vector(v0, v_name)
-    y = [*vector(x0, "x0"), *v]
+    vx, vy = vector(v0, v_name)
+    px, py = vector(x0, "x0")
     Ev = vector(E, "E")
     wc = real(B, "B")
     nsteps, h = step_count(T, dt)
     unit = [[float(i == j) for i in range(4)] for j in range(4)]
     # row i of R, then r_i: R's columns are the unforced step from the unit vectors
-    step = list(zip(*(rk4_step(make(wc, [0.0, 0.0]), e, h) for e in unit),
-                    rk4_step(make(wc, Ev), [0.0] * 4, h)))
-    ys = array("d", y)
+    ((a0, b0, c0, d0, e0), (a1, b1, c1, d1, e1), (a2, b2, c2, d2, e2),
+     (a3, b3, c3, d3, e3)) = zip(*(rk4_step(make(wc, [0.0, 0.0]), e, h) for e in unit),
+                                 rk4_step(make(wc, Ev), [0.0] * 4, h))
+    ys = array("d", (px, py, vx, vy))
     for _ in range(nsteps):
-        y = [((a * y[0] + b * y[1]) + c * y[2]) + d * y[3] + e for a, b, c, d, e in step]
-        ys.extend(y)
+        px, py, vx, vy = ((((a0 * px + b0 * py) + c0 * vx) + d0 * vy) + e0,
+                          (((a1 * px + b1 * py) + c1 * vx) + d1 * vy) + e1,
+                          (((a2 * px + b2 * py) + c2 * vx) + d2 * vy) + e2,
+                          (((a3 * px + b3 * py) + c3 * vx) + d3 * vy) + e3)
+        ys.extend((px, py, vx, vy))
     # every product R_ij·y_j is formed, so a value past float range makes every
     # later component inf or nan, and the last row shows it
-    if not all(map(math.isfinite, y)):
+    if not all(map(math.isfinite, (px, py, vx, vy))):
         raise ConfigError(f"{tag} trajectory leaves float range (B={wc!r}, E={E!r}, "
                           f"T={T!r}, dt={dt!r})")
     return array("d", (j * h for j in range(nsteps + 1))), ys
@@ -157,9 +165,9 @@ def compare(k0, x0, E, B: float, T: float, dt: float):
     """
     times, fund = planar_rows("FUNDAMENTAL", k0, x0, E, B, T, dt)
     _, lor = planar_rows("LORENTZ", k0, x0, E, B, T, dt)
-    rows = range(0, len(fund), 4)
-    dx = array("d", (norm(fund[i] - lor[i], fund[i + 1] - lor[i + 1]) for i in rows))
-    dv = array("d", (norm(fund[i + 2] - lor[i + 2], fund[i + 3] - lor[i + 3]) for i in rows))
+    sub = operator.sub
+    dx = array("d", map(norm, map(sub, fund[0::4], lor[0::4]), map(sub, fund[1::4], lor[1::4])))
+    dv = array("d", map(norm, map(sub, fund[2::4], lor[2::4]), map(sub, fund[3::4], lor[3::4])))
     if not (all(map(math.isfinite, dx)) and all(map(math.isfinite, dv))):
         raise ConfigError(f"the divergence of the planar equations leaves float range "
                           f"(B={B!r}, E={E!r}, T={T!r})")

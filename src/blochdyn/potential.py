@@ -74,6 +74,8 @@ class FourierPotential:
     def _series(self, x, coeffs: np.ndarray, scale: float):
         """Σ_l coeffs_l exp(i 2πl x/a); its imaginary part must lie below _IMAG_TOL·scale."""
         x = np.asarray(x, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise ConfigError(f"x must be finite, got {float(x[~np.isfinite(x)][0])!r}")
         if self._ls.size == 0:
             out = np.zeros_like(x)
             return out if out.ndim else float(out)

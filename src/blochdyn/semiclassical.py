@@ -5,7 +5,7 @@ and their integrators here wrap planar's rows into Trajectory arrays.
 evolve_general_V takes the same RK4 step, planar.rk4_step, stage by stage,
 and holds its rows in a flat array as planar does. Every integrator here runs
 on planar.step_count's grid of round(T/dt) steps, as quantum's propagators do.
-Every planar vector is two real numbers; anything else is a ConfigError.
+Every planar vector is two finite real numbers; anything else is a ConfigError.
 
 Internal units throughout (ħ = m = e = 1): a uniform electric field E enters
 accelerations as -E, a magnetic field B ẑ gives the cyclotron frequency
@@ -104,12 +104,13 @@ def evolve_general_V(k0: float, x0: float, V: Callable, T: float, dt: float, dV:
     V is an electrical potential (the potential energy is -V), a callable on
     arrays of x, and dV its derivative, a callable on one x; a lattice passes
     pot.evaluate, dV=pot.derivative. Conservation of v²/2 - V(x) is checked
-    to energy_tol relative over the run unless energy_tol is None.
+    to energy_tol relative over the run unless energy_tol is None. A start
+    (x0, k0) that is not two finite real numbers is a ConfigError.
     """
     def rhs(y):
         return y[1], float(dV(y[0]))
 
-    times, ys = _rk4(rhs, (x0, k0), T, dt)
+    times, ys = _rk4(rhs, vector((x0, k0), "(x0, k0)"), T, dt)
     x, v = ys[:, 0], ys[:, 1]
     if energy_tol is not None:
         energy = 0.5 * v ** 2 - np.asarray(V(x), dtype=np.float64)
@@ -187,12 +188,16 @@ def evolve_periodic_E(k0: float, band: int, pot: FourierPotential, n: int,
     v_g is sampled from the band dispersion along the path and x(t) is its
     trapezoid integral from the origin; inv_mass carries the inverse
     effective mass m/m* along the path. All come from one band_derivatives
-    call over the whole path.
+    call over the whole path. A k0 or E that is not a finite real number, or a
+    path k0 - E·t that leaves float range, is a ConfigError.
     """
     from .central_equation import _check_band, band_derivatives, reduce_to_zone
 
+    k0, E = vector((k0, E), "(k0, E)")
     _check_band(band, n)
     times, _, _ = _time_grid(T, dt)
+    if not np.isfinite(k0 - E * float(times[-1])):   # k is linear in t: its end bounds it
+        raise ConfigError(f"PERIODIC_E path k0 - E·t leaves float range (E={E!r}, T={T!r})")
     k_unred = k0 - E * times
     _, v, inv_mass = band_derivatives(reduce_to_zone(k_unred, pot.a), pot, n, band + 1)
     v = v[:, band]
@@ -211,10 +216,10 @@ def evolve_periodic_B(k0, band: int, pot: FourierPotential, n: int,
     exact integral from the origin, s·(sin(ωt)/ω·k0 + (1 - cos ωt)/ω·Jk0) with
     s = ε'(ρ)/ρ and J the quarter turn, in sinc forms exact at ω = 0. Below
     ρ = 1e-12, k stays put and v_g = 0; the truncation is checked there too,
-    though no band pass runs. A B that is not a real number or lies past
-    float range (the int 10**400) is refused with ConfigError before the band
-    pass; a B that is not finite, or a rotation whose largest term ½ωt²
-    leaves float range, is refused with ConfigError before k or x is formed.
+    though no band pass runs. A k0 that is not two finite numbers, or a B that
+    is not a real number or lies past float range (the int 10**400), is
+    refused with ConfigError before the band pass; a B that is not finite, or
+    a rotation whose largest term ½ωt² leaves float range, before k or x is formed.
     """
     from .central_equation import _check_band, _coupling_block, band_derivatives, reduce_to_zone
 

@@ -4,17 +4,15 @@ Each case prints one PASS/FAIL line plus the measured numbers, so the pytest
 output doubles as the acceptance report.
 """
 
-import math
 import random
 import re
 
-import numpy as np
 import pytest
 
 from blochdyn import acceptance, conduction
 from blochdyn.acceptance import CRITERIA, run_all
 from blochdyn.central_equation import band_derivatives
-from blochdyn.conduction import BandFilling, velocity_sum
+from blochdyn.conduction import fillings
 from blochdyn.errors import ConfigError
 from blochdyn.potential import random_symmetric
 
@@ -26,10 +24,8 @@ SHORT = ("free-packet", "cyclotron", "crossed-field", "band-oracle", "weak-gap",
          "mass-dynamics", "conduction", "solenoid", "integrators")
 
 
-# each criterion's work at SEED, counted at numpy's solvers: (name, n) -> (calls, items).
-# For eigh and eigvalsh n is the matrix order and items the matrices (the product of
-# the leading dimensions); for fft and ifft n is the transform length and items the
-# transforms. Counts move with the algorithm, never with the host's speed
+# each criterion's work at SEED, counted at numpy's solvers by the work fixture
+# (conftest.py): (name, n) -> (calls, items)
 WORK = {
     1: {("fft", 4096): (401, 401), ("ifft", 4096): (200, 200)},
     2: {},
@@ -45,32 +41,9 @@ WORK = {
 }
 
 
-def _counting(monkeypatch):
-    """Wrap numpy's eigensolvers and FFTs so that each call adds to the returned table."""
-    work = {}
-
-    def count(module, name, matrix):
-        solver = getattr(module, name)
-
-        def counted(a, *args, **kwargs):
-            shape = np.shape(a)
-            n = shape[-1] if matrix else shape[kwargs.get("axis", -1)]
-            calls, items = work.get((name, n), (0, 0))
-            work[(name, n)] = (calls + 1, items + math.prod(shape) // (n * n if matrix else n))
-            return solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    for module, name, matrix in ((np.linalg, "eigh", True), (np.linalg, "eigvalsh", True),
-                                 (np.fft, "fft", False), (np.fft, "ifft", False)):
-        count(module, name, matrix)
-    return work
-
-
 @pytest.mark.parametrize("cid,name", [(cid, name) for cid, name, *_ in CRITERIA],
                          ids=[f"{cid:02d}-{short}" for (cid, *_), short in zip(CRITERIA, SHORT)])
-def test_criterion(cid, name, monkeypatch):
-    work = _counting(monkeypatch)
+def test_criterion(cid, name, work):
     [result] = run_all(SEED, only=[cid])
     print(f"[{'PASS' if result.passed else 'FAIL'}] criterion {cid}: {name}")
     print(f"       {result.detail}")
@@ -105,7 +78,7 @@ def test_criterion_8_unshifted_filled_bands_sum_to_exactly_zero(seed):
     for _ in range(10):
         pot = random_symmetric(1.0, rng)
         rng.uniform(-0.3, 0.3)      # the criterion's shift draw
-        assert velocity_sum(BandFilling(0, 256, 1.0), pot, 10) == 0.0
+        assert fillings(pot, 10, 0, 256, 0.0, [1.0])[0].velocity_sum == 0.0
 
 
 def test_criterion_8_draws_frozen_lattices_from_the_standard_library(monkeypatch):
@@ -114,17 +87,17 @@ def test_criterion_8_draws_frozen_lattices_from_the_standard_library(monkeypatch
     class Drawn(Exception):
         pass
 
-    def first(filling, pot, n):
-        raise Drawn(filling, pot)
+    def first(pot, n, band, n_k, shift, fractions):
+        raise Drawn(pot, band, shift, fractions)
 
-    monkeypatch.setattr(acceptance, "velocity_sum", first)
+    monkeypatch.setattr(acceptance, "fillings", first)
     with pytest.raises(Drawn) as drawn:
         acceptance.criterion_8_conduction(SEED)
-    filling, pot = drawn.value.args
+    pot, band, shift, fractions = drawn.value.args
     v1, v2, v3 = 0.7999438470544094, 1.2902478111044917, 0.7420940273861708
     assert dict(pot.items()) == {1: v1, -1: v1, 2: v2, -2: v2, 3: v3, -3: v3}
-    assert (filling.band, filling.fraction) == (0, 1.0)
-    assert filling.shift == 0.03960490123731675 * acceptance.TWO_PI == 0.2488449335466072
+    assert (band, list(fractions)) == (0, [1.0])
+    assert shift == 0.03960490123731675 * acceptance.TWO_PI == 0.2488449335466072
 
 
 @pytest.mark.parametrize("only, message", [([99], "unknown criteria [99]"),

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from blochdyn import (
-    BandFilling,
     ConfigError,
     DegeneratePointError,
     FourierPotential,
@@ -16,11 +15,11 @@ from blochdyn import (
     bloch_psi,
     build,
     effective_mass,
+    fillings,
     group_velocity,
     random_symmetric,
     reduce_to_zone,
     single_cosine,
-    velocity_sum,
 )
 from blochdyn.central_equation import (
     _DELTA_K_MASS,
@@ -130,7 +129,7 @@ def test_a_coupling_block_no_memory_holds_is_refused_at_start_up_size():
     (lambda: band_derivatives([], WEAK, 0, 1), "half-width must be >= 1, got 0"),
     (lambda: band_derivatives([], FourierPotential(1.0, {3: 0.1, -3: 0.1}), 1, 1),
      "n=1 smaller than potential cutoff L=3"),
-    (lambda: velocity_sum(BandFilling(0, 64, 0.0), single_cosine(1.0, 0.1), 0),
+    (lambda: fillings(single_cosine(1.0, 0.1), 0, 0, 64, 0.0, [0.0]),
      "half-width must be >= 1, got 0"),
 ], ids=["band_derivatives-n0", "band_derivatives-cutoff", "velocity_sum-empty"])
 def test_a_pass_over_no_k_refuses_a_bad_truncation(call, message):
@@ -483,7 +482,7 @@ def test_a_band_pass_holds_one_block_of_eigensystems_at_a_time():
     (lambda band: group_velocity(0.3, band, WEAK, 10), -1),
     (lambda band: group_velocity(0.3, band, WEAK, 10), 21),
     (lambda band: effective_mass(0.3, band, WEAK, 10), 21),
-    (lambda band: velocity_sum(BandFilling(band=band, n_k=64, fraction=0.5), WEAK, 10), 21),
+    (lambda band: fillings(WEAK, 10, band, 64, 0.0, [0.5]), 21),
 ], ids=["bloch_psi-neg", "bloch_psi", "group_velocity-neg", "group_velocity",
         "effective_mass", "velocity_sum"])
 def test_a_band_out_of_range_is_config_error(call, band):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from blochdyn import (BandFilling, ConfigError, FourierPotential, UnitSystem, acceptance,
-                      band_derivatives, band_sweep, classify, cli, compare_fundamental_lorentz,
+                      band_derivatives, band_sweep, cli, compare_fundamental_lorentz,
                       conduction, evolve_fundamental, evolve_general_V, evolve_lorentz,
-                      evolve_periodic_B, gaussian_packet, integrate_basis, random_symmetric,
-                      single_cosine, split_step_free, velocity_sum)
+                      evolve_periodic_B, evolve_periodic_E, fillings, gaussian_packet,
+                      integrate_basis, random_symmetric, reduce_to_zone, single_cosine,
+                      split_step_free)
 from blochdyn.acceptance import AcceptanceResult
 from blochdyn.cli import main
 from blochdyn.semiclassical import _time_grid
@@ -96,11 +97,15 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert scipy_modules == "[]"
 
 
-def test_bands_rows_and_byte_determinism(tmp_path):
+def test_bands_rows_and_byte_determinism(tmp_path, work):
     scn = str(SCENARIOS / "bands_weak_cosine.json")
     for d in ("one", "two"):
+        work.clear()
         assert main(["bands", "--scenario", scn,
                      "--out", str(tmp_path / d)]) == 0
+        # each run's work, counted at numpy's solvers (the work fixture, conftest.py):
+        # its 101 k points in blocks of 32
+        assert work == {("eigh", 21): (4, 101)}
     first = (tmp_path / "one" / "bands.csv").read_bytes()
     assert first == (tmp_path / "two" / "bands.csv").read_bytes()
     lines = first.decode().splitlines()
@@ -123,16 +128,20 @@ def test_bands_degenerate_points(tmp_path, coefficients, code):
     assert main(["bands", "--scenario", scn, "--out", str(tmp_path / "out")]) == code
 
 
-def test_wavepacket_norm_column(tmp_path):
+def test_wavepacket_norm_column(tmp_path, work):
     # the shipped run, and 10^7 steps of h sampled at both ends: one Strang step,
-    # and two rows ending at t = 20
+    # and two rows ending at t = 20. The work of each run is frozen: an FFT per
+    # row and per step, and an inverse FFT per step
     scn_obj = json.loads((SCENARIOS / "wavepacket_free.json").read_text())
     scn_obj["dynamics"]["dt_internal"] = 2e-6
     scn_obj["output"]["sample_stride"] = 10 ** 7
     wide = _write(tmp_path, scn_obj, "wide-stride.json")
-    for scn, rows in ((str(SCENARIOS / "wavepacket_free.json"), 201), (wide, 2)):
+    for scn, rows, steps in ((str(SCENARIOS / "wavepacket_free.json"), 201, 200), (wide, 2, 1)):
+        work.clear()
         out = tmp_path / Path(scn).stem
         assert main(["wavepacket", "--scenario", scn, "--out", str(out)]) == 0
+        assert work == {("fft", 4096): (rows + steps, rows + steps),
+                        ("ifft", 4096): (steps, steps)}
         table = np.loadtxt(out / "wavepacket.csv", delimiter=",", skiprows=2, ndmin=2)
         np.testing.assert_allclose(table[:, 4], 1.0, atol=1e-10)
         assert table.shape[0] == rows
@@ -206,9 +215,10 @@ def test_compare_eom_writes_the_library_report_bit_for_bit(tmp_path):
         "max_velocity_divergence": rep.max_velocity_divergence}
 
 
-def test_adiabatic_probe_json(tmp_path):
+def test_adiabatic_probe_json(tmp_path, work):
     scn = str(SCENARIOS / "adiabatic_si_probe.json")
     assert main(["adiabatic", "--scenario", scn, "--out", str(tmp_path)]) == 0
+    assert work == {("eigh", 21): (1, 1)}
     rep = json.loads((tmp_path / "adiabatic.json").read_text())
     assert rep["chain_holds"] is True
     assert rep["omega_bar_star_eV"] == pytest.approx(
@@ -238,9 +248,11 @@ def test_adiabatic_sweep_csv(tmp_path):
     assert np.all(table[:, 5] > 0.99)
 
 
-def test_conduction_classifications(tmp_path):
+def test_conduction_classifications(tmp_path, work):
     scn = str(SCENARIOS / "conduction_fillings.json")
     assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
+    # the shifted pass solves its 256 states, the unshifted one their 128 |k|
+    assert work == {("eigh", 21): (12, 384)}
     rep = json.loads((tmp_path / "conduction.json").read_text())
     tags = [e["classification"] for e in rep["fillings"]]
     assert tags == ["insulator", "conductor", "insulator"]
@@ -259,7 +271,7 @@ def test_conduction_uses_the_lattice_constant(tmp_path):
 
 
 def test_conduction_json_equals_the_per_filling_calls(tmp_path):
-    # the shared band pass against the public one-filling-at-a-time path
+    # the CLI's two shared band passes against a library pass per fraction and shift
     pot = random_symmetric(1.0, np.random.default_rng(5))
     shift = 0.21 * 2.0 * math.pi
     fractions = [0.75, 0.25, 1.0, 0.5]
@@ -272,9 +284,9 @@ def test_conduction_json_equals_the_per_filling_calls(tmp_path):
     assert main(["conduction", "--scenario", scn, "--out", str(tmp_path)]) == 0
     want = {"version": 1, "band": 1, "n_k": 128, "shift_internal": shift, "fillings": [
         {"fraction": frac,
-         "velocity_sum_unshifted": velocity_sum(BandFilling(1, 128, frac), pot, 6),
-         "velocity_sum_shifted": velocity_sum(BandFilling(1, 128, frac, shift), pot, 6),
-         "classification": classify(BandFilling(1, 128, frac), pot, 6)}
+         "velocity_sum_unshifted": fillings(pot, 6, 1, 128, 0.0, [frac])[0].velocity_sum,
+         "velocity_sum_shifted": fillings(pot, 6, 1, 128, shift, [frac])[0].velocity_sum,
+         "classification": fillings(pot, 6, 1, 128, 0.0, [frac])[0].label}
         for frac in fractions]}
     assert json.loads((tmp_path / "conduction.json").read_text()) == want
 
@@ -428,6 +440,10 @@ def test_potential_coefficient_validation(tmp_path):
     assert main(["bands", "--scenario", scn, "--out", str(tmp_path)]) == 2
 
 
+# a cosine lattice whose band energies lie past float range
+HUGE = [[-1, 1e308, 0.0], [1, 1e308, 0.0]]
+
+
 @pytest.mark.parametrize("stem, command, block, key, value", [
     ("wavepacket_free", "wavepacket", "output", "sample_stride", 0),
     ("wavepacket_free", "wavepacket", "dynamics", "grid_points", 0),
@@ -449,13 +465,29 @@ def test_potential_coefficient_validation(tmp_path):
                    {"field": {"E_internal": 330}, "dynamics": {"T_internal": 0.2},
                     "output": {"sample_stride": stride}},
                    id=f"wavepacket_free-k_window-stride_{stride}") for stride in (5, 20)),
+    # a lattice whose band energies eigh returns as ±inf: the gaps overflow, and
+    # both runs used to exit 0 with a -inf energy or a half filling labelled "insulator"
+    pytest.param("bands_weak_cosine", "bands", None, None,
+                 {"potential": {"coefficients_eV": None, "coefficients_internal": HUGE},
+                  "sweep": {"n_waves": 3}}, id="bands-energy_past_float_range"),
+    # finite band energies of ±7.4e307 that overflow in eV
+    pytest.param("bands_weak_cosine", "bands", None, None,
+                 {"potential": {"coefficients_eV": None,
+                                "coefficients_internal": [[-1, 4e307, 0.0], [1, 4e307, 0.0]]},
+                  "sweep": {"n_waves": 3}}, id="bands-energy_past_float_range_in_eV"),
+    pytest.param("conduction_fillings", "conduction", None, None,
+                 {"potential": {"coefficients_internal": HUGE},
+                  "dynamics": {"n_k": 64, "n_waves": 3, "fractions": [0.5]}},
+                 id="conduction-energy_past_float_range"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, stem, command, block, key, value):
     scn_obj = json.loads((SCENARIOS / f"{stem}.json").read_text())
     for name, edits in ({block: {key: value}} if block else value).items():
-        scn_obj[name].update(edits)
+        # an edit to None removes the key
+        scn_obj[name] = {k: v for k, v in {**scn_obj[name], **edits}.items() if v is not None}
     scn = _write(tmp_path, scn_obj)
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_conduction_band_out_of_range_names_the_band(tmp_path, capsys):
@@ -523,6 +555,9 @@ def test_a_size_no_machine_can_allocate_exits_2(tmp_path, capsys, stem, command,
     assert not out.exists()
 
 
+COSINE = single_cosine(1.0, 0.05)
+
+
 @pytest.mark.parametrize("call", [
     lambda: _time_grid(1.0, 2.0),
     lambda: _time_grid(1.0, 1e-320),
@@ -550,13 +585,31 @@ def test_a_size_no_machine_can_allocate_exits_2(tmp_path, capsys, stem, command,
     lambda: evolve_general_V(0.1, 0.0, np.zeros_like, 10 ** 400, 1.0, lambda x: 0.0),
     lambda: split_step_free(gaussian_packet(400.0, 256, 0.0, 1.0, 10.0), 0.0, 10 ** 400, 1.0),
     lambda: integrate_basis(0.3, single_cosine(1.0, 0.3), 2, 0.05, 10 ** 400, 1.0),
+    # inputs that are not finite, each refused before its arithmetic warns or asserts
+    lambda: COSINE.evaluate(math.nan),
+    lambda: COSINE.derivative(math.inf),
+    lambda: evolve_general_V(0.1, math.nan, COSINE.evaluate, 1.0, 0.1, COSINE.derivative),
+    lambda: evolve_general_V(0.1, math.inf, COSINE.evaluate, 1.0, 0.1, COSINE.derivative),
+    lambda: evolve_periodic_B([math.nan, 0.0], 0, COSINE, 3, 1.0, 1.0, 0.1),
+    lambda: evolve_periodic_B([math.inf, 0.0], 0, COSINE, 3, 1.0, 1.0, 0.1),
+    lambda: evolve_periodic_E(math.inf, 0, COSINE, 3, 0.1, 1.0, 0.1),
+    lambda: reduce_to_zone(math.inf),
+    # k0 - E·t past float range
+    lambda: evolve_periodic_E(0.0, 0, COSINE, 3, 1e308, 10.0, 1.0),
+    # band energies, or their eV values, past float range
+    lambda: band_sweep(FourierPotential(1.0, {1: 1e308, -1: 1e308}), 3, 11, 3, 1.0, 1.0),
+    lambda: band_sweep(FourierPotential(1.0, {1: 4e307, -1: 4e307}), 3, 11, 3, 7.62, 1.0),
 ], ids=["time_grid", "time_grid_infinite_steps", "time_grid_too_many_steps",
         "band_sweep", "band_sweep_no_bands", "band_derivatives", "potential", "filling",
         "fundamental", "split_step", "packet_k0_past_k_window",
         "lorentz_three_components", "lorentz_one_component", "fundamental_scalar_x0",
         "fundamental_array_component", "compare_array_component", "lorentz_string_E",
         "periodic_B_string_k0", "lorentz_T_past_float_range", "general_V_T_past_float_range",
-        "split_step_T_past_float_range", "basis_T_past_float_range"])
+        "split_step_T_past_float_range", "basis_T_past_float_range", "evaluate_nan",
+        "derivative_inf", "general_V_nan_x0", "general_V_inf_x0", "periodic_B_nan_k0",
+        "periodic_B_inf_k0", "periodic_E_inf_k0", "reduce_to_zone_inf",
+        "periodic_E_path_past_float_range", "band_sweep_energy_past_float_range",
+        "band_sweep_energy_past_float_range_in_eV"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

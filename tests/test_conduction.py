@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from blochdyn import (
     BandFilling,
     FourierPotential,
     band_derivatives,
-    classify,
     effective_mass,
     fillings,
     fractional_displacement,
@@ -19,9 +19,8 @@ from blochdyn import (
     reduce_to_zone,
     single_cosine,
     solenoid_shift,
-    velocity_sum,
 )
-from blochdyn.conduction import FillingResult, _folded_pass
+from blochdyn.conduction import _folded_pass
 from blochdyn.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -90,6 +89,12 @@ def test_filling_validation():
 # velocity sums
 
 
+def _one(pot, n, band, n_k, fraction, shift=0.0):
+    """The fillings result of a single fraction."""
+    result, = fillings(pot, n, band, n_k, shift, [fraction])
+    return result
+
+
 def test_filled_band_velocity_cancels_with_and_without_shift():
     # velocity structure near the gap lives on a k scale of roughly V1/pi,
     # so the grid sum cancels only up to aliasing that dies out with n_k
@@ -97,36 +102,33 @@ def test_filled_band_velocity_cancels_with_and_without_shift():
     for _ in range(3):
         pot = random_symmetric(1.0, rng)
         for shift in (0.0, 0.37 * TWO_PI):
-            f = BandFilling(band=0, n_k=256, fraction=1.0, shift=shift)
-            assert abs(velocity_sum(f, pot, 6)) < 1e-8 * f.n_k
+            assert abs(_one(pot, 6, 0, 256, 1.0, shift).velocity_sum) < 1e-8 * 256
 
 
 def test_half_filling_unshifted_cancels():
-    f = BandFilling(band=0, n_k=64, fraction=0.5)
-    assert abs(velocity_sum(f, WEAK, 8)) < 1e-9
+    assert abs(_one(WEAK, 8, 0, 64, 0.5).velocity_sum) < 1e-9
 
 
 def test_shift_response_matches_inverse_mass_sum():
     s = 1e-4 * TWO_PI
-    f = BandFilling(band=0, n_k=64, fraction=0.5, shift=s)
-    response = velocity_sum(f, WEAK, 8)
+    response = _one(WEAK, 8, 0, 64, 0.5, s).velocity_sum
     inv_mass = math.fsum(1.0 / effective_mass(k, 0, WEAK, 8)
-                         for k in f.occupied_k(1.0))
+                         for k in BandFilling(0, 64, 0.5).occupied_k(1.0))
     assert response == pytest.approx(s * inv_mass, rel=1e-4)
 
 
 def test_shift_response_is_odd():
     s = 3e-3
-    up = velocity_sum(BandFilling(0, 64, 0.5, s), WEAK, 8)
-    down = velocity_sum(BandFilling(0, 64, 0.5, -s), WEAK, 8)
+    up = _one(WEAK, 8, 0, 64, 0.5, s).velocity_sum
+    down = _one(WEAK, 8, 0, 64, 0.5, -s).velocity_sum
     assert up == pytest.approx(-down, abs=1e-12)
     assert abs(up) > 1e-5
 
 
 def test_response_stable_under_grid_doubling():
     s = 1e-3
-    coarse = velocity_sum(BandFilling(0, 64, 0.5, s), WEAK, 8)
-    fine = velocity_sum(BandFilling(0, 128, 0.5, s), WEAK, 8)
+    coarse = _one(WEAK, 8, 0, 64, 0.5, s).velocity_sum
+    fine = _one(WEAK, 8, 0, 128, 0.5, s).velocity_sum
     # extensive quantity: doubling the grid doubles the sum
     assert fine == pytest.approx(2.0 * coarse, rel=1e-3)
 
@@ -137,9 +139,9 @@ def test_response_stable_under_grid_doubling():
 
 def test_classification_trio():
     # n_k large enough that the full-band probe stays below threshold
-    assert classify(BandFilling(0, 256, 0.0), WEAK, 8) == "insulator"
-    assert classify(BandFilling(0, 256, 0.5), WEAK, 8) == "conductor"
-    assert classify(BandFilling(0, 256, 1.0), WEAK, 8) == "insulator"
+    assert _one(WEAK, 8, 0, 256, 0.0).label == "insulator"
+    assert _one(WEAK, 8, 0, 256, 0.5).label == "conductor"
+    assert _one(WEAK, 8, 0, 256, 1.0).label == "insulator"
 
 
 def test_the_k_grid_takes_the_potential_lattice_constant():
@@ -147,14 +149,13 @@ def test_the_k_grid_takes_the_potential_lattice_constant():
     wide = single_cosine(2.0, 0.25)
     half = BandFilling(0, 256, 0.5)
     np.testing.assert_array_equal(half.k_grid(2.0), half.k_grid(1.0) / 2.0)
-    assert classify(half, wide, 8) == "conductor"
-    assert classify(BandFilling(0, 256, 1.0), wide, 8) == "insulator"
+    assert _one(wide, 8, 0, 256, 0.5).label == "conductor"
+    assert _one(wide, 8, 0, 256, 1.0).label == "insulator"
 
 
 def test_shifted_half_filling_is_a_conductor():
     # the label is read at the filling's own shift, whatever that shift is
-    f = BandFilling(0, 256, 0.5, shift=1e-4 * TWO_PI)
-    assert classify(f, single_cosine(1.0, 0.05), 10) == "conductor"
+    assert _one(single_cosine(1.0, 0.05), 10, 0, 256, 0.5, 1e-4 * TWO_PI).label == "conductor"
 
 
 @pytest.mark.parametrize("factor, label", [(0.5, "insulator"), (2.0, "conductor")])
@@ -176,12 +177,11 @@ def test_the_conductor_threshold_is_1e_8_per_k_point(monkeypatch, factor, label)
     assert result.label == label
 
 
-def _probe_label(filling, pot, n):
-    """Finite-difference reference: does a further shift of 1e-4·2π/a move the sum?"""
-    probed = BandFilling(filling.band, filling.n_k, filling.fraction,
-                         filling.shift + 1e-4 * TWO_PI / pot.a)
-    moved = abs(velocity_sum(probed, pot, n) - velocity_sum(filling, pot, n))
-    return "conductor" if moved > 1e-8 * filling.n_k else "insulator"
+def _probe_label(pot, n, n_k, fraction, shift):
+    """Finite-difference reference: does a further shift of 1e-4·2π/a move band 0's sum?"""
+    probed = _one(pot, n, 0, n_k, fraction, shift + 1e-4 * TWO_PI / pot.a)
+    moved = abs(probed.velocity_sum - _one(pot, n, 0, n_k, fraction, shift).velocity_sum)
+    return "conductor" if moved > 1e-8 * n_k else "insulator"
 
 
 def test_labels_match_a_finite_difference_probe():
@@ -192,21 +192,20 @@ def test_labels_match_a_finite_difference_probe():
     for pot in [WEAK] + [random_symmetric(1.0, rng) for _ in range(3)]:
         for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
             for shift in (0.0, 1e-4 * TWO_PI, 0.37 * TWO_PI):
-                f = BandFilling(0, 256, fraction, shift)
-                label = classify(f, pot, 8)
-                assert label == _probe_label(f, pot, 8), (pot, fraction, shift)
+                label = _one(pot, 8, 0, 256, fraction, shift).label
+                assert label == _probe_label(pot, 8, 256, fraction, shift), (pot, fraction, shift)
                 labels.add(label)
     assert labels == {"conductor", "insulator"}
 
 
-def _inverse_mass_sum(filling, pot, n):
+def _inverse_mass_sum(pot, n, band, n_k, fraction, shift):
     """Signed Σ m/m* of the occupied states, from a band pass of their own.
 
     m/m* is even in k, so the pass runs at each state's |k|, as the folded pass does.
     """
-    ks = reduce_to_zone(filling.occupied_k(pot.a) + filling.shift, pot.a)
-    _, _, inv_mass = band_derivatives(np.abs(ks), pot, n, filling.band + 1)
-    return math.fsum(inv_mass[:, filling.band])
+    ks = reduce_to_zone(BandFilling(band, n_k, fraction).occupied_k(pot.a) + shift, pot.a)
+    _, _, inv_mass = band_derivatives(np.abs(ks), pot, n, band + 1)
+    return math.fsum(inv_mass[:, band])
 
 
 def test_one_pass_per_shift_equals_the_per_filling_calls():
@@ -217,10 +216,11 @@ def test_one_pass_per_shift_equals_the_per_filling_calls():
     fractions = [0.5, 1.0, 0.0, 0.75, 0.25]
     for pot in [WEAK, SKEW] + [random_symmetric(1.0, rng) for _ in range(3)]:
         for band, n_k, shift in itertools.product((0, 1), (64, 65), (0.0, 0.37 * TWO_PI)):
-            want = [(velocity_sum(f, pot, 8), classify(f, pot, 8), _inverse_mass_sum(f, pot, 8))
-                    for f in (BandFilling(band, n_k, frac, shift) for frac in fractions)]
+            want = [replace(_one(pot, 8, band, n_k, frac, shift),
+                            response=_inverse_mass_sum(pot, 8, band, n_k, frac, shift))
+                    for frac in fractions]
             got = fillings(pot, 8, band, n_k, shift, fractions)
-            assert got == [FillingResult(*w) for w in want], (pot, band, n_k, shift)
+            assert got == want, (pot, band, n_k, shift)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.37 * TWO_PI], ids=["unshifted", "shifted"])
@@ -290,12 +290,7 @@ ONE_PASS_CASES = [
 def test_one_multi_fraction_call_is_the_per_fraction_calls_bitwise(pot, n, n_k, shift,
                                                                    fractions):
     together = fillings(pot, n, 0, n_k, shift, fractions)
-    assert together == [fillings(pot, n, 0, n_k, shift, [f])[0] for f in fractions]
-    # velocity_sum and classify are fillings at one fraction, field for field
-    for fraction, result in zip(fractions, together):
-        filling = BandFilling(0, n_k, fraction, shift)
-        assert velocity_sum(filling, pot, n) == result.velocity_sum
-        assert classify(filling, pot, n) == result.label
+    assert together == [_one(pot, n, 0, n_k, f, shift) for f in fractions]
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +332,7 @@ def test_a_shift_too_large_for_the_k_grid_is_refused(shift):
     with pytest.raises(ConfigError, match="too large for the k grid"):
         fillings(WEAK, 10, 0, 256, shift, [0.5, 1.0])
     with pytest.raises(ConfigError, match="too large for the k grid"):
-        velocity_sum(BandFilling(0, 256, 1.0, shift), WEAK, 10)
+        fillings(WEAK, 10, 0, 256, shift, [1.0])
 
 
 def test_the_shift_bound_is_1e_4_of_the_grid_step():

@@ -13,12 +13,12 @@ import blochdyn
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# submodule -> the 49 names the package exports, written out here so that a
+# submodule -> the 47 names the package exports, written out here so that a
 # name dropped from the package's own table fails this file
 EXPORTS = {
     "central_equation": ["BandSolution", "band_derivatives", "band_sweep", "bloch_psi", "build",
                          "effective_mass", "group_velocity", "reduce_to_zone", "solve_at"],
-    "conduction": ["BandFilling", "classify", "fillings", "velocity_sum"],
+    "conduction": ["BandFilling", "fillings"],
     "errors": ["BoundaryProximityError", "ConfigError", "DegeneratePointError",
                "EnergyDriftError", "InfiniteMassError", "PhysicsError"],
     "potential": ["FourierPotential", "random_symmetric", "single_cosine"],
@@ -112,7 +112,7 @@ def test_a_solenoid_run_loads_no_numpy(tmp_path):
 
 def test_every_export_is_its_submodule_object():
     names = [name for group in EXPORTS.values() for name in group]
-    assert len(names) == 49
+    assert len(names) == 47
     assert sorted(blochdyn.__all__) == sorted([*names, "__version__"])
     assert set(blochdyn.__all__) <= set(dir(blochdyn))
     for module, group in EXPORTS.items():

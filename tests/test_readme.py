@@ -30,7 +30,7 @@ def _run(code):
 
 
 def test_quick_start_runs_and_classifies_a_conductor():
-    assert "classify" in ast.unparse(ast.parse(BLOCKS[0]).body[-1])
+    assert "fillings" in ast.unparse(ast.parse(BLOCKS[0]).body[-1])
     label, _ = _run(BLOCKS[0])
     assert label == "conductor"
 
